@@ -1,0 +1,79 @@
+"""Behaviour pins across code versions: pinned (scenario, pow, seed) runs must
+reproduce their history signature and log digest exactly.
+
+tests/golden_pins.json maps each run to both digests. A change that alters
+behaviour on purpose regenerates the file and says why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+
+import pytest
+
+from test_acceptance import KILL_PLANS
+from powerstore import scenarios
+from powerstore.crypto import digest
+from powerstore.simnet import SimConfig, run
+
+PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "golden_pins.json")
+SEEDS = range(25)
+
+
+def _catalog_config(sweep, pow_name, seed):
+    name, seed, t, pow_name, over = scenarios.task_for(
+        sweep, seed, pow_name=pow_name)
+    return scenarios.CATALOG[name].config(seed, t=t, pow_name=pow_name, **over)
+
+
+def _mutant_config(mutant):
+    kw = dict(writes=4, reads=4, readers=2)
+    kw.update(KILL_PLANS[mutant])
+    return SimConfig(mutant=mutant, seed=0, **kw)
+
+
+def pinned_configs():
+    """Run key -> SimConfig for every pinned run."""
+    configs = {}
+    for sweep in scenarios.SWEEP_NAMES:
+        for pow_name in ("hash", "shamir"):
+            for seed in SEEDS:
+                configs["%s/%s/%d" % (sweep, pow_name, seed)] = \
+                    _catalog_config(sweep, pow_name, seed)
+    for mutant in sorted(KILL_PLANS):
+        configs["mutant/%s/0" % mutant] = _mutant_config(mutant)
+    return configs
+
+
+def pin(config):
+    result = run(config)
+    return {"signature": digest(repr(result.history_signature()).encode()).hex(),
+            "log_digest": result.log_digest()}
+
+
+def _load_pins():
+    with open(PINS_PATH) as fh:
+        return json.load(fh)
+
+
+def test_pins_cover_every_pinned_run():
+    assert sorted(_load_pins()) == sorted(pinned_configs())
+
+
+@pytest.mark.parametrize("prefix", ["sw-catalog/", "mw-catalog/", "mutant/"])
+def test_pinned_runs_reproduce_their_digests(prefix):
+    pins = _load_pins()
+    drift = [key for key, config in sorted(pinned_configs().items())
+             if key.startswith(prefix) and pin(config) != pins[key]]
+    assert not drift, "behaviour changed on %d pinned runs, first %s" % (
+        len(drift), drift[0])
+
+
+if __name__ == "__main__":
+    pins = {key: pin(config) for key, config in sorted(pinned_configs().items())}
+    with open(PINS_PATH, "w") as fh:
+        json.dump(pins, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("wrote %d pins to %s" % (len(pins), PINS_PATH))
