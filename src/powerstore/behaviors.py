@@ -10,14 +10,11 @@ identical whichever proof scheme is active.
 from __future__ import annotations
 
 import dataclasses
-import logging
 
 from . import codec
 from .core import C0, TS0, Candidate, Timestamp
 from .crypto import Polynomial, digest
 from .erasure import Fragment, fragment_to_bytes
-
-log = logging.getLogger(__name__)
 
 HUGE_NUM = 1 << 40
 
@@ -176,7 +173,7 @@ class EquivocateFragments(ServerShell):
         return reply
 
 
-_SERVER = {
+SERVERS = {
     "stale_lc": StaleLc,
     "fabricate_candidate": FabricateCandidate,
     "corrupt_vec": CorruptVec,
@@ -184,10 +181,6 @@ _SERVER = {
     "mute": Mute,
     "equivocate_fragments": EquivocateFragments,
 }
-
-
-def make_server_behavior(name, base, sim):
-    return _SERVER[name](base, sim)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +283,8 @@ class FloodWritebacks(ByzReader):
         self._all(codec.Filter(self.count, tuple(cands)))
 
 
-_READER = {
+READERS = {
     "garbage_filter_sets": GarbageFilterSets,
     "replayed_candidates": ReplayedCandidates,
     "flood_writebacks": FloodWritebacks,
 }
-
-
-def make_reader_behavior(name, cid, sim):
-    return _READER[name](cid, sim)

@@ -8,13 +8,10 @@ value back, so matching reads can be applied greedily without branching.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import permutations
 
 from .crypto import pow_scheme
-
-log = logging.getLogger(__name__)
 
 
 class HistoryMalformed(Exception):

@@ -8,22 +8,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
+import shlex
 import sys
 from dataclasses import replace
 
 from . import scenarios
 from .simnet import SimConfig, format_config, parse_config, run
 
-logger = logging.getLogger(__name__)
-
 
 def _add_run_flags(parser, seeds=True):
     parser.add_argument("--scenario", help="catalog scenario name; omit to "
                         "describe an ad-hoc run with the flags below")
     parser.add_argument("--config", help="key=value file describing the run; "
-                        "only the seed flags apply on top of it")
+                        "only the seed flags and --jobs apply on top of it")
     if seeds:
         parser.add_argument("--seeds", type=int, default=20,
                             help="number of seeds to sweep (default 20)")
@@ -49,15 +47,16 @@ def _add_run_flags(parser, seeds=True):
     parser.add_argument("--out", help="write newline-delimited records here")
 
 
-def _adhoc_scenario(args):
-    return scenarios.Scenario(
-        name="adhoc", summary="command line flags", mode=args.mode,
-        faults=tuple(args.fault), writers=args.writers or 0,
-        readers=args.readers or 2, writes=args.writes or 4,
-        reads=args.reads or 4, delay=args.delay)
-
-
-def _overrides(args):
+def _runs(args, seeds):
+    """(Scenario, SimConfig) per seed, from a config file, a catalog
+    scenario, or the ad-hoc flags."""
+    if args.config:
+        with open(args.config) as fh:
+            base = parse_config(fh.read())
+        shim = scenarios.Scenario(name=os.path.basename(args.config),
+                                  summary="config file", mode=base.mode,
+                                  expect_repairs="any")
+        return [(shim, replace(base, seed=seed)) for seed in seeds]
     over = {"value_size": args.value_size}
     if args.scenario:
         # explicit workload flags override the scenario's defaults
@@ -66,67 +65,35 @@ def _overrides(args):
         for key in ("writers", "readers", "writes", "reads"):
             if getattr(args, key):
                 over[key] = getattr(args, key)
-    return over
-
-
-def _config_file_runs(args, seeds):
-    with open(args.config) as fh:
-        base = parse_config(fh.read())
-    shim = scenarios.Scenario(name=os.path.basename(args.config),
-                              summary="config file", mode=base.mode,
-                              expect_repairs="any")
-    return [scenarios.report_for(shim, run(replace(base, seed=seed)))
+        return [scenarios.pair_for(args.scenario, seed, t=args.t,
+                                   pow_name=args.pow, **over)
+                for seed in seeds]
+    adhoc = scenarios.Scenario(
+        name="adhoc", summary="command line flags", mode=args.mode,
+        faults=tuple(args.fault), writers=args.writers or 0,
+        readers=args.readers or 2, writes=args.writes or 4,
+        reads=args.reads or 4, delay=args.delay)
+    return [(adhoc, adhoc.config(seed, t=args.t, pow_name=args.pow, **over))
             for seed in seeds]
 
 
-def _run_reports(args, seeds):
+def _replay_argv(args, seed):
+    """The replay command that re-runs one seed of this sweep exactly."""
+    parts = ["powerstore", "replay", "--seed", str(seed)]
     if args.config:
-        return _config_file_runs(args, seeds)
-    over = _overrides(args)
-    if args.scenario:
-        tasks = [scenarios.task_for(args.scenario, seed, t=args.t,
-                                    pow_name=args.pow, **over)
-                 for seed in seeds]
-        return scenarios.run_tasks(tasks, jobs=getattr(args, "jobs", 1))
-    adhoc = _adhoc_scenario(args)
-    reports = []
-    for seed in seeds:
-        result = run(adhoc.config(seed, t=args.t, pow_name=args.pow, **over))
-        reports.append(scenarios.report_for(adhoc, result))
-    return reports
-
-
-def _single_result(args, seed):
-    if args.config:
-        with open(args.config) as fh:
-            base = parse_config(fh.read())
-        shim = scenarios.Scenario(name=os.path.basename(args.config),
-                                  summary="config file", mode=base.mode,
-                                  expect_repairs="any")
-        return shim, run(replace(base, seed=seed))
-    over = _overrides(args)
-    if args.scenario:
-        name, seed, t, pow_name, o = scenarios.task_for(
-            args.scenario, seed, t=args.t, pow_name=args.pow, **over)
-        sc = scenarios.CATALOG[name]
-        return sc, run(sc.config(seed, t=t, pow_name=pow_name, **o))
-    adhoc = _adhoc_scenario(args)
-    return adhoc, run(adhoc.config(seed, t=args.t, pow_name=args.pow, **over))
-
-
-def _replay_argv(args, report):
-    parts = ["powerstore", "replay", "--seed", str(report["seed"])]
-    if args.config:
-        parts += ["--config", args.config]
-        return " ".join(parts)
+        return shlex.join(parts + ["--config", args.config])
     if args.scenario:
         parts += ["--scenario", args.scenario]
     else:
         parts += ["--mode", args.mode]
         for d in args.fault:
             parts += ["--fault", d]
-    parts += ["--t", str(args.t), "--pow", args.pow]
-    return " ".join(parts)
+    parts += ["--t", str(args.t), "--pow", args.pow,
+              "--value-size", str(args.value_size), "--delay", args.delay]
+    for key in ("writers", "readers", "writes", "reads"):
+        if getattr(args, key):
+            parts += ["--" + key, str(getattr(args, key))]
+    return shlex.join(parts)
 
 
 def _fmt_rounds(values):
@@ -141,7 +108,7 @@ def _write_ndjson(path, records):
 
 def cmd_run(args):
     seeds = range(args.seed_start, args.seed_start + args.seeds)
-    reports = _run_reports(args, seeds)
+    reports = scenarios.run_tasks(_runs(args, seeds), jobs=args.jobs)
     if args.out:
         _write_ndjson(args.out, reports)
     name = args.scenario or (os.path.basename(args.config) if args.config
@@ -166,14 +133,15 @@ def cmd_run(args):
     if bad:
         first = bad[0]
         print("FAIL seed %d: %s" % (first["seed"], "; ".join(first["failures"])))
-        print("reproduce with: %s" % _replay_argv(args, first))
+        print("reproduce with: %s" % _replay_argv(args, first["seed"]))
         return 1
     print("PASS")
     return 0
 
 
 def cmd_replay(args):
-    scenario, result = _single_result(args, args.seed)
+    [(scenario, config)] = _runs(args, [args.seed])
+    result = run(config)
     report = scenarios.report_for(scenario, result)
     if args.out:
         with open(args.out, "w") as fh:

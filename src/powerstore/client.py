@@ -8,12 +8,9 @@ never invokes its completion callback.
 
 from __future__ import annotations
 
-import logging
-
 from . import codec
 from .core import (
     BOTTOM,
-    C0,
     TS0,
     Candidate,
     Reply,
@@ -30,8 +27,6 @@ from .crypto import (
     verify_timestamp,
 )
 from .erasure import cross_checksum, decode as ec_decode, encode as ec_encode, fragment_to_bytes
-
-log = logging.getLogger(__name__)
 
 
 class ProtocolInvariantError(AssertionError):
@@ -360,11 +355,3 @@ class MwReader(ReaderBase):
         self._repair_acks.add(sid)
         if len(self._repair_acks) >= self.s - self.t:
             self._finish_read()
-
-
-def make_client(mode, role, cid, **kwargs):
-    if role == "writer":
-        cls = SwWriter if mode == "sw" else MwWriter
-    else:
-        cls = SwReader if mode == "sw" else MwReader
-    return cls(cid, **kwargs)

@@ -9,13 +9,12 @@ docs/wire-format.md holds the byte-level reference.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import Candidate, Timestamp
 from .crypto import Polynomial, ShamirShare
-from .erasure import Fragment
+from .erasure import ErasureError, Fragment, fragment_from_bytes, fragment_to_bytes
 
 
 class MalformedMessage(Exception):
@@ -173,7 +172,6 @@ def _enc_opt_list(entries: Optional[tuple]) -> bytes:
 def _enc_fragment(fr: Optional[Fragment]) -> bytes:
     if fr is None:
         return b"\x00"
-    from .erasure import fragment_to_bytes
     return b"\x01" + _blob32(fragment_to_bytes(fr))
 
 
@@ -303,7 +301,6 @@ def _dec_opt_list(cur: _Cursor) -> Optional[tuple]:
 def _dec_fragment(cur: _Cursor) -> Optional[Fragment]:
     if not cur.flag():
         return None
-    from .erasure import ErasureError, fragment_from_bytes
     try:
         return fragment_from_bytes(cur.blob32())
     except ErasureError as exc:
@@ -355,15 +352,3 @@ def decode(data: bytes):
         raise MalformedMessage("unknown message kind %d" % k)
     cur.done()
     return msg
-
-
-def tokens_in(msg):
-    """(ts, token) pairs whose proof token this message exposes on the wire."""
-    k = msg.kind
-    if k == COMPLETE:
-        return [(msg.ts, msg.token)] if msg.token is not None else []
-    if k in (COLLECT_ACK, FILTER):
-        return [(c.ts, c.token) for c in msg.cands if c.token is not None]
-    if k == REPAIR:
-        return [(msg.cand.ts, msg.cand.token)] if msg.cand.token is not None else []
-    return []

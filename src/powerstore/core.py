@@ -8,7 +8,7 @@ round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .crypto import HASH_POW, Polynomial, verify_vec_entry
@@ -87,15 +87,11 @@ class HistEntry:
     vec: Optional[tuple] = None
 
 
-def ts_key(ts: Timestamp):
-    return ts.key()
-
-
 # ---------------------------------------------------------------------------
 # Server-side validity
 # ---------------------------------------------------------------------------
 
-def valid_sw(candidate: Candidate, hist: Mapping, scheme=HASH_POW) -> bool:
+def valid_by_hist(candidate: Candidate, hist: Mapping, scheme=HASH_POW) -> bool:
     """True iff the history entry at candidate.ts commits to its token."""
     if candidate.token is None:
         return False
@@ -103,10 +99,6 @@ def valid_sw(candidate: Candidate, hist: Mapping, scheme=HASH_POW) -> bool:
     if entry is None:
         return False
     return scheme.verify(candidate.token, entry.commitment)
-
-
-def valid_by_hist(candidate: Candidate, hist: Mapping, scheme=HASH_POW) -> bool:
-    return valid_sw(candidate, hist, scheme)
 
 
 def valid_mw(candidate: Candidate, hist: Mapping, server_index: int,

@@ -218,9 +218,6 @@ class HashPow:
     def token_digest(self, token) -> bytes:
         return digest(token)
 
-    def token_bytes(self, token) -> bytes:
-        return token
-
 
 class ShamirPow:
     """Token = random polynomial; commitment = one private share per server."""
@@ -241,9 +238,6 @@ class ShamirPow:
 
     def token_digest(self, token) -> bytes:
         return digest(token.to_bytes())
-
-    def token_bytes(self, token) -> bytes:
-        return token.to_bytes()
 
 
 HASH_POW = HashPow()

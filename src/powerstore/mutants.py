@@ -1,20 +1,28 @@
-"""Single-fault protocol variants used to prove the oracles can go red.
+"""The role classes of each mode, and single-fault protocol variants used to
+prove the oracles can go red.
 
-Each entry swaps one class for a subtly broken subclass. The harness runs a
-mutant under a scenario that provokes the weakened guard and expects at least
-one checker or monitor to fire; a mutant that survives means a hole in the
-oracles, not a feature.
+Each mutant is one mixin per role it breaks, layered over that role's class
+in either mode. A mixin whose method a mode never dispatches (a repair or
+clock handler under sw) leaves that mode unchanged. The harness runs a
+mutant under a scenario that provokes the weakened guard and expects at
+least one checker or monitor to fire; a mutant that survives means a hole
+in the oracles, not a feature.
 """
 
 from __future__ import annotations
 
 from . import codec
-from .client import MwReader, MwWriter, SwReader
+from .client import MwReader, MwWriter, SwReader, SwWriter
 from .core import safe_witness
 from .server import MwServer, SwServer
 
+CLASSES = {
+    "sw": {"server": SwServer, "writer": SwWriter, "reader": SwReader},
+    "mw": {"server": MwServer, "writer": MwWriter, "reader": MwReader},
+}
 
-class RepairSkipValid(MwServer):
+
+class RepairSkipValid:
     """Adopts repair candidates on timestamp alone."""
 
     def _on_repair(self, msg):
@@ -24,42 +32,28 @@ class RepairSkipValid(MwServer):
         return codec.RepairAck(msg.tsr)
 
 
-class ClockSkipMac(MwWriter):
+class ClockSkipMac:
     """Believes any clock reply without checking its tag."""
 
     def _clock_ts_ok(self, ts_i):
         return True
 
 
-class SafeQuorumMinusOneSw(SwReader):
+class SafeQuorumMinusOne:
     """Accepts a candidate one witness short of the safety quorum."""
 
     def _safe(self, cand):
         return safe_witness(cand, self.R, self.t - 1)
 
 
-class SafeQuorumMinusOneMw(MwReader):
-    """Accepts a candidate one witness short of the safety quorum."""
-
-    def _safe(self, cand):
-        return safe_witness(cand, self.R, self.t - 1)
-
-
-class ValidSkipNonceSw(SwServer):
+class ValidSkipNonce:
     """Trusts any candidate whose timestamp appears in history."""
 
     def _valid(self, cand):
         return cand.ts.key() in self.hist
 
 
-class ValidSkipNonceMw(MwServer):
-    """Trusts any candidate whose timestamp appears in history."""
-
-    def _valid(self, cand):
-        return cand.ts.key() in self.hist
-
-
-class LcNonMonotoneSw(SwServer):
+class LcNonMonotone:
     """Overwrites lc with whatever complete arrives last."""
 
     def _on_complete(self, msg):
@@ -67,44 +61,30 @@ class LcNonMonotoneSw(SwServer):
         return codec.CompleteAck(msg.ts)
 
 
-class LcNonMonotoneMw(MwServer):
-    """Overwrites lc with whatever complete arrives last."""
-
-    def _on_complete(self, msg):
-        self._accept(self._completed_candidate(msg), "complete")
-        return codec.CompleteAck(msg.ts)
-
-
-class DecodeSkipCcSw(SwReader):
-    """Feeds unchecked fragments to the decoder."""
-
-    check_cc = False
-
-
-class DecodeSkipCcMw(MwReader):
+class DecodeSkipCc:
     """Feeds unchecked fragments to the decoder."""
 
     check_cc = False
 
 
 REGISTRY = {
-    "repair_skip_valid": {"mw_server": RepairSkipValid},
-    "clock_skip_mac": {"mw_writer": ClockSkipMac},
-    "safe_quorum_minus_one": {"sw_reader": SafeQuorumMinusOneSw,
-                              "mw_reader": SafeQuorumMinusOneMw},
-    "valid_skip_nonce": {"sw_server": ValidSkipNonceSw,
-                         "mw_server": ValidSkipNonceMw},
-    "lc_non_monotone": {"sw_server": LcNonMonotoneSw,
-                        "mw_server": LcNonMonotoneMw},
-    "decode_skip_cc": {"sw_reader": DecodeSkipCcSw,
-                       "mw_reader": DecodeSkipCcMw},
+    "repair_skip_valid": {"server": RepairSkipValid},
+    "clock_skip_mac": {"writer": ClockSkipMac},
+    "safe_quorum_minus_one": {"reader": SafeQuorumMinusOne},
+    "valid_skip_nonce": {"server": ValidSkipNonce},
+    "lc_non_monotone": {"server": LcNonMonotone},
+    "decode_skip_cc": {"reader": DecodeSkipCc},
 }
 
 
-def resolve(name):
-    """Class overrides for a mutant name; empty name means the real thing."""
-    if not name:
-        return {}
-    if name not in REGISTRY:
-        raise ValueError("unknown mutant %r" % name)
-    return REGISTRY[name]
+def classes_for(mode, mutant=""):
+    """Role -> class for a mode; a mutant name layers its mixins on top."""
+    if not mutant:
+        return CLASSES[mode]
+    if mutant not in REGISTRY:
+        raise ValueError("unknown mutant %r" % mutant)
+    classes = dict(CLASSES[mode])
+    for role, mixin in REGISTRY[mutant].items():
+        base = classes[role]
+        classes[role] = type(mixin.__name__ + base.__name__, (mixin, base), {})
+    return classes

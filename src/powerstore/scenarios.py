@@ -9,15 +9,12 @@ sweep member is reproducible from its seed alone.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import checker
 from .crypto import digest
-from .simnet import run
-
-logger = logging.getLogger(__name__)
+from .simnet import SimConfig, run
 
 FAB_NUM_FLOOR = 1 << 20  # forged candidate numbers live far above real ones
 
@@ -37,7 +34,6 @@ class Scenario:
     expect_repairs: str = "zero"  # "zero" per run, or "some" over a sweep
 
     def config(self, seed, t=1, pow_name="hash", **over):
-        from .simnet import SimConfig
         kw = dict(mode=self.mode, pow_name=self.pow_name or pow_name, t=t,
                   writers=self.writers or (1 if self.mode == "sw" else 2),
                   readers=self.readers, writes=self.writes, reads=self.reads,
@@ -210,26 +206,32 @@ def task_for(name, seed, t=1, pow_name="hash", **over):
     return (name, seed, t, pow_name, over)
 
 
-def _run_task(task):
-    name, seed, t, pow_name, over = task
+def pair_for(name, seed, t=1, pow_name="hash", **over):
+    """(Scenario, SimConfig) of one catalog run, as task_for resolves it."""
+    name, seed, t, pow_name, over = task_for(name, seed, t=t,
+                                             pow_name=pow_name, **over)
     scenario = CATALOG[name]
-    result = run(scenario.config(seed, t=t, pow_name=pow_name, **over))
-    return report_for(scenario, result)
+    return scenario, scenario.config(seed, t=t, pow_name=pow_name, **over)
 
 
-def run_tasks(tasks, jobs=1):
+def _run_pair(pair):
+    scenario, config = pair
+    return report_for(scenario, run(config))
+
+
+def run_tasks(pairs, jobs=1):
+    """Reports for (Scenario, SimConfig) pairs, in order."""
     if jobs <= 1:
-        return [_run_task(task) for task in tasks]
+        return [_run_pair(pair) for pair in pairs]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        return list(pool.map(_run_task, tasks, chunksize=chunk))
+        chunk = max(1, len(pairs) // (jobs * 8))
+        return list(pool.map(_run_pair, pairs, chunksize=chunk))
 
 
 def sweep(name, seeds, t=1, pow_name="hash", jobs=1, **over):
     """Reports for one scenario (or catalog pseudo-scenario) over seeds."""
-    tasks = [task_for(name, seed, t=t, pow_name=pow_name, **over)
-             for seed in seeds]
-    return run_tasks(tasks, jobs=jobs)
+    return run_tasks([pair_for(name, seed, t=t, pow_name=pow_name, **over)
+                      for seed in seeds], jobs=jobs)
 
 
 def sweep_failures(reports):

@@ -7,13 +7,9 @@ variants wrap or subclass these classes in behaviors.py.
 
 from __future__ import annotations
 
-import logging
-
 from . import codec
 from .core import C0, Candidate, HistEntry, valid_by_hist, valid_mw
 from .crypto import HASH_POW
-
-log = logging.getLogger(__name__)
 
 # role a correct server demands for each request kind
 ROLE_FOR_KIND = {
@@ -148,9 +144,6 @@ class MwServer(ServerBase):
         return valid_mw(cand, self.hist, self.sid,
                         self.keyring.key_for(self.sid), self.scheme)
 
-    def _valid_by_hist(self, cand):
-        return valid_by_hist(cand, self.hist, self.scheme)
-
     def _vec_certified(self, cand):
         return valid_mw(cand, {}, self.sid, self.keyring.key_for(self.sid),
                         self.scheme)
@@ -176,7 +169,8 @@ class MwServer(ServerBase):
             c_wb = max(valids, key=self._wb_rank)
             if c_wb.ts > self.lc.ts:
                 self._accept(c_wb, "filter_wb")
-        by_hist = [c for c in msg.cands if self._valid_by_hist(c)]
+        by_hist = [c for c in msg.cands
+                   if valid_by_hist(c, self.hist, self.scheme)]
         c_rt = max(by_hist, key=lambda c: c.sort_key()) if by_hist else C0
         entry = self.hist.get(c_rt.ts.key())
         fr = entry.fr if entry else None
@@ -189,8 +183,3 @@ class MwServer(ServerBase):
         if cand.ts > self.lc.ts and self._valid(cand):
             self._accept(cand, "repair")
         return codec.RepairAck(msg.tsr)
-
-
-def make_server(mode, sid, s, t, scheme=HASH_POW, keyring=None, tracer=None):
-    cls = SwServer if mode == "sw" else MwServer
-    return cls(sid, s, t, scheme=scheme, keyring=keyring, tracer=tracer)

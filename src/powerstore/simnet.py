@@ -12,31 +12,16 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
-import logging
 import math
 import random
 from dataclasses import dataclass, field
 
 from . import behaviors, codec, mutants
-from .client import (
-    MwReader,
-    MwWriter,
-    ProtocolInvariantError,
-    SwReader,
-    SwWriter,
-)
+from .client import ProtocolInvariantError
 from .codec import MalformedMessage
 from .core import Candidate, OperationRecord, Timestamp
 from .crypto import MERSENNE_61, KeyRing, Polynomial, ShamirShare, digest, pow_scheme
 from .erasure import ErasureError, Fragment, fragment_to_bytes
-from .server import MwServer, SwServer
-
-log = logging.getLogger(__name__)
-
-SERVER_BEHAVIORS = ("stale_lc", "fabricate_candidate", "corrupt_vec",
-                    "revert_state", "mute", "equivocate_fragments")
-READER_BEHAVIORS = ("garbage_filter_sets", "replayed_candidates",
-                    "flood_writebacks")
 
 WRITER_ID_BASE = 100  # writers are 101, 102, ...; readers 201, 202, ...
 READER_ID_BASE = 200
@@ -158,14 +143,14 @@ def parse_faults(directives, s, writers, readers) -> FaultPlan:
             sid = int(parts[1])
             if not 1 <= sid <= s:
                 raise ValueError("no server %d in %r" % (sid, d))
-            if parts[2] not in SERVER_BEHAVIORS:
+            if parts[2] not in behaviors.SERVERS:
                 raise ValueError("unknown server behavior in %r" % d)
             plan.byz_servers[sid] = parts[2]
         elif parts[0] == "byz_reader" and len(parts) == 3:
             cid = int(parts[1])
             if not READER_ID_BASE < cid <= READER_ID_BASE + readers:
                 raise ValueError("no reader %d in %r" % (cid, d))
-            if parts[2] not in READER_BEHAVIORS:
+            if parts[2] not in behaviors.READERS:
                 raise ValueError("unknown reader behavior in %r" % d)
             plan.byz_readers[cid] = parts[2]
         elif parts[0] == "crash_writer" and len(parts) == 4:
@@ -294,7 +279,7 @@ class Simulation:
         self.plan = plan
         self.keyring = (KeyRing.generate(self.s, self.rng["crypto"])
                         if config.mode == "mw" else None)
-        classes = self._classes(config)
+        classes = mutants.classes_for(config.mode, config.mutant)
 
         self.servers = {}
         self.correct_servers = set()
@@ -307,8 +292,7 @@ class Simulation:
                 self.servers[sid] = base
                 self.correct_servers.add(sid)
             else:
-                self.servers[sid] = behaviors.make_server_behavior(
-                    name, base, self)
+                self.servers[sid] = behaviors.SERVERS[name](base, self)
 
         self.clients = {}
         self.roles = {}
@@ -341,20 +325,7 @@ class Simulation:
                 self.op_count[cid] = 0
                 self.correct_readers.add(cid)
             else:
-                self.clients[cid] = behaviors.make_reader_behavior(
-                    name, cid, self)
-
-    def _classes(self, config):
-        overrides = mutants.resolve(config.mutant)
-        mode = config.mode
-        return {
-            "server": overrides.get(
-                "%s_server" % mode, SwServer if mode == "sw" else MwServer),
-            "writer": overrides.get(
-                "%s_writer" % mode, SwWriter if mode == "sw" else MwWriter),
-            "reader": overrides.get(
-                "%s_reader" % mode, SwReader if mode == "sw" else MwReader),
-        }
+                self.clients[cid] = behaviors.READERS[name](cid, self)
 
     # -- plumbing ----------------------------------------------------------
 

@@ -4,6 +4,7 @@ import json
 
 from powerstore import scenarios
 from powerstore.cli import main
+from powerstore.simnet import SimConfig, format_config
 
 
 def run_cli(capsys, *argv):
@@ -71,16 +72,21 @@ def test_adhoc_run_with_fault_flags(capsys):
     assert code == 0 and "PASS" in out
 
 
-def test_overwhelmed_quorum_fails_with_replay_line(capsys):
+def test_overwhelmed_quorum_fails_with_replay_line(tmp_path, capsys):
+    out_path = tmp_path / "sweep.ndjson"
     code, out, _ = run_cli(capsys, "run", "--mode", "sw", "--seeds", "2",
                            "--fault", "byz_server:1:mute",
-                           "--fault", "byz_server:2:mute")
+                           "--fault", "byz_server:2:mute",
+                           "--reads", "7", "--value-size", "300",
+                           "--delay", "pareto:20,4", "--out", str(out_path))
     assert code == 1
     assert "FAIL seed 0" in out and "deadlock" in out
+    failing = json.loads(out_path.read_text().splitlines()[0])
     repro = [l for l in out.splitlines() if l.startswith("reproduce with:")]
     argv = repro[0].split()[3:]  # drop "reproduce with: powerstore"
     code2, out2, _ = run_cli(capsys, *argv)
     assert code2 == 1 and "FAIL" in out2
+    assert "log digest %s" % failing["log_digest"] in out2
 
 
 def test_missing_repairs_fail_the_expectation(capsys):
@@ -92,7 +98,6 @@ def test_missing_repairs_fail_the_expectation(capsys):
 
 
 def test_config_file_drives_run_and_replay(tmp_path, capsys):
-    from powerstore.simnet import SimConfig, format_config
     path = tmp_path / "myrun.cfg"
     path.write_text(format_config(SimConfig(
         mode="mw", writers=2, faults=("byz_server:1:corrupt_vec",))))
@@ -101,6 +106,25 @@ def test_config_file_drives_run_and_replay(tmp_path, capsys):
     _, rep1, _ = run_cli(capsys, "replay", "--config", str(path), "--seed", "1")
     _, rep2, _ = run_cli(capsys, "replay", "--config", str(path), "--seed", "1")
     assert rep1 == rep2 and "log digest" in rep1
+
+
+def test_config_sweep_records_do_not_depend_on_jobs(tmp_path, capsys,
+                                                    monkeypatch):
+    path = tmp_path / "myrun.cfg"
+    path.write_text(format_config(SimConfig(
+        mode="mw", writers=2, faults=("byz_server:1:corrupt_vec",))))
+    jobs_seen, run_tasks = [], scenarios.run_tasks
+    monkeypatch.setattr(scenarios, "run_tasks", lambda pairs, jobs=1: (
+        jobs_seen.append(jobs) or run_tasks(pairs, jobs=jobs)))
+    records = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / ("jobs%s.ndjson" % jobs)
+        code, _, _ = run_cli(capsys, "run", "--config", str(path), "--seeds",
+                             "4", "--jobs", jobs, "--out", str(out_path))
+        assert code == 0
+        records.append(out_path.read_text())
+    assert jobs_seen == [1, 2]
+    assert records[0] == records[1]
 
 
 def test_bench_reports_cost_within_tolerance(capsys):

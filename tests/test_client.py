@@ -9,11 +9,11 @@ import pytest
 
 from powerstore import codec
 from powerstore.client import (
-    BOTTOM, ProtocolInvariantError, agreed_vec, make_client, restore_value)
+    BOTTOM, ProtocolInvariantError, agreed_vec, restore_value)
 from powerstore.core import C0, Candidate, Reply, TS0, Timestamp
 from powerstore.crypto import KeyRing, digest, pow_scheme
 from powerstore.erasure import cross_checksum, encode, fragment_to_bytes
-from powerstore.server import make_server
+from powerstore.mutants import classes_for
 
 S, T = 4, 1
 
@@ -25,16 +25,17 @@ class Loop:
         self.mode, self.s, self.t = mode, s, t
         self.scheme = pow_scheme(pow_name)
         self.ring = KeyRing.generate(s, random.Random(9)) if mode == "mw" else None
-        self.servers = {sid: make_server(mode, sid, s, t, scheme=self.scheme,
-                                         keyring=self.ring)
+        self.classes = classes_for(mode)
+        self.servers = {sid: self.classes["server"](
+                            sid, s, t, scheme=self.scheme, keyring=self.ring)
                         for sid in range(1, s + 1)}
         self.queue = deque()
         self.muted = set()
 
     def client(self, role, cid):
-        cl = make_client(self.mode, role, cid, s=self.s, t=self.t,
-                         scheme=self.scheme, keyring=self.ring,
-                         rng=random.Random(cid * 7 + 1))
+        cl = self.classes[role](cid, s=self.s, t=self.t, scheme=self.scheme,
+                                keyring=self.ring,
+                                rng=random.Random(cid * 7 + 1))
         cl.send = lambda sid, msg, cl=cl: self.queue.append((cl, sid, msg))
         return cl
 

@@ -21,7 +21,6 @@ from powerstore.codec import (
     StoreAck,
     decode,
     encode,
-    tokens_in,
 )
 from powerstore.core import Candidate, Timestamp
 from powerstore.crypto import MERSENNE_61, Polynomial, ShamirShare, digest
@@ -104,17 +103,6 @@ def test_store_requires_fragment_and_cross_checksum():
     no_cc = bytes([codec.STORE]) + ts + fr + b"\x00" + b"\x00" + b"\x00"
     with pytest.raises(MalformedMessage):
         decode(no_cc)
-
-
-def test_tokens_in_reveal_extraction():
-    nonce = b"\x01" * 32
-    ts = Timestamp(2)
-    assert tokens_in(Complete(ts, nonce)) == [(ts, nonce)]
-    assert tokens_in(StoreAck(ts)) == []
-    cands = (Candidate(ts, nonce), Candidate(Timestamp(3), None))
-    assert tokens_in(Filter(1, cands)) == [(ts, nonce)]
-    assert tokens_in(CollectAck(1, cands)) == [(ts, nonce)]
-    assert tokens_in(Repair(1, Candidate(ts, nonce))) == [(ts, nonce)]
 
 
 def _rand_ts(rng):

@@ -14,8 +14,8 @@ from powerstore.core import (
     invalid,
     safe,
     safe_witness,
+    valid_by_hist,
     valid_mw,
-    valid_sw,
 )
 from powerstore.crypto import (
     HASH_POW,
@@ -65,21 +65,21 @@ def test_valid_sw_accepts_committed_token():
     nonce = b"\x11" * 32
     ts = Timestamp(3)
     hist = {ts.key(): HistEntry(b"fr", (b"c",), digest(nonce))}
-    assert valid_sw(Candidate(ts, nonce), hist)
-    assert not valid_sw(Candidate(ts, b"\x22" * 32), hist)
-    assert not valid_sw(Candidate(Timestamp(4), nonce), hist)
-    assert not valid_sw(Candidate(ts, None), hist)
+    assert valid_by_hist(Candidate(ts, nonce), hist)
+    assert not valid_by_hist(Candidate(ts, b"\x22" * 32), hist)
+    assert not valid_by_hist(Candidate(Timestamp(4), nonce), hist)
+    assert not valid_by_hist(Candidate(ts, None), hist)
 
 
 def test_valid_sw_shamir_share_commitment():
     scheme = pow_scheme("shamir", q=2**61 - 1)
     poly, shares = scheme.mint(random.Random(5), t=2, s=7)
     hist = {Timestamp(1).key(): HistEntry(b"fr", (b"c",), shares[3])}
-    assert valid_sw(Candidate(Timestamp(1), poly), hist, scheme)
+    assert valid_by_hist(Candidate(Timestamp(1), poly), hist, scheme)
     bad_poly, _ = scheme.mint(random.Random(6), t=2, s=7)
-    assert not valid_sw(Candidate(Timestamp(1), bad_poly), hist, scheme)
+    assert not valid_by_hist(Candidate(Timestamp(1), bad_poly), hist, scheme)
     # a nonce token against a share commitment is simply rejected
-    assert not valid_sw(Candidate(Timestamp(1), b"\x00" * 32), hist, scheme)
+    assert not valid_by_hist(Candidate(Timestamp(1), b"\x00" * 32), hist, scheme)
 
 
 def test_valid_mw_history_branch_and_mac_branch():

@@ -8,7 +8,7 @@ from powerstore import codec
 from powerstore.core import C0, Candidate, TS0, Timestamp
 from powerstore.crypto import KeyRing, digest, make_vec, pow_scheme, tag_timestamp
 from powerstore.erasure import cross_checksum, encode
-from powerstore.server import make_server
+from powerstore.mutants import classes_for
 
 S, T = 4, 1
 
@@ -39,13 +39,17 @@ def store_at(server, parts, sid=None):
     return ts, token, vec
 
 
+def server_for(mode, sid, **kwargs):
+    return classes_for(mode)["server"](sid, S, T, **kwargs)
+
+
 def sw_server(tracer=None):
-    return make_server("sw", 1, S, T, scheme=pow_scheme("hash"), tracer=tracer)
+    return server_for("sw", 1, scheme=pow_scheme("hash"), tracer=tracer)
 
 
 def mw_server(ring, tracer=None, sid=1):
-    return make_server("mw", sid, S, T, scheme=pow_scheme("hash"),
-                       keyring=ring, tracer=tracer)
+    return server_for("mw", sid, scheme=pow_scheme("hash"), keyring=ring,
+                       tracer=tracer)
 
 
 def test_role_mismatch_is_dropped():
@@ -223,6 +227,6 @@ def test_snapshot_reports_state_sizes():
 @pytest.mark.parametrize("mode", ["sw", "mw"])
 def test_reader_kinds_reject_writer_role(mode):
     ring = keyring() if mode == "mw" else None
-    srv = make_server(mode, 1, S, T, keyring=ring)
+    srv = server_for(mode, 1, keyring=ring)
     assert srv.handle(codec.Filter(1, ()), "writer") is None
     assert srv.dropped == 1

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from powerstore import simnet
+from powerstore import mutants, simnet
 from powerstore.simnet import (
     SimConfig, format_config, make_delay_fn, make_value, parse_config,
     parse_faults, run)
@@ -113,6 +113,22 @@ def test_bad_delay_specs_are_rejected(spec):
 def test_impossible_configs_are_rejected(kw):
     with pytest.raises(ValueError):
         simnet.Simulation(small(**{"writers": 1, **kw}))
+
+
+def test_unknown_mutant_is_rejected():
+    with pytest.raises(ValueError, match="unknown mutant"):
+        simnet.Simulation(small(mutant="no_such_mutant"))
+
+
+def test_no_mutant_builds_the_plain_classes():
+    for mode, classes in mutants.CLASSES.items():
+        assert mutants.classes_for(mode) is classes
+
+
+@pytest.mark.parametrize("mutant", ["repair_skip_valid", "clock_skip_mac"])
+def test_mw_only_mutants_leave_sw_runs_unchanged(mutant):
+    assert (run(small(mutant=mutant)).log_digest()
+            == run(small()).log_digest())
 
 
 def test_crashed_writer_leaves_one_pending_operation():
