@@ -146,7 +146,7 @@ def check_pow_soundness(events, meta) -> Verdict:
     (two candidates at one timestamp may differ in token bytes and either
     may win the tiebreak), so it is audited on store count alone.
     """
-    scheme = pow_scheme(meta["pow"], meta["q"])
+    scheme = pow_scheme(meta["pow"])
     correct_servers = set(meta["correct_servers"])
     correct_readers = set(meta["correct_readers"])
     t = meta["t"]

@@ -17,11 +17,24 @@ from . import scenarios
 from .simnet import SimConfig, format_config, parse_config, run
 
 
+# (flag, the SimConfig field it sets, argparse options); a flag applies only
+# when given, so it defaults to None
+_RUN_FLAGS = (
+    ("--pow", "pow_name", dict(choices=("hash", "shamir"))),
+    ("--t", "t", dict(type=int, help="tolerated byzantine servers")),
+    ("--value-size", "value_size", dict(type=int)),
+    ("--delay", "delay", dict(help="uniform:a,b or pareto:mean,var, in ticks")),
+    ("--writers", "writers", dict(type=int)),
+    ("--readers", "readers", dict(type=int)),
+    ("--writes", "writes", dict(type=int)),
+    ("--reads", "reads", dict(type=int)),
+)
+
+
 def _add_run_flags(parser, seeds=True):
     parser.add_argument("--scenario", help="catalog scenario name; omit to "
                         "describe an ad-hoc run with the flags below")
-    parser.add_argument("--config", help="key=value file describing the run; "
-                        "only the seed flags and --jobs apply on top of it")
+    parser.add_argument("--config", help="key=value file describing the run")
     if seeds:
         parser.add_argument("--seeds", type=int, default=20,
                             help="number of seeds to sweep (default 20)")
@@ -32,67 +45,57 @@ def _add_run_flags(parser, seeds=True):
         parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--mode", choices=("sw", "mw"), default="sw",
                         help="ad-hoc runs only; scenarios pin their mode")
-    parser.add_argument("--pow", choices=("hash", "shamir"), default="hash")
-    parser.add_argument("--t", type=int, default=1,
-                        help="tolerated byzantine servers")
-    parser.add_argument("--value-size", type=int, default=64)
-    parser.add_argument("--delay", default="uniform:1,10",
-                        help="uniform:a,b or pareto:mean,var, in ticks")
     parser.add_argument("--fault", action="append", default=[],
                         help="fault directive, repeatable (ad-hoc runs only)")
-    parser.add_argument("--writers", type=int, default=0)
-    parser.add_argument("--readers", type=int, default=0)
-    parser.add_argument("--writes", type=int, default=0)
-    parser.add_argument("--reads", type=int, default=0)
+    group = parser.add_argument_group(
+        "run flags", "each given flag overrides its field of a scenario, an "
+        "ad-hoc run or a config file; scenarios still pin their mode and "
+        "proof scheme (sw-shamir keeps shamir)")
+    for flag, dest, kw in _RUN_FLAGS:
+        group.add_argument(flag, dest=dest, default=None, **kw)
     parser.add_argument("--out", help="write newline-delimited records here")
+
+
+def _overrides(args):
+    """SimConfig field -> value for each run flag given on the command line."""
+    return {dest: getattr(args, dest) for _, dest, _ in _RUN_FLAGS
+            if getattr(args, dest) is not None}
 
 
 def _runs(args, seeds):
     """(Scenario, SimConfig) per seed, from a config file, a catalog
-    scenario, or the ad-hoc flags."""
+    scenario, or the ad-hoc flags, with the given run flags applied."""
+    over = _overrides(args)
     if args.config:
         with open(args.config) as fh:
             base = parse_config(fh.read())
         shim = scenarios.Scenario(name=os.path.basename(args.config),
                                   summary="config file", mode=base.mode,
                                   expect_repairs="any")
-        return [(shim, replace(base, seed=seed)) for seed in seeds]
-    over = {"value_size": args.value_size}
+        return [(shim, replace(base, seed=seed, **over)) for seed in seeds]
     if args.scenario:
-        # explicit workload flags override the scenario's defaults
-        if args.delay != "uniform:1,10":
-            over["delay"] = args.delay
-        for key in ("writers", "readers", "writes", "reads"):
-            if getattr(args, key):
-                over[key] = getattr(args, key)
-        return [scenarios.pair_for(args.scenario, seed, t=args.t,
-                                   pow_name=args.pow, **over)
+        return [scenarios.pair_for(args.scenario, seed, **over)
                 for seed in seeds]
-    adhoc = scenarios.Scenario(
-        name="adhoc", summary="command line flags", mode=args.mode,
-        faults=tuple(args.fault), writers=args.writers or 0,
-        readers=args.readers or 2, writes=args.writes or 4,
-        reads=args.reads or 4, delay=args.delay)
-    return [(adhoc, adhoc.config(seed, t=args.t, pow_name=args.pow, **over))
-            for seed in seeds]
+    adhoc = scenarios.Scenario(name="adhoc", summary="command line flags",
+                               mode=args.mode, faults=tuple(args.fault))
+    return [(adhoc, adhoc.config(seed, **over)) for seed in seeds]
 
 
 def _replay_argv(args, seed):
     """The replay command that re-runs one seed of this sweep exactly."""
     parts = ["powerstore", "replay", "--seed", str(seed)]
     if args.config:
-        return shlex.join(parts + ["--config", args.config])
-    if args.scenario:
+        parts += ["--config", args.config]
+    elif args.scenario:
         parts += ["--scenario", args.scenario]
     else:
         parts += ["--mode", args.mode]
         for d in args.fault:
             parts += ["--fault", d]
-    parts += ["--t", str(args.t), "--pow", args.pow,
-              "--value-size", str(args.value_size), "--delay", args.delay]
-    for key in ("writers", "readers", "writes", "reads"):
-        if getattr(args, key):
-            parts += ["--" + key, str(getattr(args, key))]
+    over = _overrides(args)
+    for flag, dest, _ in _RUN_FLAGS:
+        if dest in over:
+            parts += [flag, str(over[dest])]
     return shlex.join(parts)
 
 
@@ -107,6 +110,8 @@ def _write_ndjson(path, records):
 
 
 def cmd_run(args):
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1, got %d" % args.seeds)
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     reports = scenarios.run_tasks(_runs(args, seeds), jobs=args.jobs)
     if args.out:

@@ -21,23 +21,20 @@ FAB_NUM_FLOOR = 1 << 20  # forged candidate numbers live far above real ones
 
 @dataclass(frozen=True)
 class Scenario:
+    """What a catalog entry pins; config() adds the workload and the seed."""
+
     name: str
     summary: str
     mode: str
     faults: tuple = ()
-    writers: int = 0  # 0 means the mode default: one sw, two mw
-    readers: int = 2
-    writes: int = 4
-    reads: int = 4
     delay: str = "uniform:1,10"
     pow_name: str = ""  # pinned scheme; empty defers to the caller
     expect_repairs: str = "zero"  # "zero" per run, or "some" over a sweep
 
     def config(self, seed, t=1, pow_name="hash", **over):
         kw = dict(mode=self.mode, pow_name=self.pow_name or pow_name, t=t,
-                  writers=self.writers or (1 if self.mode == "sw" else 2),
-                  readers=self.readers, writes=self.writes, reads=self.reads,
-                  delay=self.delay, seed=seed, faults=self.faults)
+                  writers=1 if self.mode == "sw" else 2, readers=2, writes=4,
+                  reads=4, delay=self.delay, seed=seed, faults=self.faults)
         kw.update(over)
         return SimConfig(**kw)
 
@@ -156,7 +153,7 @@ def report_for(scenario, result):
         "seed": result.config.seed,
         "mode": result.config.mode,
         "pow": result.config.pow_name,
-        "t": result.t,
+        "t": result.config.t,
         "healthy": result.healthy,
         "failures": failures,
         "verdicts": {k: v.ok for k, v in verdicts.items()},
@@ -195,18 +192,19 @@ def _jitter(mode, seed):
     return name, t, over
 
 
-def task_for(name, seed, t=1, pow_name="hash", **over):
+def task_for(name, seed, t=None, pow_name="hash", **over):
+    """(scenario, seed, t, pow_name, overrides) of one catalog run. t=None
+    means the run's own t: the seed's jittered t in a catalog sweep, else 1."""
     if name in SWEEP_NAMES:
-        mode = name.split("-")[0]
-        member, member_t, jitter = _jitter(mode, seed)
+        member, member_t, jitter = _jitter(name.split("-")[0], seed)
         jitter.update(over)
-        return (member, seed, member_t if t == 1 else t, pow_name, jitter)
+        return (member, seed, member_t if t is None else t, pow_name, jitter)
     if name not in CATALOG:
         raise ValueError("unknown scenario %r" % name)
-    return (name, seed, t, pow_name, over)
+    return (name, seed, 1 if t is None else t, pow_name, over)
 
 
-def pair_for(name, seed, t=1, pow_name="hash", **over):
+def pair_for(name, seed, t=None, pow_name="hash", **over):
     """(Scenario, SimConfig) of one catalog run, as task_for resolves it."""
     name, seed, t, pow_name, over = task_for(name, seed, t=t,
                                              pow_name=pow_name, **over)
@@ -228,7 +226,7 @@ def run_tasks(pairs, jobs=1):
         return list(pool.map(_run_pair, pairs, chunksize=chunk))
 
 
-def sweep(name, seeds, t=1, pow_name="hash", jobs=1, **over):
+def sweep(name, seeds, t=None, pow_name="hash", jobs=1, **over):
     """Reports for one scenario (or catalog pseudo-scenario) over seeds."""
     return run_tasks([pair_for(name, seed, t=t, pow_name=pow_name, **over)
                       for seed in seeds], jobs=jobs)

@@ -20,21 +20,22 @@ from . import behaviors, codec, mutants
 from .client import ProtocolInvariantError
 from .codec import MalformedMessage
 from .core import Candidate, OperationRecord, Timestamp
-from .crypto import MERSENNE_61, KeyRing, Polynomial, ShamirShare, digest, pow_scheme
+from .crypto import KeyRing, Polynomial, ShamirShare, digest, pow_scheme
 from .erasure import ErasureError, Fragment, fragment_to_bytes
 
 WRITER_ID_BASE = 100  # writers are 101, 102, ...; readers 201, 202, ...
 READER_ID_BASE = 200
+MAX_TICKS = 1_000_000  # livelock guard: a run still going then is a deadlock
 
 
 @dataclass
 class SimConfig:
-    """One run's knobs; parse_config/format_config round-trip the file form."""
+    """One run's knobs; parse_config/format_config round-trip the file form.
+    The deployment follows from t alone: s = 3t+1 servers, k = t+1 fragments."""
 
     mode: str = "sw"
     pow_name: str = "hash"
     t: int = 1
-    s: int = 0  # 0 means 3t+1
     writers: int = 1
     readers: int = 2
     writes: int = 3
@@ -43,21 +44,14 @@ class SimConfig:
     delay: str = "uniform:1,10"
     seed: int = 0
     faults: tuple = ()
-    shamir_q: int = MERSENNE_61
     log_wire: bool = False
-    tap_confidential: bool = False
     adversary_budget: int = 48
-    max_ticks: int = 1_000_000
     mutant: str = ""
 
-    def resolved_s(self) -> int:
-        return self.s if self.s else 3 * self.t + 1
 
-
-_INT_KEYS = {"t", "s", "writers", "readers", "writes", "reads", "value_size",
-             "seed", "shamir_q", "adversary_budget", "max_ticks"}
-_BOOL_KEYS = {"log_wire", "tap_confidential"}
-_STR_KEYS = {"mode", "pow", "delay", "mutant"}
+# file key -> SimConfig field; a field's default gives its key's kind
+_FIELDS = {{"pow_name": "pow", "faults": "fault"}.get(f.name, f.name): f
+           for f in dataclasses.fields(SimConfig)}
 
 
 def parse_config(text: str) -> SimConfig:
@@ -72,40 +66,35 @@ def parse_config(text: str) -> SimConfig:
             raise ValueError("line %d: expected key=value, got %r" % (lineno, raw))
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _FIELDS:
+            raise ValueError("line %d: unknown key %r" % (lineno, key))
+        f = _FIELDS[key]
+        kind = type(f.default)
         if key == "fault":
             faults.append(value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _BOOL_KEYS:
+        elif kind is bool:
             if value not in ("true", "false"):
                 raise ValueError("line %d: %s wants true/false" % (lineno, key))
-            kwargs[key] = value == "true"
-        elif key == "pow":
-            kwargs["pow_name"] = value
-        elif key in _STR_KEYS:
-            kwargs[key] = value
+            kwargs[f.name] = value == "true"
         else:
-            raise ValueError("line %d: unknown key %r" % (lineno, key))
+            kwargs[f.name] = kind(value)
     if faults:
         kwargs["faults"] = tuple(faults)
     return SimConfig(**kwargs)
 
 
 def format_config(cfg: SimConfig) -> str:
-    default = SimConfig()
     lines = []
-    for f in dataclasses.fields(cfg):
+    for key, f in _FIELDS.items():
         value = getattr(cfg, f.name)
-        if value == getattr(default, f.name):
+        if value == f.default:
             continue
-        if f.name == "faults":
+        if key == "fault":
             lines.extend("fault=%s" % d for d in value)
-        elif f.name == "pow_name":
-            lines.append("pow=%s" % value)
-        elif f.name in _BOOL_KEYS:
-            lines.append("%s=%s" % (f.name, "true" if value else "false"))
+        elif isinstance(value, bool):
+            lines.append("%s=%s" % (key, "true" if value else "false"))
         else:
-            lines.append("%s=%s" % (f.name, value))
+            lines.append("%s=%s" % (key, value))
     return "\n".join(lines) + "\n"
 
 
@@ -208,16 +197,12 @@ def event_to_json(ev: dict) -> str:
 @dataclass
 class RunResult:
     config: SimConfig
-    s: int
-    t: int
     history: list  # OperationRecord, in invocation order
     events: list
     metrics: dict
     monitor: object
     crash_reason: object
     deadlock: object
-    byz_servers: dict
-    byz_readers: dict
     taps: list
     meta: dict
 
@@ -246,14 +231,14 @@ class Simulation:
     def __init__(self, config: SimConfig):
         self.cfg = config
         self.t = config.t
-        self.s = config.resolved_s()
-        if self.s < 3 * self.t + 1:
-            raise ValueError("need s >= 3t+1, got s=%d t=%d" % (self.s, self.t))
+        if self.t < 0:
+            raise ValueError("t must be at least 0, got %d" % self.t)
+        self.s = 3 * self.t + 1
         if config.mode not in ("sw", "mw"):
             raise ValueError("mode must be sw or mw")
         if config.mode == "sw" and config.writers > 1:
             raise ValueError("single-writer mode takes at most one writer")
-        self.scheme = pow_scheme(config.pow_name, config.shamir_q)
+        self.scheme = pow_scheme(config.pow_name)
         self.rng = {name: random.Random(_stream_seed(config.seed, name))
                     for name in ("delays", "crypto", "workload", "adversary")}
         self.delay_fn = make_delay_fn(config.delay)
@@ -379,7 +364,7 @@ class Simulation:
     def _tap(self, cid, sid, payload, wire):
         """What the adversary observes of client-to-server traffic. With the
         proof-sharing scheme, the commitment rides a confidential channel, so
-        it is redacted between correct endpoints unless taps are forced."""
+        it is redacted between correct endpoints."""
         if not self.cfg.log_wire:
             return
         entry = {"src": cid, "dst": sid, "nbytes": len(wire)}
@@ -390,7 +375,6 @@ class Simulation:
             entry["kind"] = payload.kind
             if payload.kind == codec.STORE:
                 redact = (self.scheme.name == "shamir"
-                          and not self.cfg.tap_confidential
                           and sid in self.correct_servers
                           and self.roles.get(cid) == "writer"
                           and self.plan.byz_readers.get(cid) is None)
@@ -526,7 +510,7 @@ class Simulation:
         overran = False
         while self.heap:
             tick, _, action = heapq.heappop(self.heap)
-            if tick > self.cfg.max_ticks:
+            if tick > MAX_TICKS:
                 overran = True
                 break
             self.now = tick
@@ -544,18 +528,14 @@ class Simulation:
             self.deadlock = self._deadlock_report(overran)
             self.trace("deadlock", detail=self.deadlock)
         return RunResult(
-            config=self.cfg, s=self.s, t=self.t, history=self.history,
-            events=self.events, metrics=self.metrics, monitor=self.monitor,
+            config=self.cfg, history=self.history, events=self.events,
+            metrics=self.metrics, monitor=self.monitor,
             crash_reason=self.crash_reason, deadlock=self.deadlock,
-            byz_servers=dict(self.plan.byz_servers),
-            byz_readers=dict(self.plan.byz_readers),
             taps=self.taps,
             meta={
-                "mode": self.cfg.mode, "pow": self.cfg.pow_name,
-                "q": self.cfg.shamir_q, "t": self.t, "s": self.s,
+                "pow": self.cfg.pow_name, "t": self.t,
                 "correct_servers": tuple(sorted(self.correct_servers)),
                 "correct_readers": tuple(sorted(self.correct_readers)),
-                "writers": tuple(self.writer_ids),
             })
 
     def _deadlock_report(self, overran):

@@ -183,7 +183,7 @@ def test_search_agrees_with_brute_force():
 # ---------------------------------------------------------------------------
 
 def _meta(t=1):
-    return {"pow": "hash", "q": 0, "t": t, "correct_servers": (1, 2, 3),
+    return {"pow": "hash", "t": t, "correct_servers": (1, 2, 3),
             "correct_readers": (201,), "writers": (101,)}
 
 

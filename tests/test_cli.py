@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
+from test_golden import PINS_PATH
 from powerstore import scenarios
 from powerstore.cli import main
-from powerstore.simnet import SimConfig, format_config
+from powerstore.simnet import SimConfig, format_config, parse_config
 
 
 def run_cli(capsys, *argv):
@@ -60,9 +63,42 @@ def test_catalog_pseudo_scenario_seed_is_replayable(capsys):
     assert out1 == out2 and "PASS" in out1
 
 
+def _replayed_config(out):
+    line = next(l for l in out.splitlines() if l.startswith("config: "))
+    return parse_config("\n".join(line.split()[1:]))
+
+
+@pytest.mark.parametrize("argv,field,value", [
+    (("--scenario", "sw-pareto", "--seed", "0", "--delay", "uniform:1,10"),
+     "delay", "uniform:1,10"),
+    (("--scenario", "sw-catalog", "--seed", "4", "--t", "1"), "t", 1),
+])
+def test_flags_equal_to_their_defaults_still_override(capsys, argv, field,
+                                                      value):
+    code, out, _ = run_cli(capsys, "replay", *argv)
+    assert code == 0
+    assert getattr(_replayed_config(out), field) == value
+
+
+@pytest.mark.parametrize("sweep,seed", [("sw-catalog", 1), ("sw-catalog", 4),
+                                        ("mw-catalog", 0), ("mw-catalog", 3)])
+def test_catalog_replay_runs_the_pinned_workload(capsys, sweep, seed):
+    with open(PINS_PATH) as fh:
+        pin = json.load(fh)["%s/hash/%d" % (sweep, seed)]
+    _, out, _ = run_cli(capsys, "replay", "--scenario", sweep, "--seed",
+                        str(seed))
+    assert "log digest %s" % pin["log_digest"] in out
+
+
 def test_unknown_scenario_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", "--scenario", "sw-nope", "--seeds", "1")
     assert code == 2 and "unknown scenario" in err
+
+
+def test_an_empty_sweep_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "run", "--scenario", "sw-baseline",
+                             "--seeds", "0")
+    assert code == 2 and out == "" and "--seeds" in err
 
 
 def test_adhoc_run_with_fault_flags(capsys):
@@ -106,6 +142,23 @@ def test_config_file_drives_run_and_replay(tmp_path, capsys):
     _, rep1, _ = run_cli(capsys, "replay", "--config", str(path), "--seed", "1")
     _, rep2, _ = run_cli(capsys, "replay", "--config", str(path), "--seed", "1")
     assert rep1 == rep2 and "log digest" in rep1
+
+
+def test_run_flags_override_a_config_file(tmp_path, capsys):
+    path = tmp_path / "mute.cfg"
+    path.write_text(format_config(SimConfig(
+        faults=("byz_server:1:mute", "byz_server:2:mute"))))
+    out_path = tmp_path / "sweep.ndjson"
+    code, out, _ = run_cli(capsys, "run", "--config", str(path), "--seeds",
+                           "1", "--writes", "2", "--out", str(out_path))
+    assert code == 1
+    failing = json.loads(out_path.read_text())
+    repro = [l for l in out.splitlines() if l.startswith("reproduce with:")]
+    argv = repro[0].split()[3:]  # drop "reproduce with: powerstore"
+    assert argv[-2:] == ["--writes", "2"]
+    _, out2, _ = run_cli(capsys, *argv)
+    assert _replayed_config(out2).writes == 2
+    assert "log digest %s" % failing["log_digest"] in out2
 
 
 def test_config_sweep_records_do_not_depend_on_jobs(tmp_path, capsys,
