@@ -1,15 +1,23 @@
 """Post-run verdicts: linearizability, proof soundness, round accounting.
 
 All checks work from a finished run's operation history and event log; none
-of them peek at live protocol state. The linearizability search exploits two
-register facts: write values are unique, and nothing ever writes the empty
-value back, so matching reads can be applied greedily without branching.
+of them peek at live protocol state. Write values are unique and nothing
+writes the empty value back, so each read names the write it read from, and
+linearizability takes O(n log n) by the zone rule of Gibbons and Korach
+(Testing Shared Memories, 1997). A write and the reads of its value form a
+cluster, the empty value being a write done at -inf. With f the cluster's
+earliest response and s its latest invocation, f < s makes [f, s] a forward
+zone, over which the value must stay current; otherwise [s, f] is a backward
+zone. A history linearizes iff no read ends before its write begins, no two
+forward zones overlap, and no backward zone lies inside a forward one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
+from math import inf
 
 from .crypto import pow_scheme
 
@@ -47,62 +55,48 @@ def _validate_history(history):
 
 
 def check_linearizable(history) -> Verdict:
-    """Search for a linearization: an order of the operations respecting
-    real time in which every read returns the latest written value.
-
-    Completed operations must all take effect; a pending write may take
-    effect at any point after its invocation or not at all; a pending read
-    obliges nothing.
-    """
+    """Is there an order of the operations that respects real time and has
+    every read return the latest written value? Completed operations must
+    all take effect; a pending write may take effect at any point after its
+    invocation or not at all; a pending read obliges nothing."""
     _validate_history(history)
-    ops = [rec for rec in history
-           if rec.kind == "write" or rec.res_seq is not None]
-    written = {rec.value for rec in ops if rec.kind == "write"}
-    for rec in ops:
-        if (rec.kind == "read" and rec.value is not None
-                and rec.value not in written):
+    writes = {rec.value: rec for rec in history if rec.kind == "write"}
+    # value -> [f, s]; a pending write is done at +inf. Comparisons are strict,
+    # so ops that meet at one seq stay concurrent.
+    zone = {v: [inf if w.res_seq is None else w.res_seq, w.inv_seq]
+            for v, w in writes.items()}
+    zone[None] = [-inf, -inf]
+    for rec in history:
+        if rec.kind != "read" or rec.res_seq is None:
+            continue
+        if rec.value not in zone:
             return Verdict(False, "read by %d returned a never-written value"
                            % rec.client)
+        w = writes.get(rec.value)
+        if w is not None and rec.res_seq < w.inv_seq:
+            return Verdict(False, "read by %d ended before the write by %d "
+                           "of its value began" % (rec.client, w.client))
+        z = zone[rec.value]
+        z[0] = min(z[0], rec.res_seq)
+        z[1] = max(z[1], rec.inv_seq)
 
-    n = len(ops)
-    need = 0
-    preds = [0] * n
-    for i in range(n):
-        if ops[i].res_seq is not None:
-            need |= 1 << i
-        for j in range(n):
-            if (ops[j].res_seq is not None
-                    and ops[j].res_seq < ops[i].inv_seq):
-                preds[i] |= 1 << j
-    reads = [i for i in range(n) if ops[i].kind == "read"]
-    writes = [i for i in range(n) if ops[i].kind == "write"]
+    def name(v):
+        return "the initial value" if v is None else "the write by %d at " \
+            "seq %d" % (writes[v].client, writes[v].inv_seq)
 
-    memo = set()
-
-    def dfs(applied, last):
-        cur = ops[last].value if last >= 0 else None
-        grew = True
-        while grew:  # reads that match the register now can never hurt
-            grew = False
-            for i in reads:
-                if (not applied >> i & 1 and preds[i] & ~applied == 0
-                        and ops[i].value == cur):
-                    applied |= 1 << i
-                    grew = True
-        if applied & need == need:
-            return True
-        if (applied, last) in memo:
-            return False
-        memo.add((applied, last))
-        for i in writes:
-            if not applied >> i & 1 and preds[i] & ~applied == 0:
-                if dfs(applied | 1 << i, i):
-                    return True
-        return False
-
-    if dfs(0, -1):
-        return Verdict(True)
-    return Verdict(False, "no linearization of %d operations" % n)
+    forward = sorted(z + [v] for v, z in zone.items() if z[0] < z[1])
+    for (_, s1, v1), (f2, _, v2) in zip(forward, forward[1:]):
+        if f2 < s1:
+            return Verdict(False, "%s and %s must both be current at seq %d"
+                           % (name(v1), name(v2), f2))
+    for v, (f, s) in zone.items():
+        i = bisect_left(forward, [s]) - 1  # the only zone that can hold s
+        if s <= f and i >= 0 and f < forward[i][1]:
+            f1, s1, v1 = forward[i]
+            return Verdict(False, "%s and its reads fit in seqs %d..%d, where "
+                           "%s must stay current" % (name(v), max(f1, 0), s1,
+                                                     name(v1)))
+    return Verdict(True)
 
 
 def brute_force_linearizable(history) -> Verdict:

@@ -43,8 +43,8 @@ def _add_run_flags(parser, seeds=True):
                             help="worker processes for the sweep")
     else:
         parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--mode", choices=("sw", "mw"), default="sw",
-                        help="ad-hoc runs only; scenarios pin their mode")
+    parser.add_argument("--mode", choices=("sw", "mw"),
+                        help="ad-hoc runs only (default sw)")
     parser.add_argument("--fault", action="append", default=[],
                         help="fault directive, repeatable (ad-hoc runs only)")
     group = parser.add_argument_group(
@@ -66,6 +66,8 @@ def _runs(args, seeds):
     """(Scenario, SimConfig) per seed, from a config file, a catalog
     scenario, or the ad-hoc flags, with the given run flags applied."""
     over = _overrides(args)
+    if (args.config or args.scenario) and (args.mode or args.fault):
+        raise ValueError("--mode and --fault are for ad-hoc runs only")
     if args.config:
         with open(args.config) as fh:
             base = parse_config(fh.read())
@@ -77,7 +79,8 @@ def _runs(args, seeds):
         return [scenarios.pair_for(args.scenario, seed, **over)
                 for seed in seeds]
     adhoc = scenarios.Scenario(name="adhoc", summary="command line flags",
-                               mode=args.mode, faults=tuple(args.fault))
+                               mode=args.mode or "sw",
+                               faults=tuple(args.fault))
     return [(adhoc, adhoc.config(seed, **over)) for seed in seeds]
 
 
@@ -89,7 +92,7 @@ def _replay_argv(args, seed):
     elif args.scenario:
         parts += ["--scenario", args.scenario]
     else:
-        parts += ["--mode", args.mode]
+        parts += ["--mode", args.mode or "sw"]
         for d in args.fault:
             parts += ["--fault", d]
     over = _overrides(args)

@@ -77,7 +77,10 @@ def parse_config(text: str) -> SimConfig:
                 raise ValueError("line %d: %s wants true/false" % (lineno, key))
             kwargs[f.name] = value == "true"
         else:
-            kwargs[f.name] = kind(value)
+            try:
+                kwargs[f.name] = kind(value)
+            except ValueError as exc:
+                raise ValueError("line %d: %s: %s" % (lineno, key, exc)) from None
     if faults:
         kwargs["faults"] = tuple(faults)
     return SimConfig(**kwargs)

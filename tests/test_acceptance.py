@@ -86,6 +86,16 @@ def test_linearizability_all_runs(sw_sweep, mw_sweep):
           % SWEEP_SEEDS)
 
 
+def test_linearizability_at_sixteen_writers():
+    # beyond the reach of a search exponential in the concurrent writers
+    for seed in range(3):
+        res = run(SimConfig(mode="mw", delay="pareto:20,4", writers=16,
+                            readers=4, writes=10, reads=10, seed=seed))
+        verdicts = verify_run(res)
+        assert res.healthy and all(verdicts.values()), (seed, verdicts)
+    print("PASS linearizability: mw, 16 writers x 10 writes, 3 seeds")
+
+
 def test_linearizability_checker_matches_brute_force():
     rng = random.Random(77)
     for trial in range(800):

@@ -1,4 +1,5 @@
-"""Checker tests: the search agrees with brute force, and doctored logs fail."""
+"""Checker tests: the zone check agrees with brute force and with a reference
+search on long histories, and doctored logs fail."""
 
 import random
 
@@ -104,6 +105,66 @@ def test_malformed_invoke_past_pending():
         check_linearizable(h)
 
 
+# one hand case per zone rule; brute force must agree with each verdict
+
+def _zone_verdict(h):
+    fast = check_linearizable(h)
+    assert fast.ok == brute_force_linearizable(h).ok, fast
+    return fast
+
+
+def test_overlapping_forward_zones_rejected():
+    # a must stay current over seqs 4..6 and b over 5..8
+    h = [rec(1, "write", b"a", 1, 4), rec(2, "write", b"b", 2, 5),
+         rec(3, "read", b"a", 6, 7), rec(4, "read", b"b", 8, 9)]
+    v = _zone_verdict(h)
+    assert not v.ok and "must both be current" in v.detail
+    # zones that only meet at seq 5 do not overlap: ops meeting at one seq
+    # are concurrent
+    h = [rec(1, "write", b"a", 1, 2), rec(2, "write", b"b", 3, 5),
+         rec(3, "read", b"a", 5, 6), rec(4, "read", b"b", 7, 8)]
+    assert _zone_verdict(h).ok
+
+
+def test_backward_zone_inside_forward_zone_rejected():
+    # b is written and read entirely while a must stay current (seqs 2..10)
+    h = [rec(1, "write", b"a", 1, 2), rec(2, "write", b"b", 4, 7),
+         rec(3, "read", b"b", 5, 6), rec(3, "read", b"a", 10, 11)]
+    v = _zone_verdict(h)
+    assert not v.ok and "must stay current" in v.detail
+    h[3].value = b"b"  # now b's zone is forward and follows a's
+    assert _zone_verdict(h).ok
+    # a backward zone that only meets the forward zone's end or start
+    meets_end = [rec(1, "write", b"a", 1, 2), rec(2, "write", b"b", 3, 6),
+                 rec(3, "read", b"a", 6, 7)]
+    meets_start = [rec(1, "write", b"a", 1, 3), rec(2, "write", b"b", 3, 5),
+                   rec(3, "read", b"a", 6, 7)]
+    assert _zone_verdict(meets_end).ok and _zone_verdict(meets_start).ok
+
+
+def test_read_ending_before_its_write_begins_rejected():
+    h = [rec(2, "read", b"a", 1, 2), rec(1, "write", b"a", 3, 4)]
+    v = _zone_verdict(h)
+    assert not v.ok and "ended before the write by 1" in v.detail
+    h[0].res_seq = 3  # meeting at one seq is still concurrent
+    assert _zone_verdict(h).ok
+
+
+def test_read_pending_write_counts_as_completed():
+    # a is read, so it took effect and must stay current over seqs 3..6,
+    # where b is written
+    h = [rec(1, "write", b"a", 1, None), rec(2, "read", b"a", 2, 3),
+         rec(3, "write", b"b", 4, 5), rec(2, "read", b"a", 6, 7)]
+    assert not _zone_verdict(h).ok
+    assert _zone_verdict(h[:3]).ok
+
+
+def test_unread_pending_write_is_dropped():
+    h = [rec(1, "write", b"a", 1, 2), rec(2, "write", b"b", 3, None),
+         rec(3, "read", b"a", 5, 6), rec(3, "read", None, 7, None)]
+    assert _zone_verdict(h).ok
+
+
 # ---------------------------------------------------------------------------
 # linearizability: randomized agreement with brute force
 # ---------------------------------------------------------------------------
@@ -176,6 +237,121 @@ def test_search_agrees_with_brute_force():
             assert fast.ok, "coherent history must linearize"
         checked += 1
     assert checked == 1500
+
+
+# ---------------------------------------------------------------------------
+# linearizability: agreement with a reference search on long histories
+# ---------------------------------------------------------------------------
+
+def _search_linearizable(history):
+    """Reference: depth-first search for a linearization, memoised on (ops
+    applied, last write). Exponential in the number of concurrent writers,
+    but exact, and fast enough on histories of a few clients."""
+    ops = [rec for rec in history
+           if rec.kind == "write" or rec.res_seq is not None]
+    written = {rec.value for rec in ops if rec.kind == "write"}
+    if any(rec.kind == "read" and rec.value is not None
+           and rec.value not in written for rec in ops):
+        return False
+    n = len(ops)
+    need = 0
+    preds = [0] * n
+    for i in range(n):
+        if ops[i].res_seq is not None:
+            need |= 1 << i
+        for j in range(n):
+            if (ops[j].res_seq is not None
+                    and ops[j].res_seq < ops[i].inv_seq):
+                preds[i] |= 1 << j
+    reads = [i for i in range(n) if ops[i].kind == "read"]
+    writes = [i for i in range(n) if ops[i].kind == "write"]
+    memo = set()
+
+    def dfs(applied, last):
+        cur = ops[last].value if last >= 0 else None
+        grew = True
+        while grew:  # reads that match the register now can never hurt
+            grew = False
+            for i in reads:
+                if (not applied >> i & 1 and preds[i] & ~applied == 0
+                        and ops[i].value == cur):
+                    applied |= 1 << i
+                    grew = True
+        if applied & need == need:
+            return True
+        if (applied, last) in memo:
+            return False
+        memo.add((applied, last))
+        for i in writes:
+            if not applied >> i & 1 and preds[i] & ~applied == 0:
+                if dfs(applied | 1 << i, i):
+                    return True
+        return False
+
+    return dfs(0, -1)
+
+
+def _gen_long_history(rng, coherent, ops=100):
+    """`ops` operations from 2-5 clients against a real register: each
+    op takes effect at one step between its invocation and its response.
+    Some runs end with ops still pending, so a pending write may or may not
+    have taken effect. A doctored history changes one completed read to
+    another value written shortly before that read ended, to the next value
+    written after it, or to empty."""
+    clients = rng.randint(2, 5)
+    seq, nvals, value = 0, 0, None
+    history, running, done = [], {}, set()
+    while len(history) < ops or running:
+        if len(history) >= ops and rng.random() < 0.05:
+            break  # crash: leave the rest pending
+        seq += 1
+        idle = [c for c in range(1, clients + 1) if c not in running]
+        if idle and len(history) < ops and (not running or rng.random() < 0.4):
+            cid = rng.choice(idle)
+            if rng.random() < 0.5:
+                nvals += 1
+                r = rec(cid, "write", b"v%d" % nvals, seq, None)
+            else:
+                r = rec(cid, "read", None, seq, None)
+            running[cid] = r
+            history.append(r)
+            continue
+        cid = rng.choice(sorted(running))
+        r = running[cid]
+        if id(r) not in done:  # the op takes effect
+            done.add(id(r))
+            if r.kind == "write":
+                value = r.value
+            else:
+                r.value = value
+        else:
+            r.res_seq = r.res_tick = seq
+            del running[cid]
+    if not coherent:
+        first = min(w.inv_seq for w in history if w.kind == "write")
+        r = rng.choice([r for r in history if r.kind == "read"
+                        and r.res_seq is not None and r.res_seq > first])
+        writes = [w for w in history if w.kind == "write"]
+        k = sum(1 for w in writes if w.inv_seq < r.res_seq)
+        recent = [None] + [w.value for w in writes[max(0, k - 4):k + 1]]
+        r.value = rng.choice([v for v in recent if v != r.value])
+    return history
+
+
+def test_zone_check_agrees_with_search_on_long_histories():
+    rng = random.Random(0x5EED)
+    verdicts = {True: [0, 0], False: [0, 0]}
+    for trial in range(300):
+        coherent = trial % 2 == 0
+        h = _gen_long_history(rng, coherent)
+        fast = check_linearizable(h)
+        assert fast.ok == _search_linearizable(h), (
+            trial, fast, [(r.client, r.kind, r.value, r.inv_seq, r.res_seq)
+                          for r in h])
+        verdicts[coherent][fast.ok] += 1
+    assert verdicts[True] == [0, 150]
+    # the doctored half must exercise both verdicts
+    assert min(verdicts[False]) >= 30, verdicts
 
 
 # ---------------------------------------------------------------------------

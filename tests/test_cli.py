@@ -101,6 +101,20 @@ def test_an_empty_sweep_is_a_usage_error(capsys):
     assert code == 2 and out == "" and "--seeds" in err
 
 
+@pytest.mark.parametrize("source", ["--config", "--scenario"])
+@pytest.mark.parametrize("flag,value", [("--fault", "byz_server:1:mute"),
+                                        ("--mode", "mw")])
+@pytest.mark.parametrize("cmd", [("run", "--seeds", "1"),
+                                 ("replay", "--seed", "0")])
+def test_ad_hoc_flags_with_a_scenario_or_config_are_a_usage_error(
+        tmp_path, capsys, source, flag, value, cmd):
+    path = tmp_path / "plain.cfg"
+    path.write_text("mode=sw\n")
+    where = str(path) if source == "--config" else "sw-baseline"
+    code, out, err = run_cli(capsys, *cmd, source, where, flag, value)
+    assert code == 2 and out == "" and "ad-hoc runs only" in err
+
+
 def test_adhoc_run_with_fault_flags(capsys):
     code, out, _ = run_cli(capsys, "run", "--mode", "mw", "--seeds", "3",
                            "--fault", "byz_server:2:stale_lc",

@@ -62,6 +62,16 @@ def test_config_parser_rejects_unknown_keys():
         parse_config("mode sw\n")
 
 
+@pytest.mark.parametrize("text,msg", [
+    ("mode=sw\nt=x\n", "^line 2: t: invalid literal"),
+    ("writes=3\n\nreaders=two\n", "^line 3: readers: "),
+    ("log_wire=yes\n", "^line 1: log_wire wants true/false"),
+])
+def test_config_parser_names_the_line_and_key_of_a_bad_value(text, msg):
+    with pytest.raises(ValueError, match=msg):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("directive,msg", [
     ("byz_server:9:mute", "no server"),
     ("byz_server:1:jam", "unknown server behavior"),
