@@ -197,3 +197,42 @@ def test_fuzz_random_bytes_never_crash():
         assert encode(msg) == blob
     # short random blobs do occasionally parse (acks are 19 bytes of zeros)
     assert accepted < 1000
+
+
+def _mutate(rng, data):
+    """One damaged copy of a valid encoding: cut short, a flipped bit, extra
+    bytes, a byte set to a flag or kind value, or 0xFFFF over two bytes
+    (which lands on a length or count field in most messages)."""
+    pick = rng.randrange(5)
+    if pick == 0:
+        return data[:rng.randrange(len(data))]
+    if pick == 2:
+        return data + rng.randbytes(rng.randrange(1, 5))
+    out = bytearray(data)
+    at = rng.randrange(len(out))
+    if pick == 1:
+        out[at] ^= 1 << rng.randrange(8)
+    elif pick == 3:
+        out[at] = rng.choice((0, 1, 2, 3, 0xFF))
+    else:
+        out[at:at + 2] = b"\xff\xff"
+    return bytes(out)
+
+
+def _mutation_corpus(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield _mutate(rng, encode(_rand_message(rng)))
+
+
+def test_fuzz_mutations_rejected_cleanly_or_canonical():
+    accepted = 0
+    for blob in _mutation_corpus(0xC0DEC, 30_000):
+        try:
+            msg = decode(blob)
+        except MalformedMessage:
+            continue
+        accepted += 1
+        assert encode(msg) == blob
+    # flips inside tags, payloads and integers still parse; cuts never do
+    assert 0 < accepted < 30_000
