@@ -4,11 +4,13 @@ Layout: one kind byte, then kind-specific fields. Integers are big-endian;
 variable-length fields carry a 16-bit (tags, digests, nonces) or 32-bit
 (fragments) length prefix. Decoding is strict: unknown kind bytes, truncated
 fields, bad presence flags, and trailing bytes all raise MalformedMessage.
-docs/wire-format.md holds the byte-level reference.
+So does encoding a field wider than its wire width. docs/wire-format.md holds
+the byte-level reference.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -126,229 +128,231 @@ class RepairAck:
 
 
 # ---------------------------------------------------------------------------
-# Encoding
+# Field codecs
+#
+# Each field type is an (encode, decode) pair. Encoders append wire pieces to
+# a list that encode() joins once; decoders take (data, pos) and return
+# (value, pos). Decoders never check lengths: struct raises on a short read,
+# indexing raises IndexError, and a blob slice that runs past the end leaves
+# pos beyond len(data), which decode() rejects after the last field.
 # ---------------------------------------------------------------------------
 
-def _blob16(data: bytes) -> bytes:
-    if len(data) > 0xFFFF:
-        raise MalformedMessage("field exceeds 16-bit length prefix")
-    return len(data).to_bytes(2, "big") + data
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_TS = struct.Struct(">QQH")  # num, pid, tag length
+_FLAG_U16 = struct.Struct(">BH")  # presence or kind byte, then a 16-bit count
+_FLAG_U32 = struct.Struct(">BI")
+_POLY = struct.Struct(">BQH")  # kind 2, q, coefficient count
+_SHARE = struct.Struct(">BQQQ")  # kind 2, x, y, q
 
 
-def _blob32(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
+def _enc_u64(out, v):
+    out.append(_U64.pack(v))
 
 
-def _enc_ts(ts: Timestamp) -> bytes:
-    return ts.num.to_bytes(8, "big") + ts.pid.to_bytes(8, "big") + _blob16(ts.tag)
+def _dec_u64(data, pos):
+    return _U64.unpack_from(data, pos)[0], pos + 8
 
 
-def _enc_token(token) -> bytes:
+def _enc_ts(out, ts: Timestamp):
+    out += (_TS.pack(ts.num, ts.pid, len(ts.tag)), ts.tag)
+
+
+def _dec_ts(data, pos):
+    num, pid, n = _TS.unpack_from(data, pos)
+    pos += 18  # _TS.size
+    return Timestamp(num, pid, data[pos:pos + n]), pos + n
+
+
+def _dec_blob16(data, pos):
+    end = pos + 2 + _U16.unpack_from(data, pos)[0]
+    return data[pos + 2:end], end
+
+
+def _enc_token(out, token):
     if token is None:
-        return b"\x00"
-    if isinstance(token, Polynomial):
-        head = b"\x02" + token.q.to_bytes(8, "big") + len(token.coeffs).to_bytes(2, "big")
-        return head + b"".join(c.to_bytes(8, "big") for c in token.coeffs)
-    return b"\x01" + _blob16(token)
-
-
-def _enc_commitment(com) -> bytes:
-    if com is None:
-        return b"\x00"
-    if isinstance(com, ShamirShare):
-        return (b"\x02" + com.x.to_bytes(8, "big") + com.y.to_bytes(8, "big")
-                + com.q.to_bytes(8, "big"))
-    return b"\x01" + _blob16(com)
-
-
-def _enc_opt_list(entries: Optional[tuple]) -> bytes:
-    if entries is None:
-        return b"\x00"
-    out = [b"\x01", len(entries).to_bytes(2, "big")]
-    out.extend(_blob16(e) for e in entries)
-    return b"".join(out)
-
-
-def _enc_fragment(fr: Optional[Fragment]) -> bytes:
-    if fr is None:
-        return b"\x00"
-    return b"\x01" + _blob32(fragment_to_bytes(fr))
-
-
-def _enc_cand(c: Candidate) -> bytes:
-    return _enc_ts(c.ts) + _enc_token(c.token) + _enc_opt_list(c.vec)
-
-
-def _enc_cands(cands: tuple) -> bytes:
-    out = [len(cands).to_bytes(2, "big")]
-    out.extend(_enc_cand(c) for c in cands)
-    return b"".join(out)
-
-
-def encode(msg) -> bytes:
-    k = msg.kind
-    if k == STORE:
-        body = (_enc_ts(msg.ts) + _enc_fragment(msg.fr) + _enc_opt_list(msg.cc)
-                + _enc_commitment(msg.commitment) + _enc_opt_list(msg.vec))
-    elif k in (STORE_ACK, COMPLETE_ACK):
-        body = _enc_ts(msg.ts)
-    elif k == COMPLETE:
-        body = _enc_ts(msg.ts) + _enc_token(msg.token) + _enc_opt_list(msg.vec)
-    elif k == COLLECT:
-        body = msg.tsr.to_bytes(8, "big")
-    elif k in (COLLECT_ACK, FILTER):
-        body = msg.tsr.to_bytes(8, "big") + _enc_cands(msg.cands)
-    elif k == FILTER_ACK:
-        body = (msg.tsr.to_bytes(8, "big") + _enc_ts(msg.ts) + _enc_fragment(msg.fr)
-                + _enc_opt_list(msg.cc) + _enc_opt_list(msg.vec))
-    elif k == CLOCK:
-        body = _enc_ts(msg.ts)
-    elif k == CLOCK_ACK:
-        body = _enc_ts(msg.echo) + _enc_ts(msg.ts)
-    elif k == REPAIR:
-        body = msg.tsr.to_bytes(8, "big") + _enc_cand(msg.cand)
-    elif k == REPAIR_ACK:
-        body = msg.tsr.to_bytes(8, "big")
+        out.append(b"\x00")
+    elif isinstance(token, Polynomial):
+        n = len(token.coeffs)
+        out += (_POLY.pack(2, token.q, n), struct.pack(">%dQ" % n, *token.coeffs))
     else:
-        raise MalformedMessage("unknown message kind %r" % (k,))
-    return bytes([k]) + body
+        out += (_FLAG_U16.pack(1, len(token)), token)
 
 
-# ---------------------------------------------------------------------------
-# Decoding
-# ---------------------------------------------------------------------------
-
-class _Cursor:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if n < 0 or end > len(self.data):
-            raise MalformedMessage("truncated message")
-        out = self.data[self.pos:end]
-        self.pos = end
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-    def blob16(self) -> bytes:
-        return self.take(self.u16())
-
-    def blob32(self) -> bytes:
-        return self.take(int.from_bytes(self.take(4), "big"))
-
-    def flag(self) -> bool:
-        v = self.u8()
-        if v > 1:
-            raise MalformedMessage("bad presence flag %d" % v)
-        return v == 1
-
-    def done(self):
-        if self.pos != len(self.data):
-            raise MalformedMessage("%d trailing bytes" % (len(self.data) - self.pos))
-
-
-def _dec_ts(cur: _Cursor) -> Timestamp:
-    return Timestamp(cur.u64(), cur.u64(), cur.blob16())
-
-
-def _dec_token(cur: _Cursor):
-    kind = cur.u8()
+def _dec_token(data, pos):
+    kind = data[pos]
     if kind == 0:
-        return None
+        return None, pos + 1
     if kind == 1:
-        return cur.blob16()
+        return _dec_blob16(data, pos + 1)
     if kind == 2:
-        q = cur.u64()
+        _, q, n = _POLY.unpack_from(data, pos)
         if q < 2:
             raise MalformedMessage("polynomial field too small")
-        count = cur.u16()
-        return Polynomial(tuple(cur.u64() for _ in range(count)), q)
+        pos += _POLY.size
+        return Polynomial(struct.unpack_from(">%dQ" % n, data, pos), q), pos + 8 * n
     raise MalformedMessage("bad token kind %d" % kind)
 
 
-def _dec_commitment(cur: _Cursor):
-    kind = cur.u8()
+def _enc_commitment(out, com):
+    if com is None:
+        out.append(b"\x00")
+    elif isinstance(com, ShamirShare):
+        out.append(_SHARE.pack(2, com.x, com.y, com.q))
+    else:
+        out += (_FLAG_U16.pack(1, len(com)), com)
+
+
+def _dec_commitment(data, pos):
+    kind = data[pos]
     if kind == 0:
-        return None
+        return None, pos + 1
     if kind == 1:
-        return cur.blob16()
+        return _dec_blob16(data, pos + 1)
     if kind == 2:
-        x, y, q = cur.u64(), cur.u64(), cur.u64()
+        _, x, y, q = _SHARE.unpack_from(data, pos)
         if q < 2:
             raise MalformedMessage("share field too small")
-        return ShamirShare(x, y, q)
+        return ShamirShare(x, y, q), pos + _SHARE.size
     raise MalformedMessage("bad commitment kind %d" % kind)
 
 
-def _dec_opt_list(cur: _Cursor) -> Optional[tuple]:
-    if not cur.flag():
-        return None
-    return tuple(cur.blob16() for _ in range(cur.u16()))
+def _present(data, pos) -> bool:
+    flag = data[pos]
+    if flag > 1:
+        raise MalformedMessage("bad presence flag %d" % flag)
+    return flag == 1
 
 
-def _dec_fragment(cur: _Cursor) -> Optional[Fragment]:
-    if not cur.flag():
-        return None
+def _enc_opt_list(out, entries: Optional[tuple]):
+    if entries is None:
+        out.append(b"\x00")
+        return
+    out.append(_FLAG_U16.pack(1, len(entries)))
+    for e in entries:
+        out += (_U16.pack(len(e)), e)
+
+
+def _dec_opt_list(data, pos):
+    if not _present(data, pos):
+        return None, pos + 1
+    count = _U16.unpack_from(data, pos + 1)[0]
+    pos += 3
+    out = []
+    for _ in range(count):
+        entry, pos = _dec_blob16(data, pos)
+        out.append(entry)
+    return tuple(out), pos
+
+
+def _enc_fragment(out, fr: Optional[Fragment]):
+    if fr is None:
+        out.append(b"\x00")
+        return
+    body = fragment_to_bytes(fr)
+    out += (_FLAG_U32.pack(1, len(body)), body)
+
+
+def _dec_fragment(data, pos):
+    if not _present(data, pos):
+        return None, pos + 1
+    end = _U32.unpack_from(data, pos + 1)[0] + pos + 5
     try:
-        return fragment_from_bytes(cur.blob32())
+        return fragment_from_bytes(data[pos + 5:end]), end
     except ErasureError as exc:
         raise MalformedMessage(str(exc)) from exc
 
 
-def _dec_cand(cur: _Cursor) -> Candidate:
-    return Candidate(_dec_ts(cur), _dec_token(cur), _dec_opt_list(cur))
+def _enc_cand(out, c: Candidate):
+    _enc_ts(out, c.ts)
+    _enc_token(out, c.token)
+    _enc_opt_list(out, c.vec)
 
 
-def _dec_cands(cur: _Cursor) -> tuple:
-    return tuple(_dec_cand(cur) for _ in range(cur.u16()))
+def _dec_cand(data, pos):
+    ts, pos = _dec_ts(data, pos)
+    token, pos = _dec_token(data, pos)
+    vec, pos = _dec_opt_list(data, pos)
+    return Candidate(ts, token, vec), pos
+
+
+def _enc_cands(out, cands: tuple):
+    out.append(_U16.pack(len(cands)))
+    for c in cands:
+        _enc_cand(out, c)
+
+
+def _dec_cands(data, pos):
+    count = _U16.unpack_from(data, pos)[0]
+    pos += 2
+    out = []
+    for _ in range(count):
+        c, pos = _dec_cand(data, pos)
+        out.append(c)
+    return tuple(out), pos
+
+
+_u64 = (_enc_u64, _dec_u64)
+_ts = (_enc_ts, _dec_ts)
+_token = (_enc_token, _dec_token)
+_commitment = (_enc_commitment, _dec_commitment)
+_opt_list = (_enc_opt_list, _dec_opt_list)
+_fragment = (_enc_fragment, _dec_fragment)
+_cand = (_enc_cand, _dec_cand)
+_cands = (_enc_cands, _dec_cands)
+
+# kind -> (class, field types in the order of the class's dataclass fields)
+_LAYOUT = {
+    STORE: (Store, (_ts, _fragment, _opt_list, _commitment, _opt_list)),
+    STORE_ACK: (StoreAck, (_ts,)),
+    COMPLETE: (Complete, (_ts, _token, _opt_list)),
+    COMPLETE_ACK: (CompleteAck, (_ts,)),
+    COLLECT: (Collect, (_u64,)),
+    COLLECT_ACK: (CollectAck, (_u64, _cands)),
+    FILTER: (Filter, (_u64, _cands)),
+    FILTER_ACK: (FilterAck, (_u64, _ts, _fragment, _opt_list, _opt_list)),
+    CLOCK: (Clock, (_ts,)),
+    CLOCK_ACK: (ClockAck, (_ts, _ts)),
+    REPAIR: (Repair, (_u64, _cand)),
+    REPAIR_ACK: (RepairAck, (_u64,)),
+}
+
+
+def encode(msg) -> bytes:
+    """The wire bytes of msg; a field too wide for its wire width (a negative
+    or over-wide integer, or a list, count or blob past its length prefix)
+    raises MalformedMessage."""
+    k = msg.kind
+    if k not in _LAYOUT:
+        raise MalformedMessage("unknown message kind %r" % (k,))
+    out = [bytes((k,))]
+    try:
+        # a message's __dict__ holds its dataclass fields in declaration order
+        for (enc, _), value in zip(_LAYOUT[k][1], vars(msg).values()):
+            enc(out, value)
+    except struct.error as exc:
+        raise MalformedMessage("field does not fit the wire: %s" % exc) from None
+    return b"".join(out)
 
 
 def decode(data: bytes):
-    if not data:
-        raise MalformedMessage("empty message")
-    cur = _Cursor(data)
-    k = cur.u8()
-    if k == STORE:
-        msg = Store(_dec_ts(cur), _dec_fragment(cur), _dec_opt_list(cur),
-                    _dec_commitment(cur), _dec_opt_list(cur))
-        if msg.fr is None or msg.cc is None:
-            raise MalformedMessage("store requires fragment and cross-checksum")
-    elif k == STORE_ACK:
-        msg = StoreAck(_dec_ts(cur))
-    elif k == COMPLETE:
-        msg = Complete(_dec_ts(cur), _dec_token(cur), _dec_opt_list(cur))
-    elif k == COMPLETE_ACK:
-        msg = CompleteAck(_dec_ts(cur))
-    elif k == COLLECT:
-        msg = Collect(cur.u64())
-    elif k == COLLECT_ACK:
-        msg = CollectAck(cur.u64(), _dec_cands(cur))
-    elif k == FILTER:
-        msg = Filter(cur.u64(), _dec_cands(cur))
-    elif k == FILTER_ACK:
-        msg = FilterAck(cur.u64(), _dec_ts(cur), _dec_fragment(cur),
-                        _dec_opt_list(cur), _dec_opt_list(cur))
-    elif k == CLOCK:
-        msg = Clock(_dec_ts(cur))
-    elif k == CLOCK_ACK:
-        msg = ClockAck(_dec_ts(cur), _dec_ts(cur))
-    elif k == REPAIR:
-        msg = Repair(cur.u64(), _dec_cand(cur))
-    elif k == REPAIR_ACK:
-        msg = RepairAck(cur.u64())
-    else:
-        raise MalformedMessage("unknown message kind %d" % k)
-    cur.done()
+    try:
+        k = data[0]
+        if k not in _LAYOUT:
+            raise MalformedMessage("unknown message kind %d" % k)
+        cls, fields = _LAYOUT[k]
+        values, pos = [], 1
+        for _, dec in fields:
+            value, pos = dec(data, pos)
+            values.append(value)
+    except (struct.error, IndexError):
+        raise MalformedMessage("truncated message") from None
+    if pos > len(data):
+        raise MalformedMessage("truncated message")
+    if pos < len(data):
+        raise MalformedMessage("%d trailing bytes" % (len(data) - pos))
+    msg = cls(*values)
+    if k == STORE and (msg.fr is None or msg.cc is None):
+        raise MalformedMessage("store requires fragment and cross-checksum")
     return msg

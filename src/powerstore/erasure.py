@@ -8,6 +8,7 @@ corrupted fragments before decoding.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from .crypto import digest
 
-FRAGMENT_HEADER_BYTES = 10  # index (2 BE) + orig_len (8 BE)
+_FRAGMENT_HEADER = struct.Struct(">HQ")  # index, orig_len
+FRAGMENT_HEADER_BYTES = _FRAGMENT_HEADER.size
 
 _PRIM_POLY = 0x11D
 
@@ -87,16 +89,14 @@ class Fragment:
 
 
 def fragment_to_bytes(fr: Fragment) -> bytes:
-    return (fr.index.to_bytes(2, "big") + fr.orig_len.to_bytes(8, "big")
-            + fr.payload)
+    return _FRAGMENT_HEADER.pack(fr.index, fr.orig_len) + fr.payload
 
 
 def fragment_from_bytes(data: bytes) -> Fragment:
     if len(data) < FRAGMENT_HEADER_BYTES:
         raise ErasureError("fragment shorter than its header")
-    index = int.from_bytes(data[:2], "big")
-    orig_len = int.from_bytes(data[2:10], "big")
-    return Fragment(index, orig_len, data[10:])
+    index, orig_len = _FRAGMENT_HEADER.unpack_from(data)
+    return Fragment(index, orig_len, data[FRAGMENT_HEADER_BYTES:])
 
 
 def encode(value: bytes, k: int, s: int) -> list:

@@ -261,6 +261,7 @@ class Simulation:
         self.crash_reason = None
         self.deadlock = None
         self._store_frag_bytes = {}  # (writer, ts.key()) -> bytes in flight
+        self._last_encoded = (None, b"")  # a broadcast encodes its message once
 
         plan = parse_faults(config.faults, self.s,
                             config.writers, config.readers)
@@ -338,7 +339,10 @@ class Simulation:
             wire = payload
             kind = wire[0] if wire else 0
         else:
-            wire = codec.encode(payload)
+            last, wire = self._last_encoded
+            if payload is not last:
+                wire = codec.encode(payload)
+                self._last_encoded = (payload, wire)
             kind = payload.kind
             if kind == codec.STORE and cid in self.ops_left:
                 key = (cid, payload.ts.key())

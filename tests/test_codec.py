@@ -1,5 +1,6 @@
 """Wire codec: round trips, strictness, and a randomized corpus."""
 
+import dataclasses
 import random
 
 import pytest
@@ -24,7 +25,208 @@ from powerstore.codec import (
 )
 from powerstore.core import Candidate, Timestamp
 from powerstore.crypto import MERSENNE_61, Polynomial, ShamirShare, digest
-from powerstore.erasure import Fragment
+from powerstore.erasure import (
+    ErasureError, Fragment, fragment_from_bytes, fragment_to_bytes)
+
+
+# ---------------------------------------------------------------------------
+# Reference codec: byte-at-a-time, one method call per field. Slow, but each
+# length check is spelled out; the struct codec must agree with it.
+# ---------------------------------------------------------------------------
+
+def _ref_blob16(data):
+    if len(data) > 0xFFFF:
+        raise MalformedMessage("field exceeds 16-bit length prefix")
+    return len(data).to_bytes(2, "big") + data
+
+
+def _ref_enc_ts(ts):
+    return ts.num.to_bytes(8, "big") + ts.pid.to_bytes(8, "big") + _ref_blob16(ts.tag)
+
+
+def _ref_enc_token(token):
+    if token is None:
+        return b"\x00"
+    if isinstance(token, Polynomial):
+        head = b"\x02" + token.q.to_bytes(8, "big") + len(token.coeffs).to_bytes(2, "big")
+        return head + b"".join(c.to_bytes(8, "big") for c in token.coeffs)
+    return b"\x01" + _ref_blob16(token)
+
+
+def _ref_enc_commitment(com):
+    if com is None:
+        return b"\x00"
+    if isinstance(com, ShamirShare):
+        return (b"\x02" + com.x.to_bytes(8, "big") + com.y.to_bytes(8, "big")
+                + com.q.to_bytes(8, "big"))
+    return b"\x01" + _ref_blob16(com)
+
+
+def _ref_enc_opt_list(entries):
+    if entries is None:
+        return b"\x00"
+    return (b"\x01" + len(entries).to_bytes(2, "big")
+            + b"".join(_ref_blob16(e) for e in entries))
+
+
+def _ref_enc_fragment(fr):
+    if fr is None:
+        return b"\x00"
+    body = fragment_to_bytes(fr)
+    return b"\x01" + len(body).to_bytes(4, "big") + body
+
+
+def _ref_enc_cand(c):
+    return _ref_enc_ts(c.ts) + _ref_enc_token(c.token) + _ref_enc_opt_list(c.vec)
+
+
+def _reference_encode(msg):
+    k = msg.kind
+    if k == codec.STORE:
+        body = (_ref_enc_ts(msg.ts) + _ref_enc_fragment(msg.fr)
+                + _ref_enc_opt_list(msg.cc) + _ref_enc_commitment(msg.commitment)
+                + _ref_enc_opt_list(msg.vec))
+    elif k in (codec.STORE_ACK, codec.COMPLETE_ACK, codec.CLOCK):
+        body = _ref_enc_ts(msg.ts)
+    elif k == codec.COMPLETE:
+        body = (_ref_enc_ts(msg.ts) + _ref_enc_token(msg.token)
+                + _ref_enc_opt_list(msg.vec))
+    elif k in (codec.COLLECT, codec.REPAIR_ACK):
+        body = msg.tsr.to_bytes(8, "big")
+    elif k in (codec.COLLECT_ACK, codec.FILTER):
+        body = (msg.tsr.to_bytes(8, "big") + len(msg.cands).to_bytes(2, "big")
+                + b"".join(_ref_enc_cand(c) for c in msg.cands))
+    elif k == codec.FILTER_ACK:
+        body = (msg.tsr.to_bytes(8, "big") + _ref_enc_ts(msg.ts)
+                + _ref_enc_fragment(msg.fr) + _ref_enc_opt_list(msg.cc)
+                + _ref_enc_opt_list(msg.vec))
+    elif k == codec.CLOCK_ACK:
+        body = _ref_enc_ts(msg.echo) + _ref_enc_ts(msg.ts)
+    else:
+        assert k == codec.REPAIR
+        body = msg.tsr.to_bytes(8, "big") + _ref_enc_cand(msg.cand)
+    return bytes([k]) + body
+
+
+class _Cursor:
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n):
+        end = self.pos + n
+        if n < 0 or end > len(self.data):
+            raise MalformedMessage("truncated message")
+        out = self.data[self.pos:end]
+        self.pos = end
+        return out
+
+    def u8(self):
+        return self.take(1)[0]
+
+    def u16(self):
+        return int.from_bytes(self.take(2), "big")
+
+    def u64(self):
+        return int.from_bytes(self.take(8), "big")
+
+    def blob16(self):
+        return self.take(self.u16())
+
+    def flag(self):
+        v = self.u8()
+        if v > 1:
+            raise MalformedMessage("bad presence flag %d" % v)
+        return v == 1
+
+    def ts(self):
+        return Timestamp(self.u64(), self.u64(), self.blob16())
+
+    def token(self):
+        kind = self.u8()
+        if kind == 0:
+            return None
+        if kind == 1:
+            return self.blob16()
+        if kind == 2:
+            q = self.u64()
+            if q < 2:
+                raise MalformedMessage("polynomial field too small")
+            count = self.u16()
+            return Polynomial(tuple(self.u64() for _ in range(count)), q)
+        raise MalformedMessage("bad token kind %d" % kind)
+
+    def commitment(self):
+        kind = self.u8()
+        if kind == 0:
+            return None
+        if kind == 1:
+            return self.blob16()
+        if kind == 2:
+            x, y, q = self.u64(), self.u64(), self.u64()
+            if q < 2:
+                raise MalformedMessage("share field too small")
+            return ShamirShare(x, y, q)
+        raise MalformedMessage("bad commitment kind %d" % kind)
+
+    def opt_list(self):
+        if not self.flag():
+            return None
+        return tuple(self.blob16() for _ in range(self.u16()))
+
+    def fragment(self):
+        if not self.flag():
+            return None
+        try:
+            return fragment_from_bytes(self.take(int.from_bytes(self.take(4), "big")))
+        except ErasureError as exc:
+            raise MalformedMessage(str(exc)) from exc
+
+    def cand(self):
+        return Candidate(self.ts(), self.token(), self.opt_list())
+
+    def cands(self):
+        return tuple(self.cand() for _ in range(self.u16()))
+
+
+def _reference_decode(data):
+    if not data:
+        raise MalformedMessage("empty message")
+    cur = _Cursor(data)
+    k = cur.u8()
+    if k == codec.STORE:
+        msg = Store(cur.ts(), cur.fragment(), cur.opt_list(), cur.commitment(),
+                    cur.opt_list())
+        if msg.fr is None or msg.cc is None:
+            raise MalformedMessage("store requires fragment and cross-checksum")
+    elif k == codec.STORE_ACK:
+        msg = StoreAck(cur.ts())
+    elif k == codec.COMPLETE:
+        msg = Complete(cur.ts(), cur.token(), cur.opt_list())
+    elif k == codec.COMPLETE_ACK:
+        msg = CompleteAck(cur.ts())
+    elif k == codec.COLLECT:
+        msg = Collect(cur.u64())
+    elif k == codec.COLLECT_ACK:
+        msg = CollectAck(cur.u64(), cur.cands())
+    elif k == codec.FILTER:
+        msg = Filter(cur.u64(), cur.cands())
+    elif k == codec.FILTER_ACK:
+        msg = FilterAck(cur.u64(), cur.ts(), cur.fragment(), cur.opt_list(),
+                        cur.opt_list())
+    elif k == codec.CLOCK:
+        msg = Clock(cur.ts())
+    elif k == codec.CLOCK_ACK:
+        msg = ClockAck(cur.ts(), cur.ts())
+    elif k == codec.REPAIR:
+        msg = Repair(cur.u64(), cur.cand())
+    elif k == codec.REPAIR_ACK:
+        msg = RepairAck(cur.u64())
+    else:
+        raise MalformedMessage("unknown message kind %d" % k)
+    if cur.pos != len(data):
+        raise MalformedMessage("%d trailing bytes" % (len(data) - cur.pos))
+    return msg
 
 
 def _samples():
@@ -56,12 +258,25 @@ def _samples():
     ]
 
 
+def _leaves(obj):
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
 def test_roundtrip_every_kind():
     for msg in _samples():
         data = encode(msg)
         back = decode(data)
         assert back == msg
         assert encode(back) == data
+        # tags, tokens, digests and MAC entries are hashed and type-checked
+        assert not any(isinstance(x, (memoryview, bytearray)) for x in _leaves(back))
 
 
 def test_empty_and_unknown_kinds_rejected():
@@ -81,7 +296,7 @@ def test_every_strict_prefix_and_trailing_byte_rejected():
 
 
 def test_bad_flag_and_field_bytes_rejected():
-    base = codec._enc_ts(Timestamp(1))
+    base = _ref_enc_ts(Timestamp(1))
     # presence flag other than 0/1
     with pytest.raises(MalformedMessage):
         decode(bytes([codec.COMPLETE]) + base + b"\x01\x07\x00\x02" + b"\x02")
@@ -95,11 +310,11 @@ def test_bad_flag_and_field_bytes_rejected():
 
 
 def test_store_requires_fragment_and_cross_checksum():
-    ts = codec._enc_ts(Timestamp(1))
+    ts = _ref_enc_ts(Timestamp(1))
     no_fr = bytes([codec.STORE]) + ts + b"\x00" + b"\x01\x00\x00" + b"\x00" + b"\x00"
     with pytest.raises(MalformedMessage):
         decode(no_fr)
-    fr = codec._enc_fragment(Fragment(1, 1, b"x"))
+    fr = _ref_enc_fragment(Fragment(1, 1, b"x"))
     no_cc = bytes([codec.STORE]) + ts + fr + b"\x00" + b"\x00" + b"\x00"
     with pytest.raises(MalformedMessage):
         decode(no_cc)
@@ -173,10 +388,14 @@ def _rand_message(rng):
     return RepairAck(rng.randrange(1 << 32))
 
 
-def test_fuzz_structured_roundtrip():
+def _structured_corpus(count):
     rng = random.Random(20240917)
-    for _ in range(20000):
-        msg = _rand_message(rng)
+    for _ in range(count):
+        yield _rand_message(rng)
+
+
+def test_fuzz_structured_roundtrip():
+    for msg in _structured_corpus(20000):
         data = encode(msg)
         back = decode(data)
         assert back == msg
@@ -236,3 +455,31 @@ def test_fuzz_mutations_rejected_cleanly_or_canonical():
         assert encode(msg) == blob
     # flips inside tags, payloads and integers still parse; cuts never do
     assert 0 < accepted < 30_000
+
+
+def test_encodings_match_the_reference_codec():
+    for msg in _structured_corpus(20000):
+        assert encode(msg) == _reference_encode(msg), msg
+
+
+def _verdict(fn, blob):
+    try:
+        return fn(blob)
+    except MalformedMessage:
+        return MalformedMessage
+
+
+def test_decoding_matches_the_reference_codec_on_mutations():
+    for blob in _mutation_corpus(0xDEC0DE, 20_000):
+        assert _verdict(decode, blob) == _verdict(_reference_decode, blob), blob
+
+
+@pytest.mark.parametrize("msg", [
+    Collect(-1),
+    Collect(1 << 64),
+    Filter(1, (Candidate(Timestamp(1)),) * 0x10000),
+    Clock(Timestamp(1, 0, b"\x00" * 0x10000)),
+], ids=["negative", "over-64-bit", "65536-candidates", "65536-byte-tag"])
+def test_encode_rejects_fields_wider_than_the_wire(msg):
+    with pytest.raises(MalformedMessage):
+        encode(msg)

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from powerstore import mutants, simnet
+from powerstore import codec, mutants, simnet
+from powerstore.core import Candidate, Timestamp
+from powerstore.erasure import Fragment
 from powerstore.simnet import (
     SimConfig, format_config, make_delay_fn, make_value, parse_config,
     parse_faults, run)
@@ -223,3 +225,30 @@ def test_run_result_meta_names_the_correct_processes():
     res = run(small(faults=("byz_server:2:mute",)))
     assert res.meta["correct_servers"] == (1, 3, 4)
     assert res.meta["correct_readers"] == (201, 202)
+
+
+def test_a_broadcast_is_encoded_once(monkeypatch):
+    encoded = []
+    real_encode = codec.encode
+    monkeypatch.setattr(codec, "encode",
+                        lambda msg: encoded.append(msg) or real_encode(msg))
+    cands = (Candidate(Timestamp(2), b"n" * 32), Candidate(Timestamp(1), b"m"))
+    shared = codec.Filter(1, cands)
+
+    def send(make):
+        sim = simnet.Simulation(small())
+        encoded.clear()
+        for sid in range(1, sim.s + 1):
+            sim.send_to_server(sim.reader_ids[0], sid, make(sid))
+        assert sim.metrics["msgs_sent"] == sim.s
+        return len(encoded), sim.metrics["bytes_sent"]
+
+    once, once_bytes = send(lambda sid: shared)
+    each, each_bytes = send(lambda sid: codec.Filter(1, cands))
+    assert (once, each) == (1, 4)
+    assert once_bytes == each_bytes == 4 * len(real_encode(shared))
+    stores, _ = send(lambda sid: codec.Store(
+        Timestamp(1), Fragment(sid, 3, b"abc"), (), b"d" * 32))
+    assert stores == 4
+    raw, raw_bytes = send(lambda sid: real_encode(shared))
+    assert (raw, raw_bytes) == (0, once_bytes)
