@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
 from math import inf
 
 from .crypto import pow_scheme
@@ -97,38 +96,6 @@ def check_linearizable(history) -> Verdict:
                            "%s must stay current" % (name(v), max(f1, 0), s1,
                                                      name(v1)))
     return Verdict(True)
-
-
-def brute_force_linearizable(history) -> Verdict:
-    """Reference oracle: try every permutation. Only sane for tiny runs."""
-    _validate_history(history)
-    ops = [rec for rec in history
-           if rec.kind == "write" or rec.res_seq is not None]
-    must = [i for i, rec in enumerate(ops) if rec.res_seq is not None]
-    optional = [i for i, rec in enumerate(ops) if rec.res_seq is None]
-    if len(ops) > 8:
-        raise ValueError("brute force capped at 8 operations")
-
-    def legal(order):
-        value = None
-        for pos, i in enumerate(order):
-            for j in order[pos + 1:]:
-                if (ops[j].res_seq is not None
-                        and ops[j].res_seq < ops[i].inv_seq):
-                    return False
-            if ops[i].kind == "write":
-                value = ops[i].value
-            elif ops[i].value != value:
-                return False
-        return True
-
-    for bits in range(1 << len(optional)):
-        chosen = must + [optional[k] for k in range(len(optional))
-                         if bits >> k & 1]
-        for order in permutations(chosen):
-            if legal(order):
-                return Verdict(True)
-    return Verdict(False, "no linearization of %d operations" % len(ops))
 
 
 def check_pow_soundness(events, meta) -> Verdict:

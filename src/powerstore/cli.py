@@ -177,6 +177,10 @@ def _percentile(values, frac):
 def cmd_bench(args):
     t_values = [int(v) for v in args.t_list.split(",")]
     sizes = [int(v) for v in args.sizes.split(",")]
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1, got %d" % args.seeds)
+    if min(sizes) < 1:
+        raise ValueError("--sizes must be at least 1 byte, got %d" % min(sizes))
     print("cost bench, %s mode, %s proofs, delays %s" %
           (args.mode, args.pow, args.delay))
     print("latencies are simulated ticks, not wall-clock throughput")

@@ -8,6 +8,8 @@ never invokes its completion callback.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import codec
 from .core import (
     BOTTOM,
@@ -37,18 +39,21 @@ class ProtocolInvariantError(AssertionError):
 # Pure read-side procedures, shared by both modes
 # ---------------------------------------------------------------------------
 
+def _agreed(ts: Timestamp, replies, t: int, field: str):
+    """The smallest value of a reply field that t+1 replies for ts agree on,
+    or None when no value other than None has that many."""
+    counts = Counter(getattr(rep, field) for rep in replies.values()
+                     if rep.ts.key() == ts.key())
+    return min((v for v, n in counts.items() if v is not None and n > t),
+               default=None)
+
+
 def restore_value(ts: Timestamp, replies, t: int, s: int, check_cc=True) -> bytes:
     """Decode the value at ts from the reply table: pick the cross-checksum
     vouched by t+1 servers, keep fragments matching their own slot of it."""
-    groups = {}
-    for sid in sorted(replies):
-        rep = replies[sid]
-        if rep.ts.key() == ts.key() and rep.cc is not None:
-            groups.setdefault(rep.cc, []).append(sid)
-    witnessed = sorted(cc for cc, ids in groups.items() if len(ids) >= t + 1)
-    if not witnessed:
+    cc = _agreed(ts, replies, t, "cc")
+    if cc is None:
         raise ProtocolInvariantError("restore without a cross-checksum witness")
-    cc = witnessed[0]
     frs = []
     for sid in sorted(replies):
         rep = replies[sid]
@@ -62,15 +67,10 @@ def restore_value(ts: Timestamp, replies, t: int, s: int, check_cc=True) -> byte
 
 def agreed_vec(ts: Timestamp, replies, t: int) -> tuple:
     """The MAC vector vouched by t+1 servers answering for ts."""
-    groups = {}
-    for sid in sorted(replies):
-        rep = replies[sid]
-        if rep.ts.key() == ts.key() and rep.vec is not None:
-            groups.setdefault(rep.vec, []).append(sid)
-    witnessed = sorted(vec for vec, ids in groups.items() if len(ids) >= t + 1)
-    if not witnessed:
+    vec = _agreed(ts, replies, t, "vec")
+    if vec is None:
         raise ProtocolInvariantError("repair without a vector witness")
-    return witnessed[0]
+    return vec
 
 
 # ---------------------------------------------------------------------------

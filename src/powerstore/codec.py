@@ -10,8 +10,8 @@ the byte-level reference.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import Candidate, Timestamp
@@ -30,102 +30,6 @@ COLLECT, COLLECT_ACK = 5, 6
 FILTER, FILTER_ACK = 7, 8
 CLOCK, CLOCK_ACK = 9, 10
 REPAIR, REPAIR_ACK = 11, 12
-
-KIND_NAMES = {
-    STORE: "STORE", STORE_ACK: "STORE_ACK",
-    COMPLETE: "COMPLETE", COMPLETE_ACK: "COMPLETE_ACK",
-    COLLECT: "COLLECT", COLLECT_ACK: "COLLECT_ACK",
-    FILTER: "FILTER", FILTER_ACK: "FILTER_ACK",
-    CLOCK: "CLOCK", CLOCK_ACK: "CLOCK_ACK",
-    REPAIR: "REPAIR", REPAIR_ACK: "REPAIR_ACK",
-}
-
-
-@dataclass(frozen=True)
-class Store:
-    ts: Timestamp
-    fr: Fragment
-    cc: tuple
-    commitment: object  # bytes digest or ShamirShare
-    vec: Optional[tuple] = None
-    kind = STORE
-
-
-@dataclass(frozen=True)
-class StoreAck:
-    ts: Timestamp
-    kind = STORE_ACK
-
-
-@dataclass(frozen=True)
-class Complete:
-    ts: Timestamp
-    token: object
-    vec: Optional[tuple] = None
-    kind = COMPLETE
-
-
-@dataclass(frozen=True)
-class CompleteAck:
-    ts: Timestamp
-    kind = COMPLETE_ACK
-
-
-@dataclass(frozen=True)
-class Collect:
-    tsr: int
-    kind = COLLECT
-
-
-@dataclass(frozen=True)
-class CollectAck:
-    tsr: int
-    cands: tuple
-    kind = COLLECT_ACK
-
-
-@dataclass(frozen=True)
-class Filter:
-    tsr: int
-    cands: tuple
-    kind = FILTER
-
-
-@dataclass(frozen=True)
-class FilterAck:
-    tsr: int
-    ts: Timestamp
-    fr: Optional[Fragment]
-    cc: Optional[tuple]
-    vec: Optional[tuple] = None
-    kind = FILTER_ACK
-
-
-@dataclass(frozen=True)
-class Clock:
-    ts: Timestamp
-    kind = CLOCK
-
-
-@dataclass(frozen=True)
-class ClockAck:
-    echo: Timestamp
-    ts: Timestamp
-    kind = CLOCK_ACK
-
-
-@dataclass(frozen=True)
-class Repair:
-    tsr: int
-    cand: Candidate
-    kind = REPAIR
-
-
-@dataclass(frozen=True)
-class RepairAck:
-    tsr: int
-    kind = REPAIR_ACK
-
 
 # ---------------------------------------------------------------------------
 # Field codecs
@@ -302,21 +206,38 @@ _fragment = (_enc_fragment, _dec_fragment)
 _cand = (_enc_cand, _dec_cand)
 _cands = (_enc_cands, _dec_cands)
 
-# kind -> (class, field types in the order of the class's dataclass fields)
-_LAYOUT = {
-    STORE: (Store, (_ts, _fragment, _opt_list, _commitment, _opt_list)),
-    STORE_ACK: (StoreAck, (_ts,)),
-    COMPLETE: (Complete, (_ts, _token, _opt_list)),
-    COMPLETE_ACK: (CompleteAck, (_ts,)),
-    COLLECT: (Collect, (_u64,)),
-    COLLECT_ACK: (CollectAck, (_u64, _cands)),
-    FILTER: (Filter, (_u64, _cands)),
-    FILTER_ACK: (FilterAck, (_u64, _ts, _fragment, _opt_list, _opt_list)),
-    CLOCK: (Clock, (_ts,)),
-    CLOCK_ACK: (ClockAck, (_ts, _ts)),
-    REPAIR: (Repair, (_u64, _cand)),
-    REPAIR_ACK: (RepairAck, (_u64,)),
-}
+KIND_NAMES = {}  # kind byte -> name, e.g. STORE_ACK -> "STORE_ACK"
+_LAYOUT = {}  # kind byte -> (class, field types in wire order)
+
+
+def _message(kind, name, **fields):
+    """The frozen class of one message kind. Each keyword names a field and
+    gives its field type, in wire order. A MAC vector (`vec`) is absent in
+    single-writer mode, so it defaults to None."""
+    cls = dataclasses.make_dataclass(
+        name.title().replace("_", ""),
+        [(f, object, None) if f == "vec" else (f, object) for f in fields],
+        namespace={"kind": kind}, frozen=True)
+    cls.__module__ = __name__
+    KIND_NAMES[kind] = name
+    _LAYOUT[kind] = (cls, tuple(fields.values()))
+    return cls
+
+
+Store = _message(STORE, "STORE", ts=_ts, fr=_fragment, cc=_opt_list,
+                 commitment=_commitment, vec=_opt_list)
+StoreAck = _message(STORE_ACK, "STORE_ACK", ts=_ts)
+Complete = _message(COMPLETE, "COMPLETE", ts=_ts, token=_token, vec=_opt_list)
+CompleteAck = _message(COMPLETE_ACK, "COMPLETE_ACK", ts=_ts)
+Collect = _message(COLLECT, "COLLECT", tsr=_u64)
+CollectAck = _message(COLLECT_ACK, "COLLECT_ACK", tsr=_u64, cands=_cands)
+Filter = _message(FILTER, "FILTER", tsr=_u64, cands=_cands)
+FilterAck = _message(FILTER_ACK, "FILTER_ACK", tsr=_u64, ts=_ts, fr=_fragment,
+                     cc=_opt_list, vec=_opt_list)
+Clock = _message(CLOCK, "CLOCK", ts=_ts)
+ClockAck = _message(CLOCK_ACK, "CLOCK_ACK", echo=_ts, ts=_ts)
+Repair = _message(REPAIR, "REPAIR", tsr=_u64, cand=_cand)
+RepairAck = _message(REPAIR_ACK, "REPAIR_ACK", tsr=_u64)
 
 
 def encode(msg) -> bytes:
@@ -328,7 +249,7 @@ def encode(msg) -> bytes:
         raise MalformedMessage("unknown message kind %r" % (k,))
     out = [bytes((k,))]
     try:
-        # a message's __dict__ holds its dataclass fields in declaration order
+        # _message gave the class its fields in wire order, as vars() holds them
         for (enc, _), value in zip(_LAYOUT[k][1], vars(msg).values()):
             enc(out, value)
     except struct.error as exc:

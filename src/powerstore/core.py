@@ -2,8 +2,8 @@
 
 A candidate is the metadata (timestamp, proof token[, MAC vector]) naming a
 potentially completed write. Servers judge candidates with valid_*; readers
-judge them with safe/invalid/highcand over the reply table of their second
-round.
+judge them with safe_witness/invalid/highcand over the reply table of their
+second round.
 """
 
 from __future__ import annotations
@@ -157,10 +157,6 @@ def safe_witness(candidate: Candidate, replies: Mapping, t: int):
             if best is None or pick < best[0]:
                 best = (pick, cc, vec)
     return best
-
-
-def safe(candidate: Candidate, replies: Mapping, t: int) -> bool:
-    return safe_witness(candidate, replies, t) is not None
 
 
 def invalid(candidate: Candidate, replies: Mapping, s: int, t: int) -> bool:

@@ -14,7 +14,7 @@ import hashlib
 import hmac as _hmac
 import random
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 DIGEST_BYTES = 32
 LAMBDA_BITS = 256
@@ -111,34 +111,6 @@ def shamir_verify(share: ShamirShare, poly: Polynomial) -> bool:
     if share.q != poly.q:
         return False
     return poly.eval_at(share.x) == share.y
-
-
-def shamir_interpolate(shares: Sequence[ShamirShare], q: int) -> Polynomial:
-    """Lagrange-interpolate the unique degree len(shares)-1 polynomial."""
-    xs = [sh.x for sh in shares]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x coordinates")
-    n = len(shares)
-    coeffs = [0] * n
-    for i, sh in enumerate(shares):
-        # basis_i(x) = prod_{j != i} (x - x_j) / (x_i - x_j), accumulated as
-        # a coefficient vector
-        basis = [1]
-        denom = 1
-        for j, other in enumerate(shares):
-            if j == i:
-                continue
-            # multiply basis by (x - x_j)
-            nxt = [0] * (len(basis) + 1)
-            for d, b in enumerate(basis):
-                nxt[d + 1] = (nxt[d + 1] + b) % q
-                nxt[d] = (nxt[d] - b * other.x) % q
-            basis = nxt
-            denom = denom * (sh.x - other.x) % q
-        scale = sh.y * pow(denom, q - 2, q) % q  # Fermat inverse, q prime
-        for d, b in enumerate(basis):
-            coeffs[d] = (coeffs[d] + b * scale) % q
-    return Polynomial(tuple(coeffs), q)
 
 
 # ---------------------------------------------------------------------------

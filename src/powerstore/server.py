@@ -82,6 +82,15 @@ class ServerBase:
             self._accept(self._completed_candidate(msg), "complete")
         return codec.CompleteAck(msg.ts)
 
+    def _filter_ack(self, msg, valids):
+        """The FILTER_ACK for the highest valid candidate (C0 if none), with
+        what this server stored for its timestamp."""
+        c_hv = max(valids, key=lambda c: c.sort_key()) if valids else C0
+        entry = self.hist.get(c_hv.ts.key())
+        if entry is None:
+            return codec.FilterAck(msg.tsr, c_hv.ts, None, None, None)
+        return codec.FilterAck(msg.tsr, c_hv.ts, entry.fr, entry.cc, entry.vec)
+
     def snapshot(self):
         return {
             "lc_ts": self.lc.ts.key(),
@@ -120,12 +129,7 @@ class SwServer(ServerBase):
 
     def _on_filter(self, msg):
         self.lc_set |= set(msg.cands)  # metadata write-back
-        valids = [c for c in msg.cands if self._valid(c)]
-        c_hv = max(valids, key=lambda c: c.sort_key()) if valids else C0
-        entry = self.hist.get(c_hv.ts.key())
-        fr = entry.fr if entry else None
-        cc = entry.cc if entry else None
-        return codec.FilterAck(msg.tsr, c_hv.ts, fr, cc, None)
+        return self._filter_ack(msg, [c for c in msg.cands if self._valid(c)])
 
 
 class MwServer(ServerBase):
@@ -169,14 +173,8 @@ class MwServer(ServerBase):
             c_wb = max(valids, key=self._wb_rank)
             if c_wb.ts > self.lc.ts:
                 self._accept(c_wb, "filter_wb")
-        by_hist = [c for c in msg.cands
-                   if valid_by_hist(c, self.hist, self.scheme)]
-        c_rt = max(by_hist, key=lambda c: c.sort_key()) if by_hist else C0
-        entry = self.hist.get(c_rt.ts.key())
-        fr = entry.fr if entry else None
-        cc = entry.cc if entry else None
-        vec = entry.vec if entry else None
-        return codec.FilterAck(msg.tsr, c_rt.ts, fr, cc, vec)
+        return self._filter_ack(msg, [
+            c for c in msg.cands if valid_by_hist(c, self.hist, self.scheme)])
 
     def _on_repair(self, msg):
         cand = msg.cand

@@ -127,31 +127,39 @@ class FaultPlan:
     crash_writers: dict = field(default_factory=dict)  # cid -> (phase, k)
 
 
+def _fault_int(text, d):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%r is not an integer in %r" % (text, d)) from None
+
+
 def parse_faults(directives, s, writers, readers) -> FaultPlan:
     plan = FaultPlan()
     for d in directives:
         parts = d.split(":")
         if parts[0] == "byz_server" and len(parts) == 3:
-            sid = int(parts[1])
+            sid = _fault_int(parts[1], d)
             if not 1 <= sid <= s:
                 raise ValueError("no server %d in %r" % (sid, d))
             if parts[2] not in behaviors.SERVERS:
                 raise ValueError("unknown server behavior in %r" % d)
             plan.byz_servers[sid] = parts[2]
         elif parts[0] == "byz_reader" and len(parts) == 3:
-            cid = int(parts[1])
+            cid = _fault_int(parts[1], d)
             if not READER_ID_BASE < cid <= READER_ID_BASE + readers:
                 raise ValueError("no reader %d in %r" % (cid, d))
             if parts[2] not in behaviors.READERS:
                 raise ValueError("unknown reader behavior in %r" % d)
             plan.byz_readers[cid] = parts[2]
         elif parts[0] == "crash_writer" and len(parts) == 4:
-            cid = int(parts[1])
+            cid = _fault_int(parts[1], d)
             if not WRITER_ID_BASE < cid <= WRITER_ID_BASE + writers:
                 raise ValueError("no writer %d in %r" % (cid, d))
             if parts[2] not in ("after_store", "after_complete"):
                 raise ValueError("crash point must be after_store or after_complete")
-            plan.crash_writers[cid] = (parts[2][len("after_"):], int(parts[3]))
+            plan.crash_writers[cid] = (parts[2][len("after_"):],
+                                       _fault_int(parts[3], d))
         else:
             raise ValueError("bad fault directive %r" % d)
     return plan

@@ -15,7 +15,7 @@ import pytest
 
 import test_checker
 from powerstore import mutants, scenarios
-from powerstore.checker import brute_force_linearizable, check_linearizable, verify_run
+from powerstore.checker import check_linearizable, verify_run
 from powerstore.erasure import cross_checksum, decode, encode
 from powerstore.simnet import SimConfig, run
 
@@ -102,7 +102,7 @@ def test_linearizability_checker_matches_brute_force():
         history = test_checker._gen_history(rng, coherent=trial % 2 == 0)
         assert len(history) <= 8
         fast = check_linearizable(history)
-        slow = brute_force_linearizable(history)
+        slow = test_checker._brute_force_linearizable(history)
         assert fast.ok == slow.ok, (trial, history, fast, slow)
     print("PASS checker vs brute force: 800 histories up to 8 ops agree")
 

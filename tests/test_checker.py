@@ -2,14 +2,15 @@
 search on long histories, and doctored logs fail."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from powerstore.checker import (
     HistoryMalformed,
     Verdict,
+    _validate_history,
     account_rounds,
-    brute_force_linearizable,
     check_linearizable,
     check_non_skipping,
     check_pow_soundness,
@@ -22,6 +23,42 @@ def rec(client, kind, value, inv, res, rounds=None, repair=False, ts=None):
     return OperationRecord(client=client, kind=kind, value=value, inv_seq=inv,
                            inv_tick=inv, res_seq=res, res_tick=res,
                            rounds=rounds, repair_sent=repair, ts=ts)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle
+# ---------------------------------------------------------------------------
+
+def _brute_force_linearizable(history) -> Verdict:
+    """Reference oracle: try every permutation. Only sane for tiny runs."""
+    _validate_history(history)
+    ops = [rec for rec in history
+           if rec.kind == "write" or rec.res_seq is not None]
+    must = [i for i, rec in enumerate(ops) if rec.res_seq is not None]
+    optional = [i for i, rec in enumerate(ops) if rec.res_seq is None]
+    if len(ops) > 8:
+        raise ValueError("brute force capped at 8 operations")
+
+    def legal(order):
+        value = None
+        for pos, i in enumerate(order):
+            for j in order[pos + 1:]:
+                if (ops[j].res_seq is not None
+                        and ops[j].res_seq < ops[i].inv_seq):
+                    return False
+            if ops[i].kind == "write":
+                value = ops[i].value
+            elif ops[i].value != value:
+                return False
+        return True
+
+    for bits in range(1 << len(optional)):
+        chosen = must + [optional[k] for k in range(len(optional))
+                         if bits >> k & 1]
+        for order in permutations(chosen):
+            if legal(order):
+                return Verdict(True)
+    return Verdict(False, "no linearization of %d operations" % len(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +146,7 @@ def test_malformed_invoke_past_pending():
 
 def _zone_verdict(h):
     fast = check_linearizable(h)
-    assert fast.ok == brute_force_linearizable(h).ok, fast
+    assert fast.ok == _brute_force_linearizable(h).ok, fast
     return fast
 
 
@@ -229,7 +266,7 @@ def test_search_agrees_with_brute_force():
     for trial in range(1500):
         h = _gen_history(rng, coherent=trial % 2 == 0)
         fast = check_linearizable(h)
-        slow = brute_force_linearizable(h)
+        slow = _brute_force_linearizable(h)
         assert fast.ok == slow.ok, (trial, fast, slow,
                                     [(r.client, r.kind, r.value, r.inv_seq,
                                       r.res_seq) for r in h])

