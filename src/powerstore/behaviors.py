@@ -122,7 +122,7 @@ class CorruptVec(ServerShell):
             return None
         if msg.kind == codec.COLLECT:
             cands = tuple(
-                dataclasses.replace(c, vec=self._garble(c.vec)) if c.vec else c
+                c._replace(vec=self._garble(c.vec)) if c.vec else c
                 for c in reply.cands)
             return dataclasses.replace(reply, cands=cands)
         if msg.kind == codec.FILTER and reply.vec is not None:

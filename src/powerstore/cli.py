@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import scenarios
-from .simnet import SimConfig, format_config, parse_config, run
+from .simnet import SimConfig, format_config, make_delay_fn, parse_config, run
 
 
 # (flag, the SimConfig field it sets, argparse options); a flag applies only
@@ -181,6 +181,9 @@ def cmd_bench(args):
         raise ValueError("--seeds must be at least 1, got %d" % args.seeds)
     if min(sizes) < 1:
         raise ValueError("--sizes must be at least 1 byte, got %d" % min(sizes))
+    if min(t_values) < 0:
+        raise ValueError("--t-list must be at least 0, got %d" % min(t_values))
+    make_delay_fn(args.delay)  # a bad --delay raises before the header
     print("cost bench, %s mode, %s proofs, delays %s" %
           (args.mode, args.pow, args.delay))
     print("latencies are simulated ticks, not wall-clock throughput")

@@ -9,7 +9,7 @@ second round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .crypto import HASH_POW, Polynomial, verify_vec_entry
 
@@ -18,8 +18,7 @@ Token = Union[bytes, Polynomial]
 BOTTOM = None  # the initial register value; never writable
 
 
-@dataclass(frozen=True, order=False)
-class Timestamp:
+class Timestamp(NamedTuple):
     """Write timestamp ordered lexicographically on (num, pid); the MAC tag
     never participates in comparison. Single-writer timestamps use pid 0 and
     an empty tag."""
@@ -29,7 +28,7 @@ class Timestamp:
     tag: bytes = b""
 
     def key(self):
-        return (self.num, self.pid)
+        return self[:2]
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -56,8 +55,7 @@ def token_canonical(token: Optional[Token]) -> bytes:
     return b"\x01" + token
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """(ts, token[, vec]) tuple written back by clients and held in lc/LC."""
 
     ts: Timestamp
@@ -71,6 +69,11 @@ class Candidate:
     @property
     def is_zero(self) -> bool:
         return self.ts.key() == TS0.key()
+
+    def __lt__(self, other):
+        raise TypeError("candidates are unordered; compare sort_key()")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 C0 = Candidate(TS0, None, None)

@@ -4,7 +4,8 @@ One heap of (tick, seq) events drives everything: message deliveries, client
 operation starts, adversary pumps, and state-reset timers. Four independent
 RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
-Every message crosses the wire as encoded bytes and is decoded on delivery.
+Every message crosses the wire as encoded bytes and is decoded on delivery,
+once per distinct wire in flight: its copies share the immutable message.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .erasure import ErasureError, Fragment, fragment_to_bytes
 WRITER_ID_BASE = 100  # writers are 101, 102, ...; readers 201, 202, ...
 READER_ID_BASE = 200
 MAX_TICKS = 1_000_000  # livelock guard: a run still going then is a deadlock
+_STORE_BYTE = bytes((codec.STORE,))  # a STORE differs per server: never shared
 
 
 @dataclass
@@ -270,6 +272,7 @@ class Simulation:
         self.deadlock = None
         self._store_frag_bytes = {}  # (writer, ts.key()) -> bytes in flight
         self._last_encoded = (None, b"")  # a broadcast encodes its message once
+        self._in_flight = {}  # wire -> [copies in flight, message or None]
 
         plan = parse_faults(config.faults, self.s,
                             config.writers, config.readers)
@@ -359,6 +362,7 @@ class Simulation:
                     + len(fragment_to_bytes(payload.fr)))
         self._count_send(cid, sid, kind, wire)
         self._tap(cid, sid, payload, wire)
+        self._hold(wire)
         self.schedule(self.delay_fn(self.rng["delays"]),
                       ("to_server", cid, sid, wire))
 
@@ -367,8 +371,27 @@ class Simulation:
         assert cid in self.clients, "server reply must target a client"
         wire = codec.encode(msg)
         self._count_send(sid, cid, msg.kind, wire)
+        self._hold(wire)
         self.schedule(self.delay_fn(self.rng["delays"]),
                       ("to_client", sid, cid, wire))
+
+    def _hold(self, wire):
+        if wire[:1] != _STORE_BYTE:
+            entry = self._in_flight.setdefault(wire, [0, None])
+            entry[0] += 1
+
+    def _decode(self, wire):
+        """One copy of wire arrives. Its message is decoded for the first
+        copy and shared with the rest; malformed bytes raise on every copy."""
+        entry = self._in_flight.get(wire) if wire[:1] != _STORE_BYTE else None
+        if entry is None:
+            return codec.decode(wire)
+        entry[0] -= 1
+        if entry[0] == 0:
+            del self._in_flight[wire]
+        if entry[1] is None:
+            entry[1] = codec.decode(wire)
+        return entry[1]
 
     def _count_send(self, src, dst, kind, wire):
         self.metrics["msgs_sent"] += 1
@@ -417,7 +440,7 @@ class Simulation:
     def _deliver_to_server(self, cid, sid, wire):
         self.metrics["msgs_delivered"] += 1
         try:
-            msg = codec.decode(wire)
+            msg = self._decode(wire)
         except MalformedMessage:
             self.metrics["dropped_malformed"] += 1
             return
@@ -440,7 +463,7 @@ class Simulation:
     def _deliver_to_client(self, sid, cid, wire):
         self.metrics["msgs_delivered"] += 1
         try:
-            msg = codec.decode(wire)
+            msg = self._decode(wire)
         except MalformedMessage:
             self.metrics["dropped_malformed"] += 1
             return

@@ -108,6 +108,17 @@ def test_an_empty_bench_is_a_usage_error(capsys, flag, value):
     assert code == 2 and out == "" and flag in err
 
 
+def test_a_negative_t_in_bench_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "bench", "--t-list", "1,-1")
+    assert code == 2 and out == "" and "--t-list" in err
+
+
+def test_a_bad_bench_delay_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "bench", "--t-list", "1",
+                             "--delay", "bogus:1")
+    assert code == 2 and out == "" and "delay" in err
+
+
 @pytest.mark.parametrize("source", ["--config", "--scenario"])
 @pytest.mark.parametrize("flag,value", [("--fault", "byz_server:1:mute"),
                                         ("--mode", "mw")])

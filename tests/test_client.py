@@ -181,7 +181,7 @@ def test_mw_reader_repairs_garbled_vector():
     loop.write(writer, b"alpha")
     for srv in loop.servers.values():
         garbled = tuple(digest(b"x" + e) for e in srv.lc.vec)
-        srv.lc = replace(srv.lc, vec=garbled)
+        srv.lc = srv.lc._replace(vec=garbled)
     out = loop.read(reader)
     assert out == {"value": b"alpha", "rounds": 3, "repaired": True}
 

@@ -1,7 +1,10 @@
 """Candidate predicate tests: validity, safety, invalid, highcand."""
 
 import itertools
+import json
 import random
+
+import pytest
 
 from powerstore.core import (
     C0,
@@ -23,6 +26,7 @@ from powerstore.crypto import (
     make_vec,
     pow_scheme,
 )
+from powerstore.simnet import event_to_json
 
 T = 1
 S = 3 * T + 1
@@ -58,6 +62,30 @@ def test_candidate_sort_key_orders_equal_ts_deterministically():
     assert [c.token for c in by_key[1:]] == [b"\x01" * 4, b"\x02" * 4, b"\x03" * 4]
     # distinct-token candidates at one timestamp coexist in a set
     assert len({Candidate(ts, b"a"), Candidate(ts, b"b")}) == 2
+
+
+def test_candidates_have_no_order():
+    a, b = Candidate(Timestamp(1), b"a"), Candidate(Timestamp(2), b"b")
+    for compare in (lambda: a < b, lambda: a <= b, lambda: a > b,
+                    lambda: a >= b, lambda: (0,) < a, lambda: max([a, b])):
+        with pytest.raises(TypeError):
+            compare()
+
+
+def test_hashes_are_those_of_the_field_tuples():
+    # set iteration order, and with it every schedule, rests on these values
+    ts = Timestamp(7, 3, b"tag")
+    assert hash(ts) == hash((7, 3, b"tag"))
+    cand = Candidate(ts, b"tok", (b"v1", b"v2"))
+    assert hash(cand) == hash((ts, b"tok", (b"v1", b"v2")))
+    assert hash(Candidate(ts)) == hash((ts, None, None))
+
+
+def test_logs_render_timestamps_and_candidates_as_objects():
+    ts = Timestamp(7, 3, b"\x01")
+    ev = json.loads(event_to_json({"ts": ts, "cands": (Candidate(ts, b"\x02"),)}))
+    assert ev["ts"] == {"num": 7, "pid": 3, "tag": "0x01"}
+    assert ev["cands"] == [{"ts": ev["ts"], "token": "0x02", "vec": None}]
 
 
 def test_valid_sw_accepts_committed_token():

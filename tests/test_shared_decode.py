@@ -1,0 +1,138 @@
+"""Each distinct in-flight wire is decoded once and its copies share the
+message: the same outputs as decoding every copy, and no handler may change a
+message another copy still carries."""
+
+import pytest
+
+from powerstore import behaviors, codec, scenarios, simnet
+from powerstore.codec import MalformedMessage
+from powerstore.core import Candidate, Timestamp
+from powerstore.erasure import Fragment
+from powerstore.simnet import SimConfig
+
+
+def small(**over):
+    kw = dict(mode="sw", writers=1, readers=2, writes=3, reads=3,
+              value_size=48, seed=3)
+    kw.update(over)
+    return SimConfig(**kw)
+
+
+def counting_decode(monkeypatch):
+    """Patch codec.decode to record every wire it parses."""
+    wires = []
+    real = codec.decode
+    monkeypatch.setattr(codec, "decode", lambda w: wires.append(w) or real(w))
+    return wires
+
+
+def outputs(config):
+    res = simnet.run(config)
+    return res.log_digest(), res.history_signature(), dict(res.metrics)
+
+
+def equivalence_configs():
+    configs = {}
+    for sweep in ("sw-catalog", "mw-catalog"):
+        for seed in range(5):
+            configs["%s/%d" % (sweep, seed)] = scenarios.pair_for(sweep, seed)[1]
+    configs["flood/0"] = scenarios.pair_for(
+        "sw-flood", 0, readers=4, writes=5, reads=5, adversary_budget=50,
+        faults=("byz_reader:201:flood_writebacks",))[1]
+    configs["garbage"] = small(faults=("byz_reader:202:garbage_filter_sets",))
+    return configs
+
+
+@pytest.mark.parametrize("key", sorted(equivalence_configs()))
+def test_shared_decode_gives_the_outputs_of_decoding_every_copy(
+        key, monkeypatch):
+    config = equivalence_configs()[key]
+    wires = counting_decode(monkeypatch)
+    shared = outputs(config)
+    shared_decodes = len(wires)
+    monkeypatch.setattr(simnet.Simulation, "_decode",
+                        lambda self, wire: codec.decode(wire))
+    wires.clear()
+    assert outputs(config) == shared
+    delivered = shared[2]["msgs_delivered"]
+    assert len(wires) == delivered
+    assert shared_decodes < delivered
+    if key == "garbage":
+        assert shared[2]["dropped_malformed"] > 0
+
+
+BYZANTINE = ([("byz_server:1:%s" % name,) for name in sorted(behaviors.SERVERS)]
+             + [("byz_reader:202:%s" % name,) for name in sorted(behaviors.READERS)])
+
+
+@pytest.mark.parametrize("mode", ["sw", "mw"])
+@pytest.mark.parametrize("faults", BYZANTINE, ids=lambda f: f[0])
+def test_no_handler_changes_a_delivered_message(mode, faults, monkeypatch):
+    seen = []
+    real = simnet.Simulation._decode
+
+    def recording(self, wire):
+        msg = real(self, wire)
+        seen.append((wire, msg))
+        return msg
+
+    monkeypatch.setattr(simnet.Simulation, "_decode", recording)
+    simnet.run(small(mode=mode, writers=1 if mode == "sw" else 2,
+                     faults=faults, seed=4))
+    assert seen
+    assert all(codec.decode(wire) == msg for wire, msg in seen)
+
+
+@pytest.mark.parametrize("config", [
+    small(),
+    small(mode="mw", writers=2),
+    small(faults=("byz_reader:202:garbage_filter_sets",)),
+    small(faults=("byz_reader:202:flood_writebacks",)),
+    small(faults=("byz_server:2:mute", "byz_server:3:mute")),  # deadlocks
+    small(faults=("crash_writer:101:after_store:1",)),
+], ids=["sw", "mw", "garbage", "flood", "deadlock", "crash"])
+def test_the_in_flight_table_is_empty_once_the_heap_drains(config):
+    sim = simnet.Simulation(config)
+    sim.run()
+    assert sim.heap == []
+    assert sim._in_flight == {}
+
+
+def _broadcast(sim, payload):
+    for sid in range(1, sim.s + 1):
+        sim.send_to_server(sim.reader_ids[0], sid, payload)
+
+
+def test_copies_of_one_wire_are_decoded_once_and_share_the_message(
+        monkeypatch):
+    wires = counting_decode(monkeypatch)
+    sim = simnet.Simulation(small())
+    msg = codec.Filter(1, (Candidate(Timestamp(2), b"n" * 32),))
+    _broadcast(sim, msg)
+    wire = codec.encode(msg)
+    assert sim._in_flight == {wire: [4, None]}
+    got = [sim._decode(wire) for _ in range(4)]
+    assert wires == [wire]
+    assert got[0] == msg and all(m is got[0] for m in got)
+    assert sim._in_flight == {}
+
+
+def test_malformed_copies_raise_each_time_and_are_not_kept(monkeypatch):
+    wires = counting_decode(monkeypatch)
+    sim = simnet.Simulation(small())
+    _broadcast(sim, bytes((codec.COLLECT, 0)))
+    for _ in range(4):
+        with pytest.raises(MalformedMessage):
+            sim._decode(bytes((codec.COLLECT, 0)))
+    assert len(wires) == 4
+    assert sim._in_flight == {}
+
+
+def test_stores_are_never_held(monkeypatch):
+    wires = counting_decode(monkeypatch)
+    sim = simnet.Simulation(small())
+    store = codec.Store(Timestamp(1), Fragment(1, 3, b"abc"), (), b"d" * 32)
+    _broadcast(sim, store)
+    assert sim._in_flight == {}
+    assert sim._decode(codec.encode(store)) == store
+    assert len(wires) == 1
