@@ -115,6 +115,8 @@ def _write_ndjson(path, records):
 def cmd_run(args):
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1, got %d" % args.seeds)
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     reports = scenarios.run_tasks(_runs(args, seeds), jobs=args.jobs)
     if args.out:

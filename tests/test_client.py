@@ -14,6 +14,7 @@ from powerstore.core import C0, Candidate, Reply, TS0, Timestamp
 from powerstore.crypto import KeyRing, digest, pow_scheme
 from powerstore.erasure import cross_checksum, encode, fragment_to_bytes
 from powerstore.mutants import classes_for
+from test_core import _invalid_by_count
 
 S, T = 4, 1
 
@@ -203,6 +204,31 @@ def test_read_finishes_with_quorum_and_a_mute_server():
     loop.muted.add(4)
     out = loop.read(reader)
     assert out["value"] == b"alpha" and out["rounds"] == 2
+
+
+@pytest.mark.parametrize("byz_ts", [(9, 0), (0, 9)],
+                         ids=["high-then-low", "low-then-high"])
+def test_reader_prunes_per_ack_when_a_server_answers_twice(byz_ts):
+    # honest servers 1, 2 and 4 answer ts 2; server 3 answers the same tsr
+    # twice, once the table holds s-t replies; after every ack, C is what the
+    # per-candidate rule leaves of it
+    loop = Loop("sw")
+    reader = loop.client("reader", 201)
+    reader.read(lambda **kw: None)
+    loop.queue.clear()
+    reader.phase = "filter"
+    reader.C = {Candidate(Timestamp(n), b"v%d" % n) for n in range(1, 6)}
+    acks = [(1, 2), (2, 2), (3, byz_ts[0]), (3, byz_ts[1]), (4, 2)]
+    for sid, num in acks:
+        before = set(reader.C)
+        reader.on_message(sid, codec.FilterAck(reader.tsr, Timestamp(num),
+                                               None, None, None))
+        assert reader.R[sid].ts == Timestamp(num)
+        assert reader.C == {c for c in before
+                            if not _invalid_by_count(c, reader.R, S, T)}
+        assert reader.busy and reader.phase == "filter"
+    # the late low answer pruned 3..5 for good; the high one restores nothing
+    assert {c.ts.num for c in reader.C} == {1, 2}
 
 
 def _replies_for(value, ts, s=S, t=T):

@@ -483,3 +483,80 @@ def test_decoding_matches_the_reference_codec_on_mutations():
 def test_encode_rejects_fields_wider_than_the_wire(msg):
     with pytest.raises(MalformedMessage):
         encode(msg)
+
+
+# ---------------------------------------------------------------------------
+# Candidate lists: the codec inlines the common shapes and falls back to the
+# field codecs for the rest; both paths must agree with the reference.
+# ---------------------------------------------------------------------------
+
+def _list_cands():
+    """Every token kind (absent, bytes, polynomial), the vector absent, empty
+    and present, and empty and 16-byte tags."""
+    tokens = [None, b"", b"\x42" * 32, Polynomial((3, 2, 7), MERSENNE_61)]
+    vecs = [None, (), (b"m1", b"m2" * 8)]
+    tags = [b"", b"\x10" * 16]
+    return tuple(Candidate(Timestamp(i + 1, i % 3, tag), token, vec)
+                 for i, (token, vec, tag) in enumerate(
+                     (tk, v, tg) for tk in tokens for v in vecs for tg in tags))
+
+
+def _list_messages():
+    cands = _list_cands()
+    msgs = [CollectAck(5, cands), Filter(6, cands), Filter(7, cands[::-1])]
+    msgs += [Filter(8, (c,)) for c in cands]
+    return msgs
+
+
+def test_candidate_lists_match_the_reference_codec():
+    for msg in _list_messages():
+        data = encode(msg)
+        assert data == _reference_encode(msg), msg
+        assert decode(data) == _reference_decode(data) == msg
+
+
+def test_decoded_candidates_are_the_constructed_types():
+    for got, want in zip(decode(encode(Filter(1, _list_cands()))).cands,
+                         _list_cands()):
+        assert type(got) is Candidate and type(got.ts) is Timestamp
+        assert got == want and hash(got) == hash(want)
+        assert got.ts == want.ts and hash(got.ts) == hash(want.ts)
+        assert got.ts.key() == want.ts.key() and got.sort_key() == want.sort_key()
+        assert type(got.ts.tag) is bytes
+        assert got.token is None or type(got.token) in (bytes, Polynomial)
+
+
+def _filter_wire(*cand_bytes):
+    return (bytes([codec.FILTER]) + (1).to_bytes(8, "big")
+            + len(cand_bytes).to_bytes(2, "big") + b"".join(cand_bytes))
+
+
+@pytest.mark.parametrize("bad", [
+    _ref_enc_ts(Timestamp(2)) + b"\x00" + b"\x02",  # vector flag 2, no token
+    _ref_enc_ts(Timestamp(2)) + b"\x01\x00\x01n" + b"\x02",  # after a token
+    _ref_enc_ts(Timestamp(2)) + b"\x03" + b"\x00",  # token kind 3
+    _ref_enc_ts(Timestamp(2, 0, b"tag")) + b"\x03" + b"\x00",
+], ids=["vec-flag-2", "vec-flag-2-after-bytes", "token-kind-3",
+        "token-kind-3-after-tag"])
+def test_bad_bytes_inside_a_candidate_list_raise(bad):
+    good = _ref_enc_cand(Candidate(Timestamp(1), b"n"))
+    assert decode(_filter_wire(good, good))  # the frame itself is well formed
+    for wire in (_filter_wire(bad), _filter_wire(good, bad)):
+        with pytest.raises(MalformedMessage):
+            decode(wire)
+        with pytest.raises(MalformedMessage):
+            _reference_decode(wire)
+
+
+@pytest.mark.parametrize("cand", [
+    Candidate(Timestamp(1, 0, b"\x00" * 0x10000), b"n"),
+    Candidate(Timestamp(1), b"\x00" * 0x10000),
+    Candidate(Timestamp(1), b"n", (b"\x00" * 0x10000,)),
+    Candidate(Timestamp(-1), b"n"),
+], ids=["65536-byte-tag", "65536-byte-token", "65536-byte-vec-entry",
+        "negative-num"])
+def test_encode_rejects_wide_fields_inside_a_list(cand):
+    good = Candidate(Timestamp(1), b"n")
+    for msg in (Filter(1, (good, cand)), CollectAck(1, (cand,))):
+        with pytest.raises(MalformedMessage):
+            encode(msg)

@@ -15,6 +15,7 @@ from powerstore.core import (
     Timestamp,
     highcand,
     invalid,
+    invalid_bound,
     safe_witness,
     valid_by_hist,
     valid_mw,
@@ -256,6 +257,65 @@ def test_invalid_counts_strictly_lower_timestamps():
     assert invalid(cand, replies, s=S, t=T)  # 3 >= S - t
     replies[3] = eq
     assert not invalid(cand, replies, s=S, t=T)
+
+
+def _invalid_by_count(candidate, replies, s, t):
+    """The paper's invalid predicate, counted reply by reply."""
+    low = sum(1 for rep in replies.values() if rep.ts < candidate.ts)
+    return low >= s - t
+
+
+def _random_replies(rng, s, fill):
+    """A reply table over s servers with each present with probability fill;
+    timestamps come from a small range, so ties (and equal keys with other
+    tags) are common."""
+    return {sid: Reply(Timestamp(rng.randrange(4), rng.randrange(2),
+                                 rng.choice([b"", b"x"])), None, None)
+            for sid in range(1, s + 1) if rng.random() < fill}
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_invalid_and_its_bound_agree_with_counting(t):
+    rng = random.Random(0xB0D + t)
+    s = 3 * t + 1
+    cands = [Candidate(Timestamp(num, pid, tag), b"n")
+             for num in range(5) for pid in range(2) for tag in (b"", b"y")]
+    seen_short = seen_full = 0
+    for _ in range(300):
+        replies = _random_replies(rng, s, rng.choice([0.3, 0.7, 1.0]))
+        bound = invalid_bound(replies, s, t)
+        short = len(replies) < s - t
+        seen_short += short
+        seen_full += not short
+        assert (bound is None) == short
+        if bound is not None:
+            assert bound == sorted(r.ts.key() for r in replies.values())[s - t - 1]
+        for c in cands:
+            expect = _invalid_by_count(c, replies, s, t)
+            assert invalid(c, replies, s, t) == expect
+            assert (bound is not None and c.ts.key() > bound) == expect
+    assert seen_short and seen_full
+
+
+def test_invalid_bound_with_tied_timestamps():
+    tied = {sid: Reply(Timestamp(3, 0, b"t%d" % sid), None, None)
+            for sid in range(1, S + 1)}
+    assert invalid_bound(tied, S, T) == (3, 0)
+    assert not invalid(Candidate(Timestamp(3, 0, b"other")), tied, S, T)
+    assert invalid(Candidate(Timestamp(3, 1)), tied, S, T)
+    assert invalid_bound({1: tied[1], 2: tied[2]}, S, T) is None
+
+
+def test_top_key_selection_equals_highcand_filtering():
+    rng = random.Random(0x70C)
+    for _ in range(300):
+        cset = {Candidate(Timestamp(rng.randrange(5), rng.randrange(3),
+                                    rng.choice([b"", b"z"])),
+                          rng.choice([b"a", b"b"]))
+                for _ in range(rng.randrange(1, 12))}
+        top = max(c.ts.key() for c in cset)
+        assert ({c for c in cset if c.ts.key() == top}
+                == {c for c in cset if highcand(c, cset)})
 
 
 def test_highcand_is_maximal_timestamp():

@@ -125,6 +125,11 @@ def test_bad_delay_specs_are_rejected(spec):
     dict(mode="xy"),
     dict(mode="sw", writers=2),
     dict(t=-1),
+    dict(writers=-1),
+    dict(readers=-1),
+    dict(writes=-1),
+    dict(reads=-2),
+    dict(value_size=-5),
 ])
 def test_impossible_configs_are_rejected(kw):
     with pytest.raises(ValueError):
