@@ -277,7 +277,8 @@ class ReaderBase(ClientBase):
         if self.phase != "collect" or msg.tsr != self.tsr:
             return
         self.Q.add(sid)
-        self.C |= {c for c in msg.cands if c.ts > TS0}
+        zero = TS0.key()
+        self.C.update([c for c in msg.cands if c.ts.key() > zero])
         if len(self.Q) >= self.s - self.t:
             self._start_filter()
 
@@ -297,7 +298,8 @@ class ReaderBase(ClientBase):
         self.R[sid] = Reply(msg.ts, msg.fr, msg.cc, msg.vec, fr_hash)
         # recomputed at every ack: a byzantine server may overwrite its R entry
         bound = invalid_bound(self.R, self.s, self.t)
-        self.C = {c for c in self.C if bound is None or c.ts.key() <= bound}
+        if bound is not None:
+            self.C = {c for c in self.C if c.ts.key() <= bound}
         if len(self.R) < self.s - self.t:
             return
         if not self.C:

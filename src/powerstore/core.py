@@ -63,8 +63,10 @@ class Candidate(NamedTuple):
     vec: Optional[tuple] = None  # S MAC tags, multi-writer mode only
 
     def sort_key(self):
-        return (self.ts.key(), token_canonical(self.token),
-                self.vec if self.vec is not None else ())
+        """A total order: (num, pid), token bytes, vector, then the tag and
+        an absent vector after an empty one, so no two candidates tie."""
+        (num, pid, tag), token, vec = self
+        return (num, pid, token_canonical(token), vec or (), tag, vec is None)
 
     @property
     def is_zero(self) -> bool:

@@ -118,22 +118,26 @@ class SwServer(ServerBase):
         return [c for c in cands if c.ts.key() in self.hist and self._valid(c)]
 
     def gc(self):
-        valids = self._valids(self.lc_set)
+        # only stored candidates can be valid, and all of them leave LC
+        lc_set, hist = self.lc_set, self.hist
+        stored = [c for c in lc_set if c.ts.key() in hist]
+        valids = [c for c in stored if self._valid(c)]
         if valids:
             c_hv = max(valids, key=Candidate.sort_key)
             if c_hv.ts > self.lc.ts:
                 self._accept(c_hv, "gc")
-        lc_key, hist = self.lc.ts.key(), self.hist
-        self.lc_set = {c for c in self.lc_set
-                       if c.ts.key() > lc_key and c.ts.key() not in hist}
+        lc_key = self.lc.ts.key()
+        low = [c for c in lc_set if c.ts.key() <= lc_key]
+        if stored or low:
+            self.lc_set = lc_set.difference(stored, low)
 
     def _on_collect(self, msg):
-        self.gc()
-        cands = sorted(self.lc_set | {self.lc}, key=Candidate.sort_key)
+        self.gc()  # leaves no candidate at or below lc in LC
+        cands = sorted((self.lc, *self.lc_set), key=Candidate.sort_key)
         return codec.CollectAck(msg.tsr, tuple(cands))
 
     def _on_filter(self, msg):
-        self.lc_set |= set(msg.cands)  # metadata write-back
+        self.lc_set.update(msg.cands)  # metadata write-back
         return self._filter_ack(msg, self._valids(msg.cands))
 
 

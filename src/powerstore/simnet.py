@@ -6,6 +6,8 @@ RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
 Every message crosses the wire as encoded bytes and is decoded on delivery,
 once per distinct wire in flight: its copies share the immutable message.
+A COLLECT_ACK equal to one still in flight shares its wire instead of being
+encoded again; no other reply kind is worth the equality check.
 """
 
 from __future__ import annotations
@@ -274,7 +276,10 @@ class Simulation:
         self.deadlock = None
         self._store_frag_bytes = {}  # (writer, ts.key()) -> bytes in flight
         self._last_encoded = (None, b"")  # a broadcast encodes its message once
-        self._in_flight = {}  # wire -> [copies in flight, message or None]
+        # wire -> [copies in flight, decoded message or None, shared reply
+        # or None]; _replies maps each shared reply back to its wire
+        self._in_flight = {}
+        self._replies = {}
 
         plan = parse_faults(config.faults, self.s,
                             config.writers, config.readers)
@@ -371,16 +376,23 @@ class Simulation:
     def send_to_client(self, sid, cid, msg):
         # servers only ever answer clients; there is no server-to-server edge
         assert cid in self.clients, "server reply must target a client"
-        wire = codec.encode(msg)
+        if msg.kind == codec.COLLECT_ACK:  # the one reply with a candidate list
+            wire = self._replies.get(msg)
+            if wire is None:
+                wire = self._replies[msg] = codec.encode(msg)
+            self._hold(wire)[2] = msg
+        else:
+            wire = codec.encode(msg)
+            self._hold(wire)
         self._count_send(sid, cid, msg.kind, wire)
-        self._hold(wire)
         self.schedule(self.delay_fn(self.rng["delays"]),
                       ("to_client", sid, cid, wire))
 
     def _hold(self, wire):
         if wire[:1] != _STORE_BYTE:
-            entry = self._in_flight.setdefault(wire, [0, None])
+            entry = self._in_flight.setdefault(wire, [0, None, None])
             entry[0] += 1
+            return entry
 
     def _decode(self, wire):
         """One copy of wire arrives. Its message is decoded for the first
@@ -391,6 +403,8 @@ class Simulation:
         entry[0] -= 1
         if entry[0] == 0:
             del self._in_flight[wire]
+            if entry[2] is not None:
+                del self._replies[entry[2]]
         if entry[1] is None:
             entry[1] = codec.decode(wire)
         return entry[1]

@@ -17,12 +17,14 @@ from powerstore.core import (
     invalid,
     invalid_bound,
     safe_witness,
+    token_canonical,
     valid_by_hist,
     valid_mw,
 )
 from powerstore.crypto import (
     HASH_POW,
     KeyRing,
+    Polynomial,
     digest,
     make_vec,
     pow_scheme,
@@ -63,6 +65,51 @@ def test_candidate_sort_key_orders_equal_ts_deterministically():
     assert [c.token for c in by_key[1:]] == [b"\x01" * 4, b"\x02" * 4, b"\x03" * 4]
     # distinct-token candidates at one timestamp coexist in a set
     assert len({Candidate(ts, b"a"), Candidate(ts, b"b")}) == 2
+
+
+def _nested_sort_key(c):
+    """The candidate order before the key was flattened, kept as a reference:
+    it ties on candidates that differ only in their tag, or in an absent
+    against an empty vector."""
+    return (c.ts.key(), token_canonical(c.token),
+            c.vec if c.vec is not None else ())
+
+
+def _random_candidates(rng, n):
+    tokens = (None, b"", b"a", b"ab", b"b", Polynomial((1, 2), 7),
+              Polynomial((1,), 7), Polynomial((2, 1), 11))
+    vecs = (None, (), (b"v1",), (b"v1", b"v2"), (b"v2",))
+    tags = (b"", b"\x00", b"\x01", b"tag")
+    return [Candidate(Timestamp(rng.randrange(3), rng.randrange(2),
+                                rng.choice(tags)),
+                      rng.choice(tokens), rng.choice(vecs))
+            for _ in range(n)]
+
+
+def test_sort_key_keeps_the_nested_order_and_is_total():
+    rng = random.Random(7)
+    cands = sorted(set(_random_candidates(rng, 600)), key=repr)
+    keys = [(c.sort_key(), _nested_sort_key(c)) for c in cands]
+    for (new_a, old_a), (new_b, old_b) in itertools.combinations(keys, 2):
+        assert new_a != new_b  # distinct candidates never tie
+        if old_a != old_b:
+            assert (new_a < new_b) == (old_a < old_b)
+    for _ in range(50):
+        sample = rng.sample(cands, 12)
+        if len({_nested_sort_key(c) for c in sample}) == len(sample):
+            assert (sorted(sample, key=Candidate.sort_key)
+                    == sorted(sample, key=_nested_sort_key))
+
+
+@pytest.mark.parametrize("twins", [
+    [Candidate(Timestamp(3, 1, bytes([i])), b"tok") for i in (2, 0, 3, 1)],
+    [Candidate(Timestamp(3, 1), b"tok", vec) for vec in (None, ())],
+], ids=["tag", "vec"])
+def test_twins_sort_to_one_order_whatever_order_they_come_in(twins):
+    assert len({_nested_sort_key(c) for c in twins}) == 1  # the old key tied
+    perms = list(itertools.permutations(twins))
+    assert len({tuple(sorted(p, key=Candidate.sort_key)) for p in perms}) == 1
+    assert len({max(p, key=Candidate.sort_key) for p in perms}) == 1
 
 
 def test_candidates_have_no_order():

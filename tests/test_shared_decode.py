@@ -1,6 +1,9 @@
 """Each distinct in-flight wire is decoded once and its copies share the
 message: the same outputs as decoding every copy, and no handler may change a
-message another copy still carries."""
+message another copy still carries. A COLLECT_ACK equal to one in flight
+shares its wire: the same outputs as encoding every reply."""
+
+from collections import Counter
 
 import pytest
 
@@ -61,6 +64,65 @@ def test_shared_decode_gives_the_outputs_of_decoding_every_copy(
         assert shared[2]["dropped_malformed"] > 0
 
 
+class _Forgetful(dict):
+    """A reply table that never finds a reply: every COLLECT_ACK is encoded."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def counting_encode(monkeypatch):
+    """Patch codec.encode to count the messages it encodes by kind."""
+    kinds = Counter()
+    real = codec.encode
+    monkeypatch.setattr(codec, "encode",
+                        lambda m: kinds.update((m.kind,)) or real(m))
+    return kinds
+
+
+@pytest.mark.parametrize("key", sorted(equivalence_configs()))
+def test_shared_encode_gives_the_outputs_of_encoding_every_reply(
+        key, monkeypatch):
+    config = equivalence_configs()[key]
+    kinds = counting_encode(monkeypatch)
+    shared = outputs(config)
+    shared_encodes = kinds[codec.COLLECT_ACK]
+    kinds.clear()
+    sim = simnet.Simulation(config)
+    sim._replies = _Forgetful()
+    res = sim.run()
+    assert (res.log_digest(), res.history_signature(), res.metrics) == shared
+    every = kinds[codec.COLLECT_ACK]
+    # the garbage run never has two equal COLLECT_ACKs in flight at once
+    assert shared_encodes == every if key == "garbage" else shared_encodes < every
+
+
+def test_each_collect_ack_wire_is_encoded_once_while_in_flight(monkeypatch):
+    kinds = counting_encode(monkeypatch)
+    in_flight, counts = Counter(), Counter()
+    send, deliver = (simnet.Simulation._count_send,
+                     simnet.Simulation._deliver_to_client)
+
+    def counting_send(self, src, dst, kind, wire):
+        if kind == codec.COLLECT_ACK:
+            counts["sends"] += 1
+            counts["distinct"] += in_flight[wire] == 0
+            in_flight[wire] += 1
+        send(self, src, dst, kind, wire)
+
+    def counting_deliver(self, sid, cid, wire):
+        if wire[0] == codec.COLLECT_ACK:
+            in_flight[wire] -= 1
+        deliver(self, sid, cid, wire)
+
+    monkeypatch.setattr(simnet.Simulation, "_count_send", counting_send)
+    monkeypatch.setattr(simnet.Simulation, "_deliver_to_client",
+                        counting_deliver)
+    simnet.run(equivalence_configs()["flood/0"])
+    assert kinds[codec.COLLECT_ACK] == counts["distinct"] < counts["sends"]
+    assert all(n == 0 for n in in_flight.values())
+
+
 BYZANTINE = ([("byz_server:1:%s" % name,) for name in sorted(behaviors.SERVERS)]
              + [("byz_reader:202:%s" % name,) for name in sorted(behaviors.READERS)])
 
@@ -96,6 +158,7 @@ def test_the_in_flight_table_is_empty_once_the_heap_drains(config):
     sim.run()
     assert sim.heap == []
     assert sim._in_flight == {}
+    assert sim._replies == {}
 
 
 def _broadcast(sim, payload):
@@ -110,7 +173,7 @@ def test_copies_of_one_wire_are_decoded_once_and_share_the_message(
     msg = codec.Filter(1, (Candidate(Timestamp(2), b"n" * 32),))
     _broadcast(sim, msg)
     wire = codec.encode(msg)
-    assert sim._in_flight == {wire: [4, None]}
+    assert sim._in_flight == {wire: [4, None, None]}
     got = [sim._decode(wire) for _ in range(4)]
     assert wires == [wire]
     assert got[0] == msg and all(m is got[0] for m in got)
