@@ -9,8 +9,6 @@ identical whichever proof scheme is active.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import codec
 from .core import C0, TS0, Candidate, Timestamp
 from .crypto import Polynomial, digest
@@ -124,9 +122,9 @@ class CorruptVec(ServerShell):
             cands = tuple(
                 c._replace(vec=self._garble(c.vec)) if c.vec else c
                 for c in reply.cands)
-            return dataclasses.replace(reply, cands=cands)
+            return reply._replace(cands=cands)
         if msg.kind == codec.FILTER and reply.vec is not None:
-            return dataclasses.replace(reply, vec=self._garble(reply.vec))
+            return reply._replace(vec=self._garble(reply.vec))
         return reply
 
 
@@ -136,7 +134,7 @@ class RevertState(ServerShell):
     period = 47
 
     def arm(self):
-        self.sim.schedule(self.period, ("timer", self.base.sid))
+        self.sim.schedule(self.period, self.on_timer)
 
     def on_timer(self):
         base = self.base
@@ -146,7 +144,7 @@ class RevertState(ServerShell):
         base.hist_bytes = 0
         base.trace("revert")
         if self.sim.ops_pending():
-            self.sim.schedule(self.period, ("timer", base.sid))
+            self.sim.schedule(self.period, self.on_timer)
 
 
 class Mute(ServerShell):
@@ -168,8 +166,7 @@ class EquivocateFragments(ServerShell):
             mask = digest(b"equiv" + fragment_to_bytes(fr))
             mask = (mask * (len(fr.payload) // len(mask) + 1))[:len(fr.payload)]
             garbled = bytes(a ^ b for a, b in zip(fr.payload, mask))
-            return dataclasses.replace(
-                reply, fr=Fragment(fr.index, fr.orig_len, garbled))
+            return reply._replace(fr=Fragment(fr.index, fr.orig_len, garbled))
         return reply
 
 
@@ -204,7 +201,7 @@ class ByzReader:
         self.rounds = None
 
     def arm(self):
-        self.sim.schedule(1 + self.rng.randint(0, 4), ("adv", self.cid))
+        self.sim.schedule(1 + self.rng.randint(0, 4), self.pump)
 
     def on_message(self, sid, msg):
         pass
@@ -219,7 +216,7 @@ class ByzReader:
         self.budget -= 1
         self.count += 1
         self._pump(self.rng.randbytes(32))
-        self.sim.schedule(1 + self.rng.randint(0, 4), ("adv", self.cid))
+        self.sim.schedule(1 + self.rng.randint(0, 4), self.pump)
 
     def _forged_cand(self, raw, num):
         ts = forge_ts(raw, num, self.mode, self.cid)

@@ -116,7 +116,7 @@ class ClientBase:
     def on_message(self, sid, msg):
         if self.crashed or not self.busy:
             return
-        handler = getattr(self, "_on_%s" % codec.KIND_NAMES[msg.kind].lower(), None)
+        handler = getattr(self, codec.HANDLER_NAMES[msg.kind], None)
         if handler is not None:
             handler(sid, msg)
 

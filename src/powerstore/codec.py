@@ -10,8 +10,8 @@ the byte-level reference.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
+from collections import namedtuple
 from typing import Optional
 
 from .core import Candidate, Timestamp
@@ -229,19 +229,25 @@ _cand = (_enc_cand, _dec_cand)
 _cands = (_enc_cands, _dec_cands)
 
 KIND_NAMES = {}  # kind byte -> name, e.g. STORE_ACK -> "STORE_ACK"
+HANDLER_NAMES = {}  # kind byte -> handler method name, e.g. "_on_store_ack"
 _LAYOUT = {}  # kind byte -> (class, field types in wire order)
 
 
+def _unordered(self, other):
+    raise TypeError("messages are unordered")
+
+
 def _message(kind, name, **fields):
-    """The frozen class of one message kind. Each keyword names a field and
-    gives its field type, in wire order. A MAC vector (`vec`) is absent in
-    single-writer mode, so it defaults to None."""
-    cls = dataclasses.make_dataclass(
-        name.title().replace("_", ""),
-        [(f, object, None) if f == "vec" else (f, object) for f in fields],
-        namespace={"kind": kind}, frozen=True)
-    cls.__module__ = __name__
+    """The immutable class of one message kind: a tuple of its fields, each
+    keyword naming one and giving its field type in wire order, then the kind
+    byte, so messages of different kinds never compare equal. A MAC vector
+    (`vec`) is absent in single-writer mode, so it defaults to None."""
+    names = tuple(fields) + ("kind",)
+    cls = namedtuple(name.title().replace("_", ""), names, module=__name__,
+                     defaults=(None, kind) if "vec" in fields else (kind,))
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
     KIND_NAMES[kind] = name
+    HANDLER_NAMES[kind] = "_on_" + name.lower()
     _LAYOUT[kind] = (cls, tuple(fields.values()))
     return cls
 
@@ -271,8 +277,8 @@ def encode(msg) -> bytes:
         raise MalformedMessage("unknown message kind %r" % (k,))
     out = [bytes((k,))]
     try:
-        # _message gave the class its fields in wire order, as vars() holds them
-        for (enc, _), value in zip(_LAYOUT[k][1], vars(msg).values()):
+        # the kind byte trails the fields, so zip stops before it
+        for (enc, _), value in zip(_LAYOUT[k][1], msg):
             enc(out, value)
     except struct.error as exc:
         raise MalformedMessage("field does not fit the wire: %s" % exc) from None
@@ -295,7 +301,8 @@ def decode(data: bytes):
         raise MalformedMessage("truncated message")
     if pos < len(data):
         raise MalformedMessage("%d trailing bytes" % (len(data) - pos))
-    msg = cls(*values)
+    values.append(k)
+    msg = tuple.__new__(cls, values)
     if k == STORE and (msg.fr is None or msg.cc is None):
         raise MalformedMessage("store requires fragment and cross-checksum")
     return msg

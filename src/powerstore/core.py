@@ -68,10 +68,6 @@ class Candidate(NamedTuple):
         (num, pid, tag), token, vec = self
         return (num, pid, token_canonical(token), vec or (), tag, vec is None)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.ts.key() == TS0.key()
-
     def __lt__(self, other):
         raise TypeError("candidates are unordered; compare sort_key()")
 

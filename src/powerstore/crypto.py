@@ -61,10 +61,6 @@ class Polynomial:
     coeffs: tuple  # t+1 field elements, low degree first
     q: int
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def eval_at(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):  # Horner

@@ -98,10 +98,6 @@ CATALOG = {sc.name: sc for sc in _CATALOG}
 SWEEP_NAMES = ("sw-catalog", "mw-catalog")
 
 
-def names_for_mode(mode):
-    return [sc.name for sc in _CATALOG if sc.mode == mode]
-
-
 def fab_selects(result) -> int:
     """Selections of never-written candidates by correct readers."""
     correct = set(result.meta["correct_readers"])
@@ -177,7 +173,7 @@ def report_for(scenario, result):
 def _jitter(mode, seed):
     """Seed-derived workload for the catalog sweeps; reproducible from the
     seed alone so any sweep member can be replayed in isolation."""
-    names = names_for_mode(mode)
+    names = [sc.name for sc in _CATALOG if sc.mode == mode]
     over = {
         "writers": 1 if mode == "sw" else 1 + seed % 3,
         "readers": 2 + (seed // 3) % 4,
@@ -230,8 +226,3 @@ def sweep(name, seeds, t=None, pow_name="hash", jobs=1, **over):
     """Reports for one scenario (or catalog pseudo-scenario) over seeds."""
     return run_tasks([pair_for(name, seed, t=t, pow_name=pow_name, **over)
                       for seed in seeds], jobs=jobs)
-
-
-def sweep_failures(reports):
-    return [(r["scenario"], r["seed"], f)
-            for r in reports for f in r["failures"]]

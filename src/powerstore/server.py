@@ -64,7 +64,7 @@ class ServerBase:
         if kind not in self.kinds or ROLE_FOR_KIND.get(kind) != role:
             self.dropped += 1
             return None
-        return getattr(self, "_on_%s" % codec.KIND_NAMES[kind].lower())(msg)
+        return getattr(self, codec.HANDLER_NAMES[kind])(msg)
 
     def _accept(self, cand, via):
         self.lc = cand

@@ -6,13 +6,15 @@ RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
 Every message crosses the wire as encoded bytes and is decoded on delivery,
 once per distinct wire in flight: its copies share the immutable message.
-A COLLECT_ACK equal to one still in flight shares its wire instead of being
-encoded again; no other reply kind is worth the equality check.
+A reply equal to one still in flight, of any kind, shares its wire instead
+of being encoded again. An event is a function and its arguments, called
+when its tick comes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import json
 import math
@@ -107,20 +109,34 @@ def format_config(cfg: SimConfig) -> str:
 
 def make_delay_fn(spec: str):
     """uniform:a,b draws integer ticks in [a,b]; pareto:mean,var matches the
-    first two moments with a shifted Pareto, rounded up to a whole tick."""
+    first two moments with a shifted Pareto, rounded up to a whole tick.
+    A draw takes the same numbers from rng as rng.randint(a, b) and
+    rng.paretovariate(alpha) would."""
     kind, _, args = spec.partition(":")
     if kind == "uniform":
         a, b = (int(x) for x in args.split(","))
         if not 1 <= a <= b:
             raise ValueError("uniform delay wants 1 <= a <= b")
-        return lambda rng: rng.randint(a, b)
+        n = b - a + 1
+        k = n.bit_length()
+
+        def uniform(rng):
+            r = rng.getrandbits(k)
+            while r >= n:
+                r = rng.getrandbits(k)
+            return a + r
+        return uniform
     if kind == "pareto":
         mean, var = (float(x) for x in args.split(","))
-        if mean <= 0 or var <= 0:
-            raise ValueError("pareto delay wants positive mean and variance")
-        alpha = 1.0 + math.sqrt(1.0 + mean * mean / var)
-        xm = mean * (alpha - 1.0) / alpha
-        return lambda rng: max(1, round(xm * rng.paretovariate(alpha)))
+        alpha = xm = math.nan
+        if mean > 0 and var > 0:
+            alpha = 1.0 + math.sqrt(1.0 + mean * mean / var)
+            xm = mean * (alpha - 1.0) / alpha
+        if not all(map(math.isfinite, (mean, var, alpha, xm))):
+            raise ValueError("pareto delay wants a finite positive mean and "
+                             "variance and a finite shape, got %r" % spec)
+        e = -1.0 / alpha
+        return lambda rng: max(1, round(xm * (1.0 - rng.random()) ** e))
     raise ValueError("unknown delay model %r" % spec)
 
 
@@ -184,29 +200,42 @@ def make_value(cid: int, k: int, size: int) -> bytes:
 # JSON export helpers
 # ---------------------------------------------------------------------------
 
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+def _items(v):
+    return [_jsonable(x) for x in v]
+
+
+_TO_JSON = {  # type -> its JSON form; other types use their nearest base here
+    bytes: lambda v: "0x" + v.hex(),
+    Timestamp: lambda v: {"num": v.num, "pid": v.pid, "tag": "0x" + v.tag.hex()},
+    Candidate: lambda v: {"ts": _jsonable(v.ts), "token": _jsonable(v.token),
+                          "vec": _jsonable(v.vec)},
+    Polynomial: lambda v: {"poly": {"q": v.q, "coeffs": list(v.coeffs)}},
+    ShamirShare: lambda v: {"share": [v.x, v.y, v.q]},
+    Fragment: lambda v: {"fragment": [v.index, v.orig_len,
+                                      "0x" + v.payload.hex()]},
+    tuple: _items, list: _items, set: _items, frozenset: _items,
+    dict: lambda v: {str(k): _jsonable(x) for k, x in v.items()},
+}
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _jsonable(v):
-    if isinstance(v, bytes):
-        return "0x" + v.hex()
-    if isinstance(v, Timestamp):
-        return {"num": v.num, "pid": v.pid, "tag": "0x" + v.tag.hex()}
-    if isinstance(v, Candidate):
-        return {"ts": _jsonable(v.ts), "token": _jsonable(v.token),
-                "vec": _jsonable(v.vec)}
-    if isinstance(v, Polynomial):
-        return {"poly": {"q": v.q, "coeffs": list(v.coeffs)}}
-    if isinstance(v, ShamirShare):
-        return {"share": [v.x, v.y, v.q]}
-    if isinstance(v, Fragment):
-        return {"fragment": [v.index, v.orig_len, "0x" + v.payload.hex()]}
-    if isinstance(v, (tuple, list, set, frozenset)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    return v
+    t = type(v)
+    if t in _PLAIN:
+        return v
+    convert = _TO_JSON.get(t)
+    if convert is None:
+        convert = next((_TO_JSON[b] for b in t.__mro__ if b in _TO_JSON), None)
+        if convert is None:
+            return v
+    return convert(v)
 
 
 def event_to_json(ev: dict) -> str:
-    return json.dumps(_jsonable(ev), sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(_jsonable(ev))
 
 
 @dataclass
@@ -258,7 +287,8 @@ class Simulation:
         self.scheme = pow_scheme(config.pow_name)
         self.rng = {name: random.Random(_stream_seed(config.seed, name))
                     for name in ("delays", "crypto", "workload", "adversary")}
-        self.delay_fn = make_delay_fn(config.delay)
+        self._delay = functools.partial(make_delay_fn(config.delay),
+                                        self.rng["delays"])
         self.now = 0
         self._seq = 0
         self.heap = []
@@ -345,8 +375,10 @@ class Simulation:
         ev.update(fields)
         self.events.append(ev)
 
-    def schedule(self, delay, action):
-        heapq.heappush(self.heap, (self.now + delay, self.next_seq(), action))
+    def schedule(self, delay, fn, *args):
+        """Call fn(*args) delay ticks from now."""
+        self._seq += 1
+        heapq.heappush(self.heap, (self.now + delay, self._seq, fn, args))
 
     def _client_send_fn(self, cid):
         return lambda sid, msg: self.send_to_server(cid, sid, msg)
@@ -355,44 +387,46 @@ class Simulation:
         """Client-to-server edge; payload may be raw bytes from an adversary."""
         if isinstance(payload, bytes):
             wire = payload
-            kind = wire[0] if wire else 0
         else:
             last, wire = self._last_encoded
             if payload is not last:
                 wire = codec.encode(payload)
                 self._last_encoded = (payload, wire)
-            kind = payload.kind
-            if kind == codec.STORE and cid in self.ops_left:
+            if payload.kind == codec.STORE and cid in self.ops_left:
                 key = (cid, payload.ts.key())
                 self._store_frag_bytes[key] = (
                     self._store_frag_bytes.get(key, 0)
                     + len(fragment_to_bytes(payload.fr)))
-        self._count_send(cid, sid, kind, wire)
-        self._tap(cid, sid, payload, wire)
-        self._hold(wire)
-        self.schedule(self.delay_fn(self.rng["delays"]),
-                      ("to_server", cid, sid, wire))
+        if self.cfg.log_wire:
+            self._tap(cid, sid, payload, wire)
+        self._send(cid, sid, wire, self._deliver_to_server)
 
     def send_to_client(self, sid, cid, msg):
         # servers only ever answer clients; there is no server-to-server edge
         assert cid in self.clients, "server reply must target a client"
-        if msg.kind == codec.COLLECT_ACK:  # the one reply with a candidate list
-            wire = self._replies.get(msg)
-            if wire is None:
-                wire = self._replies[msg] = codec.encode(msg)
-            self._hold(wire)[2] = msg
-        else:
-            wire = codec.encode(msg)
-            self._hold(wire)
-        self._count_send(sid, cid, msg.kind, wire)
-        self.schedule(self.delay_fn(self.rng["delays"]),
-                      ("to_client", sid, cid, wire))
+        wire = self._replies.get(msg)
+        if wire is None:
+            wire = self._replies[msg] = codec.encode(msg)
+        self._send(sid, cid, wire, self._deliver_to_client)[2] = msg
 
-    def _hold(self, wire):
+    def _send(self, src, dst, wire, deliver):
+        """Count one copy of wire, hold it in flight unless it is a STORE
+        (which differs per server), and schedule deliver(src, dst, wire).
+        Returns the wire's in-flight entry, or None for a STORE."""
+        metrics = self.metrics
+        metrics["msgs_sent"] += 1
+        metrics["bytes_sent"] += len(wire)
+        if self.cfg.log_wire:
+            self.trace("send", src=src, dst=dst, kind=wire[0] if wire else 0,
+                       nbytes=len(wire))
+        entry = None
         if wire[:1] != _STORE_BYTE:
-            entry = self._in_flight.setdefault(wire, [0, None, None])
+            entry = self._in_flight.get(wire)
+            if entry is None:
+                entry = self._in_flight[wire] = [0, None, None]
             entry[0] += 1
-            return entry
+        self.schedule(self._delay(), deliver, src, dst, wire)
+        return entry
 
     def _decode(self, wire):
         """One copy of wire arrives. Its message is decoded for the first
@@ -409,18 +443,10 @@ class Simulation:
             entry[1] = codec.decode(wire)
         return entry[1]
 
-    def _count_send(self, src, dst, kind, wire):
-        self.metrics["msgs_sent"] += 1
-        self.metrics["bytes_sent"] += len(wire)
-        if self.cfg.log_wire:
-            self.trace("send", src=src, dst=dst, kind=kind, nbytes=len(wire))
-
     def _tap(self, cid, sid, payload, wire):
         """What the adversary observes of client-to-server traffic. With the
         proof-sharing scheme, the commitment rides a confidential channel, so
         it is redacted between correct endpoints."""
-        if not self.cfg.log_wire:
-            return
         entry = {"src": cid, "dst": sid, "nbytes": len(wire)}
         if isinstance(payload, bytes):
             entry["kind"] = payload[0] if payload else 0
@@ -436,22 +462,7 @@ class Simulation:
                                        else payload.commitment)
         self.taps.append(entry)
 
-    # -- event dispatch ----------------------------------------------------
-
-    def _dispatch(self, action):
-        kind = action[0]
-        if kind == "to_server":
-            _, cid, sid, wire = action
-            self._deliver_to_server(cid, sid, wire)
-        elif kind == "to_client":
-            _, sid, cid, wire = action
-            self._deliver_to_client(sid, cid, wire)
-        elif kind == "op":
-            self._start_op(action[1])
-        elif kind == "adv":
-            self.clients[action[1]].pump()
-        elif kind == "timer":
-            self.servers[action[1]].on_timer()
+    # -- deliveries --------------------------------------------------------
 
     def _deliver_to_server(self, cid, sid, wire):
         self.metrics["msgs_delivered"] += 1
@@ -464,12 +475,14 @@ class Simulation:
             self.trace("deliver", src=cid, dst=sid, kind=msg.kind)
         server = self.servers[sid]
         correct = sid in self.correct_servers
-        prev_lc = server.lc.ts.key() if correct else None
+        prev_lc = server.lc if correct else None
         reply = server.handle(msg, self.roles[cid])
         if correct:
-            if server.lc.ts.key() < prev_lc and self.monitor is None:
+            lc = server.lc
+            if (lc is not prev_lc and lc.ts.key() < prev_lc.ts.key()
+                    and self.monitor is None):
                 self.monitor = "lc regressed at server %d: %r -> %r" % (
-                    sid, prev_lc, server.lc.ts.key())
+                    sid, prev_lc.ts.key(), lc.ts.key())
                 self.trace("monitor", server=sid, detail=self.monitor)
             if len(server.lc_set) > self.metrics["lc_set_peak"]:
                 self.metrics["lc_set_peak"] = len(server.lc_set)
@@ -539,7 +552,7 @@ class Simulation:
 
     def _schedule_next_op(self, cid):
         if self.ops_left.get(cid, 0) > 0:
-            self.schedule(self.rng["workload"].randint(1, 6), ("op", cid))
+            self.schedule(self.rng["workload"].randint(1, 6), self._start_op, cid)
 
     def ops_pending(self) -> bool:
         if any(n > 0 for n in self.ops_left.values()):
@@ -553,7 +566,8 @@ class Simulation:
     def run(self) -> RunResult:
         for cid in self.writer_ids + self.reader_ids:
             if cid in self.ops_left:
-                self.schedule(self.rng["workload"].randint(0, 4), ("op", cid))
+                self.schedule(self.rng["workload"].randint(0, 4),
+                              self._start_op, cid)
         for cid in sorted(self.plan.byz_readers):
             self.clients[cid].arm()
         for sid in sorted(self.plan.byz_servers):
@@ -563,13 +577,13 @@ class Simulation:
 
         overran = False
         while self.heap:
-            tick, _, action = heapq.heappop(self.heap)
+            tick, _, fn, args = heapq.heappop(self.heap)
             if tick > MAX_TICKS:
                 overran = True
                 break
             self.now = tick
             try:
-                self._dispatch(action)
+                fn(*args)
             except (ProtocolInvariantError, ErasureError) as exc:
                 self.crash_reason = "%s: %s" % (type(exc).__name__, exc)
                 self.trace("client_crash", detail=self.crash_reason)

@@ -54,7 +54,8 @@ def fab_sweeps():
 
 
 def _assert_clean(reports, where):
-    bad = scenarios.sweep_failures(reports)
+    bad = [(r["scenario"], r["seed"], f)
+           for r in reports for f in r["failures"]]
     assert not bad, "%s: first violation %r of %d" % (where, bad[0], len(bad))
 
 

@@ -131,6 +131,11 @@ def test_a_bad_bench_delay_is_a_usage_error(capsys):
     assert code == 2 and out == "" and "delay" in err
 
 
+def test_a_non_finite_pareto_delay_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "run", "--delay", "pareto:nan,4")
+    assert code == 2 and out == "" and "pareto:nan,4" in err
+
+
 @pytest.mark.parametrize("source", ["--config", "--scenario"])
 @pytest.mark.parametrize("flag,value", [("--fault", "byz_server:1:mute"),
                                         ("--mode", "mw")])

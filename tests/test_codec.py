@@ -1,6 +1,7 @@
 """Wire codec: round trips, strictness, and a randomized corpus."""
 
 import dataclasses
+import operator
 import random
 
 import pytest
@@ -277,6 +278,39 @@ def test_roundtrip_every_kind():
         assert encode(back) == data
         # tags, tokens, digests and MAC entries are hashed and type-checked
         assert not any(isinstance(x, (memoryview, bytearray)) for x in _leaves(back))
+
+
+# messages with equal fields, one of each kind that carries just a timestamp
+# or just a request number
+_TWINS = [(StoreAck(Timestamp(4)), CompleteAck(Timestamp(4)), Clock(Timestamp(4))),
+          (Collect(7), RepairAck(7))]
+
+
+@pytest.mark.parametrize("twins", _TWINS, ids=["ts", "tsr"])
+def test_kinds_with_equal_fields_are_unequal_and_encode_apart(twins):
+    assert len(set(twins)) == len(twins)
+    assert len({encode(m) for m in twins}) == len(twins)
+    for a in twins:
+        assert [a == b for b in twins] == [a is b for b in twins]
+        assert decode(encode(a)).kind == a.kind
+
+
+def test_messages_have_no_order():
+    for a, b in [(Collect(1), Collect(2)), (StoreAck(Timestamp(1)),) * 2]:
+        for cmp in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                cmp(a, b)
+        with pytest.raises(TypeError):
+            sorted([a, b])
+
+
+def test_replace_keeps_the_kind_and_the_other_fields():
+    ts = Timestamp(3, 1, b"t")
+    msg = FilterAck(7, ts, Fragment(1, 3, b"abc"), (b"c",) * 4, None)
+    new = msg._replace(vec=(b"v",) * 4)
+    assert type(new) is FilterAck and new.kind == codec.FILTER_ACK
+    assert (new.tsr, new.ts, new.fr, new.cc) == (msg.tsr, msg.ts, msg.fr, msg.cc)
+    assert decode(encode(new)) == new != msg
 
 
 def test_empty_and_unknown_kinds_rejected():

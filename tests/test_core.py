@@ -53,7 +53,7 @@ def test_tag_never_breaks_ties():
 
 def test_ts0_is_minimum():
     assert all(TS0 <= Timestamp(n, p) for n in range(3) for p in range(3))
-    assert C0.is_zero and C0.token is None
+    assert C0.ts.key() == TS0.key() and C0.token is None
 
 
 def test_candidate_sort_key_orders_equal_ts_deterministically():

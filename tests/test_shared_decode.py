@@ -1,7 +1,7 @@
 """Each distinct in-flight wire is decoded once and its copies share the
 message: the same outputs as decoding every copy, and no handler may change a
-message another copy still carries. A COLLECT_ACK equal to one in flight
-shares its wire: the same outputs as encoding every reply."""
+message another copy still carries. A reply equal to one in flight, of any
+kind, shares its wire: the same outputs as encoding every reply."""
 
 from collections import Counter
 
@@ -65,7 +65,7 @@ def test_shared_decode_gives_the_outputs_of_decoding_every_copy(
 
 
 class _Forgetful(dict):
-    """A reply table that never finds a reply: every COLLECT_ACK is encoded."""
+    """A reply table that never finds a reply: every reply is encoded."""
 
     def get(self, key, default=None):
         return default
@@ -80,46 +80,58 @@ def counting_encode(monkeypatch):
     return kinds
 
 
+REPLY_KINDS = {k for k, name in codec.KIND_NAMES.items() if name.endswith("_ACK")}
+
+
 @pytest.mark.parametrize("key", sorted(equivalence_configs()))
 def test_shared_encode_gives_the_outputs_of_encoding_every_reply(
         key, monkeypatch):
     config = equivalence_configs()[key]
     kinds = counting_encode(monkeypatch)
     shared = outputs(config)
-    shared_encodes = kinds[codec.COLLECT_ACK]
+    shared_encodes = Counter(kinds)
     kinds.clear()
     sim = simnet.Simulation(config)
     sim._replies = _Forgetful()
     res = sim.run()
     assert (res.log_digest(), res.history_signature(), res.metrics) == shared
-    every = kinds[codec.COLLECT_ACK]
-    # the garbage run never has two equal COLLECT_ACKs in flight at once
-    assert shared_encodes == every if key == "garbage" else shared_encodes < every
+    assert set(kinds) == set(shared_encodes)
+    for kind, every in kinds.items():
+        if kind not in REPLY_KINDS:
+            assert shared_encodes[kind] == every  # requests are not shared
+        # the garbage run never has two equal COLLECT_ACKs in flight at once
+        elif key == "garbage" and kind == codec.COLLECT_ACK:
+            assert shared_encodes[kind] == every
+        else:
+            assert shared_encodes[kind] < every, codec.KIND_NAMES[kind]
 
 
-def test_each_collect_ack_wire_is_encoded_once_while_in_flight(monkeypatch):
+@pytest.mark.parametrize("key", ["flood/0", "mw-catalog/2"])
+def test_each_reply_wire_is_encoded_once_while_in_flight(key, monkeypatch):
     kinds = counting_encode(monkeypatch)
-    in_flight, counts = Counter(), Counter()
-    send, deliver = (simnet.Simulation._count_send,
+    in_flight, sends, distinct = Counter(), Counter(), Counter()
+    send, deliver = (simnet.Simulation._send,
                      simnet.Simulation._deliver_to_client)
 
-    def counting_send(self, src, dst, kind, wire):
-        if kind == codec.COLLECT_ACK:
-            counts["sends"] += 1
-            counts["distinct"] += in_flight[wire] == 0
+    def counting_send(self, src, dst, wire, deliver):
+        if dst in self.clients:
+            sends[wire[0]] += 1
+            distinct[wire[0]] += in_flight[wire] == 0
             in_flight[wire] += 1
-        send(self, src, dst, kind, wire)
+        return send(self, src, dst, wire, deliver)
 
     def counting_deliver(self, sid, cid, wire):
-        if wire[0] == codec.COLLECT_ACK:
-            in_flight[wire] -= 1
+        in_flight[wire] -= 1
         deliver(self, sid, cid, wire)
 
-    monkeypatch.setattr(simnet.Simulation, "_count_send", counting_send)
+    monkeypatch.setattr(simnet.Simulation, "_send", counting_send)
     monkeypatch.setattr(simnet.Simulation, "_deliver_to_client",
                         counting_deliver)
-    simnet.run(equivalence_configs()["flood/0"])
-    assert kinds[codec.COLLECT_ACK] == counts["distinct"] < counts["sends"]
+    simnet.run(equivalence_configs()[key])
+    assert set(sends) <= REPLY_KINDS
+    # every reply kind sent has equal replies in flight at some point
+    assert {k for k in sends if distinct[k] < sends[k]} == set(sends)
+    assert {k: kinds[k] for k in sends} == distinct
     assert all(n == 0 for n in in_flight.values())
 
 

@@ -3,15 +3,17 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from powerstore import codec, mutants, simnet
-from powerstore.core import Candidate, Timestamp
+from powerstore import codec, mutants, scenarios, simnet
+from powerstore.core import Candidate, Reply, Timestamp
+from powerstore.crypto import Polynomial, ShamirShare
 from powerstore.erasure import Fragment
 from powerstore.simnet import (
-    SimConfig, format_config, make_delay_fn, make_value, parse_config,
-    parse_faults, run)
+    SimConfig, event_to_json, format_config, make_delay_fn, make_value,
+    parse_config, parse_faults, run)
 
 
 def small(**over):
@@ -115,10 +117,42 @@ def test_pareto_delay_is_heavy_tailed_but_positive():
 
 
 @pytest.mark.parametrize("spec", ["uniform:0,5", "uniform:9,2", "gauss:1,2",
-                                  "pareto:0,4", "uniform:a,b"])
+                                  "pareto:0,4", "uniform:a,b", "pareto:nan,4",
+                                  "pareto:inf,4", "pareto:1e308,1e-308",
+                                  "pareto:4,inf", "pareto:4,nan"])
 def test_bad_delay_specs_are_rejected(spec):
     with pytest.raises(ValueError):
         make_delay_fn(spec)
+
+
+@pytest.mark.parametrize("spec", ["pareto:0,4", "pareto:nan,4", "pareto:inf,4",
+                                  "pareto:1e308,1e-308", "pareto:4,inf"])
+def test_a_rejected_pareto_spec_is_named(spec):
+    with pytest.raises(ValueError) as err:
+        make_delay_fn(spec)
+    assert repr(spec) in str(err.value)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (7, 7), (1, 8), (1, 10), (3, 17),
+                                  (1, 1000)])
+def test_uniform_draws_are_randint_draws(a, b):
+    draw = make_delay_fn("uniform:%d,%d" % (a, b))
+    ours, ref = random.Random(a * 1000 + b), random.Random(a * 1000 + b)
+    assert ([draw(ours) for _ in range(300)]
+            == [ref.randint(a, b) for _ in range(300)])
+    assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("mean, var", [(20, 4), (1, 1), (5, 100), (3, 0.01)])
+def test_pareto_draws_are_paretovariate_draws(mean, var):
+    draw = make_delay_fn("pareto:%r,%r" % (mean, var))
+    alpha = 1.0 + math.sqrt(1.0 + mean * mean / var)
+    xm = mean * (alpha - 1.0) / alpha
+    ours, ref = random.Random(mean), random.Random(mean)
+    assert ([draw(ours) for _ in range(300)]
+            == [max(1, round(xm * ref.paretovariate(alpha)))
+                for _ in range(300)])
+    assert ours.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("kw", [
@@ -214,6 +248,72 @@ def test_flooded_sw_servers_accumulate_candidates():
     assert mw.metrics["lc_set_peak"] == 0
 
 
+def _reference_jsonable(v):
+    """The export as an isinstance chain: the first matching type wins."""
+    if isinstance(v, bytes):
+        return "0x" + v.hex()
+    if isinstance(v, Timestamp):
+        return {"num": v.num, "pid": v.pid, "tag": "0x" + v.tag.hex()}
+    if isinstance(v, Candidate):
+        return {"ts": _reference_jsonable(v.ts),
+                "token": _reference_jsonable(v.token),
+                "vec": _reference_jsonable(v.vec)}
+    if isinstance(v, Polynomial):
+        return {"poly": {"q": v.q, "coeffs": list(v.coeffs)}}
+    if isinstance(v, ShamirShare):
+        return {"share": [v.x, v.y, v.q]}
+    if isinstance(v, Fragment):
+        return {"fragment": [v.index, v.orig_len, "0x" + v.payload.hex()]}
+    if isinstance(v, (tuple, list, set, frozenset)):
+        return [_reference_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _reference_jsonable(x) for k, x in v.items()}
+    return v
+
+
+def _reference_event_to_json(ev):
+    return json.dumps(_reference_jsonable(ev), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def test_export_matches_the_reference_on_both_catalog_sweeps():
+    events = 0
+    for sweep, seeds in (("sw-catalog", 28), ("mw-catalog", 24)):
+        for seed in range(seeds):
+            res = run(scenarios.pair_for(sweep, seed)[1])
+            for ev in res.events:
+                assert event_to_json(ev) == _reference_event_to_json(ev), ev
+            events += len(res.events)
+    assert events > 10_000
+
+
+class _Stamp(Timestamp):
+    """A subclass converts as its first converted base does."""
+
+
+def test_export_matches_the_reference_on_every_converted_type():
+    ts = Timestamp(7, 3, b"\x01")
+    poly = Polynomial((3, 2), 13)
+    ev = {
+        "seq": 1, "type": "probe", "raw": b"\x00\xff", "ts": ts,
+        "cand": Candidate(ts, poly, (b"v1", b"v2")), "poly": poly,
+        "share": ShamirShare(1, 5, 13), "fr": Fragment(2, 11, b"payload"),
+        "set": {3, 1, 2}, "frozen": frozenset({b"a"}), "ints": {2: ts, 1: None},
+        "flags": [True, False, None, 1.5, "s"], "nested": ((1, (b"x",)), ()),
+        "subclasses": (_Stamp(1), Counter({b"k": 2}), codec.StoreAck(ts)),
+    }
+    assert event_to_json(ev) == _reference_event_to_json(ev)
+    assert json.loads(event_to_json(ev))["subclasses"][0] == {
+        "num": 1, "pid": 0, "tag": "0x"}
+
+
+def test_export_rejects_what_the_reference_rejects():
+    ev = {"reply": Reply(Timestamp(1), None, None)}  # a dataclass: no converter
+    for export in (event_to_json, _reference_event_to_json):
+        with pytest.raises(TypeError):
+            export(ev)
+
+
 def test_exported_log_is_jsonable_and_ordered():
     res = run(small(seed=7))
     seqs = []
@@ -260,3 +360,19 @@ def test_a_broadcast_is_encoded_once(monkeypatch):
     assert stores == 4
     raw, raw_bytes = send(lambda sid: real_encode(shared))
     assert (raw, raw_bytes) == (0, once_bytes)
+
+
+def test_replies_of_different_kinds_never_share_a_wire():
+    sim = simnet.Simulation(small())
+    ts = Timestamp(4)
+    replies = (codec.StoreAck(ts), codec.CompleteAck(ts), codec.StoreAck(ts))
+    for sid, msg in enumerate(replies, 1):
+        sim.send_to_client(sid, sim.writer_ids[0], msg)
+    store_ack, complete_ack = codec.encode(replies[0]), codec.encode(replies[1])
+    assert store_ack != complete_ack
+    assert sim._replies == {replies[0]: store_ack, replies[1]: complete_ack}
+    assert {w: e[0] for w, e in sim._in_flight.items()} == {
+        store_ack: 2, complete_ack: 1}
+    arrivals = sorted(sim.heap, key=lambda event: event[1])  # in send order
+    assert [sim._decode(args[2]) for *_, args in arrivals] == list(replies)
+    assert sim._in_flight == {} and sim._replies == {}
