@@ -50,9 +50,6 @@ class ServerShell:
     def __getattr__(self, name):
         return getattr(self.base, name)
 
-    def handle(self, msg, role):
-        return self.base.handle(msg, role)
-
 
 class StaleLc(ServerShell):
     """Acknowledges writes but answers all read traffic from time zero."""
@@ -208,7 +205,7 @@ class ByzReader:
 
     def _all(self, payload):
         for sid in range(1, self.sim.s + 1):
-            self.sim.send_to_server(self.cid, sid, payload)
+            self.sim.send(self.cid, sid, payload)
 
     def pump(self):
         if self.budget <= 0 or not self.sim.ops_pending():

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import scenarios
-from .simnet import SimConfig, format_config, make_delay_fn, parse_config, run
+from .simnet import format_config, make_delay_fn, parse_config, run
 
 
 # (flag, the SimConfig field it sets, argparse options); a flag applies only
@@ -191,17 +191,15 @@ def cmd_bench(args):
     print("latencies are simulated ticks, not wall-clock throughput")
     header = ("t", "s", "value B", "data B/write", "ideal", "dev %",
               "write p50/p95", "read p50/p95", "msgs/op")
+    bench = scenarios.Scenario(name="bench", summary="cost bench",
+                               mode=args.mode, delay=args.delay)
     rows = []
     for t in t_values:
         for size in sizes:
-            writes, reads, ops = 2, 2, []
-            wl, rl, data, msgs = [], [], 0, 0
+            ops, wl, rl, data, msgs = [], [], [], 0, 0
             for seed in range(args.seeds):
-                cfg = SimConfig(
-                    mode=args.mode, pow_name=args.pow, t=t,
-                    writers=1 if args.mode == "sw" else 2, readers=2,
-                    writes=writes, reads=reads, value_size=size,
-                    delay=args.delay, seed=seed)
+                cfg = bench.config(seed, t=t, pow_name=args.pow, writes=2,
+                                   reads=2, value_size=size)
                 res = run(cfg)
                 for rec in res.history:
                     if rec.res_tick is None:
@@ -212,7 +210,7 @@ def cmd_bench(args):
                 data += res.metrics["data_bytes"]
                 msgs += res.metrics["msgs_sent"]
             s = 3 * t + 1
-            per_write = data / (writes * cfg.writers * args.seeds)
+            per_write = data / (cfg.writes * cfg.writers * args.seeds)
             ideal = s * size / (t + 1)
             rows.append((t, s, size, round(per_write), round(ideal),
                          "%+.2f" % ((per_write - ideal) / ideal * 100),

@@ -4,11 +4,11 @@ One heap of (tick, seq) events drives everything: message deliveries, client
 operation starts, adversary pumps, and state-reset timers. Four independent
 RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
-Every message crosses the wire as encoded bytes and is decoded on delivery,
-once per distinct wire in flight: its copies share the immutable message.
-A reply equal to one still in flight, of any kind, shares its wire instead
-of being encoded again. An event is a function and its arguments, called
-when its tick comes.
+Every message crosses the wire as encoded bytes and is decoded on delivery.
+One rule shares that work: a payload (a message, or an adversary's raw
+bytes) equal to one still in flight reuses its wire and its decode, so
+copies share one immutable message. An event is a function and its
+arguments, called when its tick comes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .erasure import ErasureError, Fragment, fragment_to_bytes
 WRITER_ID_BASE = 100  # writers are 101, 102, ...; readers 201, 202, ...
 READER_ID_BASE = 200
 MAX_TICKS = 1_000_000  # livelock guard: a run still going then is a deadlock
-_STORE_BYTE = bytes((codec.STORE,))  # a STORE differs per server: never shared
 
 
 @dataclass
@@ -107,16 +106,30 @@ def format_config(cfg: SimConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DELAY_SHAPES = {  # model -> (its numbers' type, the spec's expected shape)
+    "uniform": (int, "uniform:a,b with integers 1 <= a <= b"),
+    "pareto": (float, "pareto:mean,var with a finite positive mean and "
+               "variance and a finite shape"),
+}
+
+
 def make_delay_fn(spec: str):
     """uniform:a,b draws integer ticks in [a,b]; pareto:mean,var matches the
     first two moments with a shifted Pareto, rounded up to a whole tick.
     A draw takes the same numbers from rng as rng.randint(a, b) and
     rng.paretovariate(alpha) would."""
     kind, _, args = spec.partition(":")
+    if kind not in _DELAY_SHAPES:
+        raise ValueError("unknown delay model %r" % spec)
+    number, shape = _DELAY_SHAPES[kind]
+    bad = ValueError("delay %r: expected %s" % (spec, shape))
+    try:
+        a, b = map(number, args.split(","))
+    except ValueError:
+        raise bad from None
     if kind == "uniform":
-        a, b = (int(x) for x in args.split(","))
         if not 1 <= a <= b:
-            raise ValueError("uniform delay wants 1 <= a <= b")
+            raise bad
         n = b - a + 1
         k = n.bit_length()
 
@@ -126,18 +139,15 @@ def make_delay_fn(spec: str):
                 r = rng.getrandbits(k)
             return a + r
         return uniform
-    if kind == "pareto":
-        mean, var = (float(x) for x in args.split(","))
-        alpha = xm = math.nan
-        if mean > 0 and var > 0:
-            alpha = 1.0 + math.sqrt(1.0 + mean * mean / var)
-            xm = mean * (alpha - 1.0) / alpha
-        if not all(map(math.isfinite, (mean, var, alpha, xm))):
-            raise ValueError("pareto delay wants a finite positive mean and "
-                             "variance and a finite shape, got %r" % spec)
-        e = -1.0 / alpha
-        return lambda rng: max(1, round(xm * (1.0 - rng.random()) ** e))
-    raise ValueError("unknown delay model %r" % spec)
+    mean, var = a, b
+    alpha = xm = math.nan
+    if mean > 0 and var > 0:
+        alpha = 1.0 + math.sqrt(1.0 + mean * mean / var)
+        xm = mean * (alpha - 1.0) / alpha
+    if not all(map(math.isfinite, (mean, var, alpha, xm))):
+        raise bad
+    e = -1.0 / alpha
+    return lambda rng: max(1, round(xm * (1.0 - rng.random()) ** e))
 
 
 @dataclass
@@ -305,11 +315,8 @@ class Simulation:
         self.crash_reason = None
         self.deadlock = None
         self._store_frag_bytes = {}  # (writer, ts.key()) -> bytes in flight
-        self._last_encoded = (None, b"")  # a broadcast encodes its message once
-        # wire -> [copies in flight, decoded message or None, shared reply
-        # or None]; _replies maps each shared reply back to its wire
+        # payload -> [copies in flight, wire, decoded message or None]
         self._in_flight = {}
-        self._replies = {}
 
         plan = parse_faults(config.faults, self.s,
                             config.writers, config.readers)
@@ -344,7 +351,7 @@ class Simulation:
             self.roles[cid] = "writer"
             self.clients[cid] = classes["writer"](
                 cid, s=self.s, t=self.t, scheme=self.scheme,
-                keyring=self.keyring, send=self._client_send_fn(cid),
+                keyring=self.keyring, send=functools.partial(self.send, cid),
                 rng=self.rng["crypto"], tracer=self.trace)
             self.ops_left[cid] = config.writes
             self.op_count[cid] = 0
@@ -356,7 +363,7 @@ class Simulation:
             if name is None:
                 self.clients[cid] = classes["reader"](
                     cid, s=self.s, t=self.t, scheme=self.scheme,
-                    keyring=None, send=self._client_send_fn(cid),
+                    keyring=None, send=functools.partial(self.send, cid),
                     rng=self.rng["crypto"], tracer=self.trace)
                 self.ops_left[cid] = config.reads
                 self.op_count[cid] = 0
@@ -380,99 +387,74 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self.heap, (self.now + delay, self._seq, fn, args))
 
-    def _client_send_fn(self, cid):
-        return lambda sid, msg: self.send_to_server(cid, sid, msg)
-
-    def send_to_server(self, cid, sid, payload):
-        """Client-to-server edge; payload may be raw bytes from an adversary."""
-        if isinstance(payload, bytes):
-            wire = payload
-        else:
-            last, wire = self._last_encoded
-            if payload is not last:
-                wire = codec.encode(payload)
-                self._last_encoded = (payload, wire)
-            if payload.kind == codec.STORE and cid in self.ops_left:
-                key = (cid, payload.ts.key())
-                self._store_frag_bytes[key] = (
-                    self._store_frag_bytes.get(key, 0)
-                    + len(fragment_to_bytes(payload.fr)))
-        if self.cfg.log_wire:
-            self._tap(cid, sid, payload, wire)
-        self._send(cid, sid, wire, self._deliver_to_server)
-
-    def send_to_client(self, sid, cid, msg):
-        # servers only ever answer clients; there is no server-to-server edge
-        assert cid in self.clients, "server reply must target a client"
-        wire = self._replies.get(msg)
-        if wire is None:
-            wire = self._replies[msg] = codec.encode(msg)
-        self._send(sid, cid, wire, self._deliver_to_client)[2] = msg
-
-    def _send(self, src, dst, wire, deliver):
-        """Count one copy of wire, hold it in flight unless it is a STORE
-        (which differs per server), and schedule deliver(src, dst, wire).
-        Returns the wire's in-flight entry, or None for a STORE."""
+    def send(self, src, dst, payload):
+        """Send one copy of payload, a message or an adversary's raw bytes.
+        A payload equal to one in flight reuses its wire and its decode; the
+        first send creates the entry and the last arriving copy removes it.
+        A STORE differs per server, so it never finds an equal entry."""
+        entry = self._in_flight.get(payload)
+        if entry is None:
+            wire = payload if isinstance(payload, bytes) else codec.encode(payload)
+            entry = self._in_flight[payload] = [0, wire, None]
+        entry[0] += 1
+        wire = entry[1]
         metrics = self.metrics
         metrics["msgs_sent"] += 1
         metrics["bytes_sent"] += len(wire)
+        if src in self.ops_left and payload.kind == codec.STORE:
+            key = (src, payload.ts.key())  # correct clients' STOREs only
+            self._store_frag_bytes[key] = (self._store_frag_bytes.get(key, 0)
+                                           + len(fragment_to_bytes(payload.fr)))
+        to_server = dst in self.servers
         if self.cfg.log_wire:
-            self.trace("send", src=src, dst=dst, kind=wire[0] if wire else 0,
-                       nbytes=len(wire))
-        entry = None
-        if wire[:1] != _STORE_BYTE:
-            entry = self._in_flight.get(wire)
-            if entry is None:
-                entry = self._in_flight[wire] = [0, None, None]
-            entry[0] += 1
-        self.schedule(self._delay(), deliver, src, dst, wire)
-        return entry
+            kind = int.from_bytes(wire[:1], "big")
+            if to_server:
+                self._tap(src, dst, payload, wire, kind)
+            self.trace("send", src=src, dst=dst, kind=kind, nbytes=len(wire))
+        self.schedule(self._delay(), self._deliver_to_server if to_server
+                      else self._deliver_to_client, src, dst, payload, entry)
 
-    def _decode(self, wire):
-        """One copy of wire arrives. Its message is decoded for the first
-        copy and shared with the rest; malformed bytes raise on every copy."""
-        entry = self._in_flight.get(wire) if wire[:1] != _STORE_BYTE else None
-        if entry is None:
-            return codec.decode(wire)
-        entry[0] -= 1
-        if entry[0] == 0:
-            del self._in_flight[wire]
-            if entry[2] is not None:
-                del self._replies[entry[2]]
-        if entry[1] is None:
-            entry[1] = codec.decode(wire)
-        return entry[1]
-
-    def _tap(self, cid, sid, payload, wire):
+    def _tap(self, cid, sid, payload, wire, kind):
         """What the adversary observes of client-to-server traffic. With the
         proof-sharing scheme, the commitment rides a confidential channel, so
         it is redacted between correct endpoints."""
-        entry = {"src": cid, "dst": sid, "nbytes": len(wire)}
+        entry = {"src": cid, "dst": sid, "nbytes": len(wire), "kind": kind}
         if isinstance(payload, bytes):
-            entry["kind"] = payload[0] if payload else 0
             entry["raw"] = payload
-        else:
-            entry["kind"] = payload.kind
-            if payload.kind == codec.STORE:
-                redact = (self.scheme.name == "shamir"
-                          and sid in self.correct_servers
-                          and self.roles.get(cid) == "writer"
-                          and self.plan.byz_readers.get(cid) is None)
-                entry["commitment"] = ("<redacted>" if redact
-                                       else payload.commitment)
+        elif kind == codec.STORE:
+            redact = (self.scheme.name == "shamir"
+                      and sid in self.correct_servers
+                      and self.roles.get(cid) == "writer")
+            entry["commitment"] = ("<redacted>" if redact
+                                   else payload.commitment)
         self.taps.append(entry)
 
     # -- deliveries --------------------------------------------------------
 
-    def _deliver_to_server(self, cid, sid, wire):
-        self.metrics["msgs_delivered"] += 1
-        try:
-            msg = self._decode(wire)
-        except MalformedMessage:
-            self.metrics["dropped_malformed"] += 1
-            return
+    def _receive(self, src, dst, payload, entry):
+        """One copy arrives: its message, decoded for the first copy and
+        shared with the rest, or None for malformed bytes, which are
+        decoded and dropped on every copy."""
+        metrics = self.metrics
+        metrics["msgs_delivered"] += 1
+        entry[0] -= 1
+        if entry[0] == 0:
+            del self._in_flight[payload]
+        msg = entry[2]
+        if msg is None:
+            try:
+                msg = entry[2] = codec.decode(entry[1])
+            except MalformedMessage:
+                metrics["dropped_malformed"] += 1
+                return None
         if self.cfg.log_wire:
-            self.trace("deliver", src=cid, dst=sid, kind=msg.kind)
+            self.trace("deliver", src=src, dst=dst, kind=msg.kind)
+        return msg
+
+    def _deliver_to_server(self, cid, sid, payload, entry):
+        msg = self._receive(cid, sid, payload, entry)
+        if msg is None:
+            return
         server = self.servers[sid]
         correct = sid in self.correct_servers
         prev_lc = server.lc if correct else None
@@ -487,18 +469,12 @@ class Simulation:
             if len(server.lc_set) > self.metrics["lc_set_peak"]:
                 self.metrics["lc_set_peak"] = len(server.lc_set)
         if reply is not None:
-            self.send_to_client(sid, cid, reply)
+            self.send(sid, cid, reply)
 
-    def _deliver_to_client(self, sid, cid, wire):
-        self.metrics["msgs_delivered"] += 1
-        try:
-            msg = self._decode(wire)
-        except MalformedMessage:
-            self.metrics["dropped_malformed"] += 1
-            return
-        if self.cfg.log_wire:
-            self.trace("deliver", src=sid, dst=cid, kind=msg.kind)
-        self.clients[cid].on_message(sid, msg)
+    def _deliver_to_client(self, sid, cid, payload, entry):
+        msg = self._receive(sid, cid, payload, entry)
+        if msg is not None:
+            self.clients[cid].on_message(sid, msg)
 
     # -- workload ----------------------------------------------------------
 

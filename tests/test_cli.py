@@ -136,6 +136,14 @@ def test_a_non_finite_pareto_delay_is_a_usage_error(capsys):
     assert code == 2 and out == "" and "pareto:nan,4" in err
 
 
+@pytest.mark.parametrize("spec", ["uniform:a,b", "uniform:1", "uniform:1,2,3",
+                                  "pareto:x,4"])
+def test_a_malformed_delay_spec_is_a_usage_error_naming_it(capsys, spec):
+    code, out, err = run_cli(capsys, "run", "--delay", spec, "--seeds", "1")
+    assert code == 2 and out == "" and repr(spec) in err
+    assert "expected %s:" % spec.split(":")[0] in err
+
+
 @pytest.mark.parametrize("source", ["--config", "--scenario"])
 @pytest.mark.parametrize("flag,value", [("--fault", "byz_server:1:mute"),
                                         ("--mode", "mw")])

@@ -119,10 +119,14 @@ def test_pareto_delay_is_heavy_tailed_but_positive():
 @pytest.mark.parametrize("spec", ["uniform:0,5", "uniform:9,2", "gauss:1,2",
                                   "pareto:0,4", "uniform:a,b", "pareto:nan,4",
                                   "pareto:inf,4", "pareto:1e308,1e-308",
-                                  "pareto:4,inf", "pareto:4,nan"])
+                                  "pareto:4,inf", "pareto:4,nan", "uniform:1",
+                                  "uniform:1,2,3", "pareto:x,4", "uniform:"])
 def test_bad_delay_specs_are_rejected(spec):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         make_delay_fn(spec)
+    assert repr(spec) in str(err.value)
+    if not spec.startswith("gauss"):
+        assert "expected %s:" % spec.split(":")[0] in str(err.value)
 
 
 @pytest.mark.parametrize("spec", ["pareto:0,4", "pareto:nan,4", "pareto:inf,4",
@@ -343,22 +347,23 @@ def test_a_broadcast_is_encoded_once(monkeypatch):
     cands = (Candidate(Timestamp(2), b"n" * 32), Candidate(Timestamp(1), b"m"))
     shared = codec.Filter(1, cands)
 
-    def send(make):
-        sim = simnet.Simulation(small())
+    def send(make, cid=201):
+        sim = simnet.Simulation(
+            small(faults=("byz_reader:202:garbage_filter_sets",)))
         encoded.clear()
         for sid in range(1, sim.s + 1):
-            sim.send_to_server(sim.reader_ids[0], sid, make(sid))
+            sim.send(cid, sid, make(sid))
         assert sim.metrics["msgs_sent"] == sim.s
         return len(encoded), sim.metrics["bytes_sent"]
 
     once, once_bytes = send(lambda sid: shared)
-    each, each_bytes = send(lambda sid: codec.Filter(1, cands))
-    assert (once, each) == (1, 4)
-    assert once_bytes == each_bytes == 4 * len(real_encode(shared))
+    equal, equal_bytes = send(lambda sid: codec.Filter(1, cands))
+    assert (once, equal) == (1, 1)
+    assert once_bytes == equal_bytes == 4 * len(real_encode(shared))
     stores, _ = send(lambda sid: codec.Store(
         Timestamp(1), Fragment(sid, 3, b"abc"), (), b"d" * 32))
     assert stores == 4
-    raw, raw_bytes = send(lambda sid: real_encode(shared))
+    raw, raw_bytes = send(lambda sid: real_encode(shared), cid=202)
     assert (raw, raw_bytes) == (0, once_bytes)
 
 
@@ -367,12 +372,11 @@ def test_replies_of_different_kinds_never_share_a_wire():
     ts = Timestamp(4)
     replies = (codec.StoreAck(ts), codec.CompleteAck(ts), codec.StoreAck(ts))
     for sid, msg in enumerate(replies, 1):
-        sim.send_to_client(sid, sim.writer_ids[0], msg)
+        sim.send(sid, sim.writer_ids[0], msg)
     store_ack, complete_ack = codec.encode(replies[0]), codec.encode(replies[1])
     assert store_ack != complete_ack
-    assert sim._replies == {replies[0]: store_ack, replies[1]: complete_ack}
-    assert {w: e[0] for w, e in sim._in_flight.items()} == {
-        store_ack: 2, complete_ack: 1}
+    assert sim._in_flight == {replies[0]: [2, store_ack, None],
+                              replies[1]: [1, complete_ack, None]}
     arrivals = sorted(sim.heap, key=lambda event: event[1])  # in send order
-    assert [sim._decode(args[2]) for *_, args in arrivals] == list(replies)
-    assert sim._in_flight == {} and sim._replies == {}
+    assert [sim._receive(*args) for *_, args in arrivals] == list(replies)
+    assert sim._in_flight == {}
