@@ -4,15 +4,21 @@ A value splits into k = t+1 data fragments plus S-k parity fragments built
 from a Cauchy matrix, so every k-subset of the S fragments decodes back to
 the value. Cross-checksums (one digest per fragment) let readers discard
 corrupted fragments before decoding.
+
+The arithmetic needs only table lookups and XOR. Multiplying a fragment by
+a constant c is `payload.translate(table)`, where the table is the 256-byte
+row b -> c*b, built from the exp/log tables on first use of c and cached.
+Adding fragments is XOR of the payloads read as big integers
+(`int.from_bytes`), written back with `to_bytes`. Generator rows and the
+inverted decode matrix of each chosen fragment set are cached as tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .crypto import digest
 
@@ -46,15 +52,10 @@ def _build_tables():
             x ^= _PRIM_POLY
     for i in range(255, 512):
         exp[i] = exp[i - 255]
-    mul = np.zeros((256, 256), dtype=np.uint8)
-    for a in range(1, 256):
-        row = np.array([exp[log[a] + log[b]] if b else 0 for b in range(256)],
-                       dtype=np.uint8)
-        mul[a] = row
-    return exp, log, mul
+    return exp, log
 
 
-_EXP, _LOG, _MUL = _build_tables()
+_EXP, _LOG = _build_tables()
 
 
 def _gf_mul(a: int, b: int) -> int:
@@ -69,14 +70,30 @@ def _gf_inv(a: int) -> int:
     return _EXP[255 - _LOG[a]]
 
 
-def _generator_row(row: int, k: int) -> list:
+@functools.lru_cache(maxsize=None)
+def _mul_table(c: int) -> bytes:
+    """The bytes.translate table that multiplies every byte by c != 0."""
+    return bytes([0] + [_EXP[_LOG[c] + _LOG[b]] for b in range(1, 256)])
+
+
+def _combine(coefs: Sequence[int], rows: Sequence[bytes], chunk: int) -> bytes:
+    """The GF(2^8) sum of coefs[i] * rows[i], each row `chunk` bytes long."""
+    acc = 0
+    for coef, row in zip(coefs, rows):
+        if coef:
+            acc ^= int.from_bytes(row.translate(_mul_table(coef)), "big")
+    return acc.to_bytes(chunk, "big")
+
+
+@functools.lru_cache(maxsize=4096)
+def _generator_row(row: int, k: int) -> tuple:
     """Row `row` (0-based) of the S x k generator [I ; Cauchy]."""
     if row < k:
-        return [1 if col == row else 0 for col in range(k)]
+        return tuple(1 if col == row else 0 for col in range(k))
     # Cauchy block: entry = inverse(x ^ y), x in {k..S-1}, y in {0..k-1};
     # the sets are disjoint so x ^ y != 0, and every square submatrix of a
     # Cauchy matrix is nonsingular, which gives the MDS property.
-    return [_gf_inv(row ^ col) for col in range(k)]
+    return tuple(_gf_inv(row ^ col) for col in range(k))
 
 
 @dataclass(frozen=True)
@@ -110,14 +127,11 @@ def encode(value: bytes, k: int, s: int) -> list:
     orig_len = len(value)
     chunk = -(-orig_len // k)  # ceil
     padded = value + b"\x00" * (chunk * k - orig_len)
-    rows = np.frombuffer(padded, dtype=np.uint8).reshape(k, chunk)
-    fragments = [Fragment(i + 1, orig_len, rows[i].tobytes()) for i in range(k)]
+    rows = [padded[i * chunk:(i + 1) * chunk] for i in range(k)]
+    fragments = [Fragment(i + 1, orig_len, rows[i]) for i in range(k)]
     for row in range(k, s):
-        coefs = _generator_row(row, k)
-        acc = np.zeros(chunk, dtype=np.uint8)
-        for col in range(k):
-            acc ^= _MUL[coefs[col]][rows[col]]
-        fragments.append(Fragment(row + 1, orig_len, acc.tobytes()))
+        fragments.append(Fragment(row + 1, orig_len,
+                                  _combine(_generator_row(row, k), rows, chunk)))
     return fragments
 
 
@@ -126,10 +140,13 @@ def cross_checksum(fragments: Sequence[Fragment]) -> tuple:
     return tuple(digest(fragment_to_bytes(fr)) for fr in fragments)
 
 
-def _invert(matrix: list, k: int) -> list:
-    """Gauss-Jordan inverse of a k x k matrix over GF(2^8)."""
-    aug = [row[:] + [1 if i == j else 0 for j in range(k)]
-           for i, row in enumerate(matrix)]
+@functools.lru_cache(maxsize=4096)
+def _decode_matrix(indices: tuple, k: int) -> tuple:
+    """Gauss-Jordan inverse over GF(2^8) of the k x k generator rows of the
+    fragments `indices` (1-based)."""
+    aug = [list(_generator_row(index - 1, k)) + [1 if i == j else 0
+                                                 for j in range(k)]
+           for i, index in enumerate(indices)]
     for col in range(k):
         pivot = next((r for r in range(col, k) if aug[r][col]), None)
         if pivot is None:
@@ -141,7 +158,7 @@ def _invert(matrix: list, k: int) -> list:
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [v ^ _gf_mul(f, p) for v, p in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
+    return tuple(tuple(row[k:]) for row in aug)
 
 
 def decode(fragments: Iterable[Fragment], k: int, s: int) -> bytes:
@@ -164,15 +181,7 @@ def decode(fragments: Iterable[Fragment], k: int, s: int) -> bytes:
             raise ErasureError("fragment payload length mismatch")
     if all(chosen[i].index == i + 1 for i in range(k)):  # systematic fast path
         return b"".join(fr.payload for fr in chosen)[:orig_len]
-    matrix = [_generator_row(fr.index - 1, k) for fr in chosen]
-    inverse = _invert(matrix, k)
-    vecs = [np.frombuffer(fr.payload, dtype=np.uint8) for fr in chosen]
-    out = bytearray()
-    for row in range(k):
-        acc = np.zeros(chunk, dtype=np.uint8)
-        for col in range(k):
-            coef = inverse[row][col]
-            if coef:
-                acc ^= _MUL[coef][vecs[col]]
-        out += acc.tobytes()
-    return bytes(out[:orig_len])
+    inverse = _decode_matrix(tuple(fr.index for fr in chosen), k)
+    payloads = [fr.payload for fr in chosen]
+    return b"".join(_combine(coefs, payloads, chunk)
+                    for coefs in inverse)[:orig_len]

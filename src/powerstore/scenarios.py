@@ -9,7 +9,6 @@ sweep member is reproducible from its seed alone.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import checker
@@ -217,6 +216,8 @@ def run_tasks(pairs, jobs=1):
     """Reports for (Scenario, SimConfig) pairs, in order."""
     if jobs <= 1:
         return [_run_pair(pair) for pair in pairs]
+    # Imported here so that a jobs=1 run never pays for the pool's import.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(pairs) // (jobs * 8))
         return list(pool.map(_run_pair, pairs, chunksize=chunk))
