@@ -134,12 +134,8 @@ class RevertState(ServerShell):
         self.sim.schedule(self.period, self.on_timer)
 
     def on_timer(self):
-        base = self.base
-        base.lc = C0
-        base.lc_set = set()
-        base.hist = {}
-        base.hist_bytes = 0
-        base.trace("revert")
+        self.base.reset()
+        self.base.trace("revert")
         if self.sim.ops_pending():
             self.sim.schedule(self.period, self.on_timer)
 

@@ -277,14 +277,15 @@ class ReaderBase(ClientBase):
         if self.phase != "collect" or msg.tsr != self.tsr:
             return
         self.Q.add(sid)
-        zero = TS0.key()
-        self.C.update([c for c in msg.cands if c.ts.key() > zero])
+        self.C.update(msg.cands)
         if len(self.Q) >= self.s - self.t:
             self._start_filter()
 
     def _start_filter(self):
         self.phase = "filter"
         self.rounds += 1
+        zero = TS0.key()
+        self.C = {c for c in self.C if c.ts.key() > zero}
         cands = tuple(sorted(self.C, key=Candidate.sort_key))
         self._broadcast(codec.Filter(self.tsr, cands))
 

@@ -48,6 +48,8 @@ _TS = struct.Struct(">QQH")  # num, pid, tag length
 _FLAG_U16 = struct.Struct(">BH")  # presence or kind byte, then a 16-bit count
 _FLAG_U32 = struct.Struct(">BI")
 _POLY = struct.Struct(">BQH")  # kind 2, q, coefficient count
+# the common sw candidate: num, pid, empty tag, a 32-byte bytes token, no vector
+_REC = struct.Struct(">QQHBH32sB")
 _SHARE = struct.Struct(">BQQQ")  # kind 2, x, y, q
 
 
@@ -181,11 +183,18 @@ def _dec_cand(data, pos):
     return Candidate(ts, token, vec), pos
 
 
-# Candidate lists are the longest wire field: inline the common shapes (bytes
-# token, no vector), fall back to the field codecs, build with tuple.__new__.
+# Candidate lists are the longest wire field. The common sw record (empty
+# tag, 32-byte bytes token, no vector) is one _REC call each way; any other
+# shape takes the field codecs, inlined for a bytes token and no vector.
+# Candidates are built with tuple.__new__.
 def _enc_cands(out, cands: tuple):
     out.append(_U16.pack(len(cands)))
+    rec_pack = _REC.pack
     for (num, pid, tag), token, vec in cands:
+        if (vec is None and tag == b"" and type(token) is bytes
+                and len(token) == 32):
+            out.append(rec_pack(num, pid, 0, 1, 32, token, 0))
+            continue
         out += (_TS.pack(num, pid, len(tag)), tag)
         if type(token) is bytes:
             out += (_FLAG_U16.pack(1, len(token)), token)
@@ -201,8 +210,16 @@ def _dec_cands(data, pos):
     count = _U16.unpack_from(data, pos)[0]
     pos += 2
     out = []
-    new, ts_unpack = tuple.__new__, _TS.unpack_from
+    new, ts_unpack, rec_unpack = tuple.__new__, _TS.unpack_from, _REC.unpack_from
+    last_rec = len(data) - _REC.size  # the last position a whole _REC fits
     for _ in range(count):
+        if pos <= last_rec:
+            num, pid, n, kind, size, token, flag = rec_unpack(data, pos)
+            if n == 0 and kind == 1 and size == 32 and flag == 0:
+                pos += 54  # _REC.size
+                out.append(new(Candidate, (new(Timestamp, (num, pid, b"")),
+                                           token, None)))
+                continue
         num, pid, n = ts_unpack(data, pos)
         pos += 18 + n  # _TS.size, then the tag
         ts = new(Timestamp, (num, pid, data[pos - n:pos]))

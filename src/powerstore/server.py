@@ -7,6 +7,8 @@ variants wrap or subclass these classes in behaviors.py.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from . import codec
 from .core import C0, Candidate, HistEntry, valid_by_hist, valid_mw
 from .crypto import HASH_POW
@@ -47,11 +49,15 @@ class ServerBase:
         self.scheme = scheme
         self.keyring = keyring
         self.tracer = tracer
+        self.dropped = 0
+        self.reset()
+
+    def reset(self):
+        """Forget lc, LC and the history, as a restarted replica would."""
         self.lc = C0
-        self.lc_set = set()  # LC; every read of it goes through sorted()
+        self.lc_set = set()  # LC, sw only: SwServer's handlers alone change it
         self.hist = {}  # ts.key() -> HistEntry
         self.hist_bytes = 0
-        self.dropped = 0
 
     # behaviors override trace indirection, not the tracer itself
     def trace(self, etype, **fields):
@@ -102,10 +108,23 @@ class ServerBase:
 
 class SwServer(ServerBase):
     """Single-writer replica: collect serves LC united with lc, filter serves
-    the highest history-valid candidate of the submitted set."""
+    the highest history-valid candidate of the submitted set.
+
+    A collect sorts and scans only what changed since the last one. Beside
+    lc_set, LC's members are kept as sorted (sort_key, cand) pairs. Sort keys
+    begin with (num, pid) and never tie, so the members at one timestamp,
+    and those at or below lc, are contiguous. After a gc no member is stored
+    or at or below lc, so the next gc need only look at the members at
+    history keys that gained a member or an entry since, and at the low
+    prefix of the pairs."""
 
     mode = "sw"
     kinds = (codec.STORE, codec.COMPLETE, codec.COLLECT, codec.FILTER)
+
+    def reset(self):
+        super().reset()
+        self._pairs = []  # LC's members, sorted
+        self._new_keys = set()  # stored keys that gained a member or entry
 
     def _completed_candidate(self, msg):
         return Candidate(msg.ts, msg.token, None)
@@ -117,28 +136,46 @@ class SwServer(ServerBase):
         # no hist entry, no valid_by_hist: most of a flooded LC was never stored
         return [c for c in cands if c.ts.key() in self.hist and self._valid(c)]
 
+    def _on_store(self, msg):
+        self._new_keys.add(msg.ts.key())
+        return super()._on_store(msg)
+
     def gc(self):
-        # only stored candidates can be valid, and all of them leave LC
-        lc_set, hist = self.lc_set, self.hist
-        stored = [c for c in lc_set if c.ts.key() in hist]
-        valids = [c for c in stored if self._valid(c)]
+        """Accept the highest valid stored member if it beats lc, then drop
+        every stored member and every member at or below lc."""
+        pairs, stored = self._pairs, []
+        for num, pid in self._new_keys:  # no other key holds a stored member
+            lo = bisect_left(pairs, ((num, pid),))
+            hi = bisect_left(pairs, ((num, pid + 1),), lo)
+            stored += pairs[lo:hi]
+            del pairs[lo:hi]
+        self._new_keys = set()
+        valids = [p for p in stored if self._valid(p[1])]
         if valids:
-            c_hv = max(valids, key=Candidate.sort_key)
+            c_hv = max(valids)[1]
             if c_hv.ts > self.lc.ts:
                 self._accept(c_hv, "gc")
-        lc_key = self.lc.ts.key()
-        low = [c for c in lc_set if c.ts.key() <= lc_key]
-        if stored or low:
-            self.lc_set = lc_set.difference(stored, low)
+        num, pid = self.lc.ts.key()
+        low = bisect_left(pairs, ((num, pid + 1),))
+        stored += pairs[:low]
+        del pairs[:low]
+        self.lc_set.difference_update([c for _, c in stored])
 
     def _on_collect(self, msg):
-        self.gc()  # leaves no candidate at or below lc in LC
-        cands = sorted((self.lc, *self.lc_set), key=Candidate.sort_key)
-        return codec.CollectAck(msg.tsr, tuple(cands))
+        self.gc()  # leaves no member at or below lc, so lc sorts first
+        members = [c for _, c in self._pairs]
+        return codec.CollectAck(msg.tsr, (self.lc, *members))
 
     def _on_filter(self, msg):
-        self.lc_set.update(msg.cands)  # metadata write-back
-        return self._filter_ack(msg, self._valids(msg.cands))
+        cands, lc_set, hist = msg.cands, self.lc_set, self.hist
+        if not lc_set.issuperset(cands):  # metadata write-back
+            for c in cands:
+                if c not in lc_set:
+                    lc_set.add(c)
+                    insort(self._pairs, (c.sort_key(), c))
+                    if c.ts.key() in hist:
+                        self._new_keys.add(c.ts.key())
+        return self._filter_ack(msg, self._valids(cands))
 
 
 class MwServer(ServerBase):

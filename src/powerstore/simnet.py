@@ -26,7 +26,7 @@ from .client import ProtocolInvariantError
 from .codec import MalformedMessage
 from .core import Candidate, OperationRecord, Timestamp
 from .crypto import KeyRing, Polynomial, ShamirShare, digest, pow_scheme
-from .erasure import ErasureError, Fragment, fragment_to_bytes
+from .erasure import FRAGMENT_HEADER_BYTES, ErasureError, Fragment
 
 WRITER_ID_BASE = 100  # writers are 101, 102, ...; readers 201, 202, ...
 READER_ID_BASE = 200
@@ -404,7 +404,8 @@ class Simulation:
         if src in self.ops_left and payload.kind == codec.STORE:
             key = (src, payload.ts.key())  # correct clients' STOREs only
             self._store_frag_bytes[key] = (self._store_frag_bytes.get(key, 0)
-                                           + len(fragment_to_bytes(payload.fr)))
+                                           + FRAGMENT_HEADER_BYTES
+                                           + len(payload.fr.payload))
         to_server = dst in self.servers
         if self.cfg.log_wire:
             kind = int.from_bytes(wire[:1], "big")

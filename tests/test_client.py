@@ -170,7 +170,7 @@ def test_reader_prunes_unverifiable_high_candidate():
     reader = loop.client("reader", 201)
     loop.write(writer, b"alpha")
     bogus = Candidate(Timestamp(9, 0, b""), digest(b"guess"), None)
-    loop.servers[1].lc_set.add(bogus)
+    loop.servers[1].handle(codec.Filter(1, (bogus,)), "reader")
     out = loop.read(reader)
     assert out["value"] == b"alpha" and out["rounds"] == 2
 

@@ -565,13 +565,21 @@ def _filter_wire(*cand_bytes):
             + len(cand_bytes).to_bytes(2, "big") + b"".join(cand_bytes))
 
 
+# the 54-byte record of the common sw candidate (empty tag, 32-byte bytes
+# token), here with vector flag 2
+_FIXED_VEC_FLAG_2 = _ref_enc_ts(Timestamp(2)) + b"\x01\x00\x20" + b"\x42" * 32 + b"\x02"
+
+
 @pytest.mark.parametrize("bad", [
     _ref_enc_ts(Timestamp(2)) + b"\x00" + b"\x02",  # vector flag 2, no token
     _ref_enc_ts(Timestamp(2)) + b"\x01\x00\x01n" + b"\x02",  # after a token
     _ref_enc_ts(Timestamp(2)) + b"\x03" + b"\x00",  # token kind 3
     _ref_enc_ts(Timestamp(2, 0, b"tag")) + b"\x03" + b"\x00",
-], ids=["vec-flag-2", "vec-flag-2-after-bytes", "token-kind-3",
-        "token-kind-3-after-tag"])
+    _FIXED_VEC_FLAG_2,
+] + [_FIXED_VEC_FLAG_2[:cut] for cut in range(54)],
+    ids=["vec-flag-2", "vec-flag-2-after-bytes", "token-kind-3",
+         "token-kind-3-after-tag", "fixed-vec-flag-2"]
+    + ["fixed-cut-at-%d" % cut for cut in range(54)])
 def test_bad_bytes_inside_a_candidate_list_raise(bad):
     good = _ref_enc_cand(Candidate(Timestamp(1), b"n"))
     assert decode(_filter_wire(good, good))  # the frame itself is well formed
@@ -587,8 +595,10 @@ def test_bad_bytes_inside_a_candidate_list_raise(bad):
     Candidate(Timestamp(1), b"\x00" * 0x10000),
     Candidate(Timestamp(1), b"n", (b"\x00" * 0x10000,)),
     Candidate(Timestamp(-1), b"n"),
+    Candidate(Timestamp(2 ** 64), b"\x42" * 32),  # the 54-byte record
+    Candidate(Timestamp(1, -1), b"\x42" * 32),
 ], ids=["65536-byte-tag", "65536-byte-token", "65536-byte-vec-entry",
-        "negative-num"])
+        "negative-num", "fixed-over-64-bit-num", "fixed-negative-pid"])
 def test_encode_rejects_wide_fields_inside_a_list(cand):
     good = Candidate(Timestamp(1), b"n")
     for msg in (Filter(1, (good, cand)), CollectAck(1, (cand,))):

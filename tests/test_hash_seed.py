@@ -44,19 +44,26 @@ srv = SwServer(1, 4, 1, scheme=pow_scheme("hash"))
 srv.handle(codec.Filter(1, twins(5, b"n" * 32)), "reader")
 out["collect twins"] = codec.encode(srv.handle(codec.Collect(2), "reader")).hex()
 
-# sw validity ignores the tag, so gc finds every twin of a stored write valid
+# sw validity ignores the tag, so gc finds every twin of a stored write valid,
+# whether the twins are written back after the store or before it
 nonce = b"\x11" * 32
-srv = SwServer(1, 4, 1, scheme=pow_scheme("hash"))
-srv.handle(codec.Store(Timestamp(1), Fragment(1, 3, b"abc"), (b"c",) * 4,
-                       digest(nonce)), "writer")
-srv.lc_set = set(twins(1, nonce))
-srv.gc()
-out["gc twins"] = srv.lc.ts.tag.hex()
+store = codec.Store(Timestamp(1), Fragment(1, 3, b"abc"), (b"c",) * 4,
+                    digest(nonce))
+for case, steps in (("gc twins", ((store, "writer"),
+                                  (codec.Filter(1, twins(1, nonce)), "reader"))),
+                    ("gc twins stored late",
+                     ((codec.Filter(1, twins(1, nonce)), "reader"),
+                      (store, "writer")))):
+    srv = SwServer(1, 4, 1, scheme=pow_scheme("hash"))
+    for msg, role in steps:
+        srv.handle(msg, role)
+    srv.gc()
+    out[case] = srv.lc.ts.tag.hex()
 print(json.dumps(out))
 """
 
 CASES = ["sw-catalog/0", "mw-catalog/3", "flood/0", "collect twins",
-         "gc twins"]
+         "gc twins", "gc twins stored late"]
 
 
 def _outputs(hash_seed):

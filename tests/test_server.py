@@ -97,8 +97,10 @@ def test_sw_gc_promotes_highest_valid_and_prunes():
     ts1, token1, _ = store_at(srv, p1)
     ts2, token2, _ = store_at(srv, p2)
     garbage = Candidate(Timestamp(5, 0, b""), digest(b"bogus"), None)
-    srv.lc_set = {Candidate(ts1, token1, None), Candidate(ts2, token2, None),
-                  garbage}
+    srv.handle(codec.Filter(1, (Candidate(ts1, token1, None),
+                                Candidate(ts2, token2, None), garbage)),
+               "reader")
+    assert srv.lc == C0  # the write-back alone moves nothing
     srv.gc()
     assert srv.lc.ts == ts2
     # promoted and historical candidates go; the unverifiable one stays
@@ -108,7 +110,7 @@ def test_sw_gc_promotes_highest_valid_and_prunes():
 def test_sw_collect_serves_gc_result_sorted():
     srv = sw_server()
     ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
-    srv.lc_set = {Candidate(ts, token, None)}
+    srv.handle(codec.Filter(2, (Candidate(ts, token, None),)), "reader")
     ack = srv.handle(codec.Collect(3), "reader")
     assert ack.tsr == 3
     assert [c.ts for c in ack.cands] == [ts]
@@ -218,7 +220,7 @@ def test_accept_paths_are_traced():
 def test_snapshot_reports_state_sizes():
     srv = sw_server()
     ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
-    srv.lc_set = {Candidate(ts, token, None)}
+    srv.handle(codec.Filter(1, (Candidate(ts, token, None),)), "reader")
     snap = srv.snapshot()
     assert snap["hist_len"] == 1 and snap["lc_set_size"] == 1
     assert snap["lc_ts"] == TS0.key()
@@ -230,3 +232,26 @@ def test_reader_kinds_reject_writer_role(mode):
     srv = server_for(mode, 1, keyring=ring)
     assert srv.handle(codec.Filter(1, ()), "writer") is None
     assert srv.dropped == 1
+
+
+def test_sw_collect_sorts_only_what_changed(monkeypatch):
+    srv = sw_server()
+    ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
+    srv.handle(codec.Complete(ts, token, None), "writer")
+    flood = tuple(Candidate(Timestamp(100 + i), digest(b"f%d" % i))
+                  for i in range(20))
+    srv.handle(codec.Filter(1, flood), "reader")
+    srv.handle(codec.Collect(2), "reader")
+    calls = []
+    real = Candidate.sort_key
+    monkeypatch.setattr(Candidate, "sort_key",
+                        lambda c: calls.append(c) or real(c))
+    new = tuple(Candidate(Timestamp(200 + i), digest(b"n%d" % i))
+                for i in range(3))
+    srv.handle(codec.Filter(3, flood[:5] + new), "reader")
+    ack = srv.handle(codec.Collect(4), "reader")
+    assert len(calls) <= len(new)  # for the FILTER and the COLLECT together
+    assert ack.cands == (srv.lc, *sorted(flood + new, key=real))
+    calls.clear()
+    again = srv.handle(codec.Collect(5), "reader")
+    assert calls == [] and again.cands == ack.cands

@@ -9,7 +9,7 @@ import pytest
 
 from powerstore import behaviors, codec, scenarios, simnet
 from powerstore.core import Candidate, Timestamp
-from powerstore.erasure import Fragment
+from powerstore.erasure import Fragment, fragment_to_bytes
 from powerstore.simnet import SimConfig
 
 
@@ -275,6 +275,6 @@ def test_store_fragments_are_counted_for_correct_clients_only():
     store = codec.Store(Timestamp(1), Fragment(1, 3, b"abc"), (), b"d" * 32)
     for cid in (sim.writer_ids[0], 201, 202):
         sim.send(cid, 1, store)
-    frag = len(simnet.fragment_to_bytes(store.fr))
+    frag = len(fragment_to_bytes(store.fr))  # the bytes the STORE carries
     assert sim._store_frag_bytes == {(101, store.ts.key()): frag,
                                      (201, store.ts.key()): frag}
