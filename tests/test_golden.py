@@ -1,7 +1,7 @@
 """Behaviour pins across code versions: pinned (scenario, pow, seed) runs must
-reproduce their history signature and log digest exactly.
+reproduce their history signature, log digest and metrics exactly.
 
-tests/golden_pins.json maps each run to both digests. A change that alters
+tests/golden_pins.json maps each run to all three digests. A change that alters
 behaviour on purpose regenerates the file and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -50,7 +50,8 @@ def pinned_configs():
 def pin(config):
     result = run(config)
     return {"signature": digest(repr(result.history_signature()).encode()).hex(),
-            "log_digest": result.log_digest()}
+            "log_digest": result.log_digest(),
+            "metrics": digest(repr(sorted(result.metrics.items())).encode()).hex()}
 
 
 def _load_pins():
