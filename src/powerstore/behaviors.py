@@ -14,6 +14,7 @@ from .core import C0, TS0, Candidate, Timestamp
 from .crypto import Polynomial, digest
 from .erasure import Fragment, fragment_to_bytes
 
+FAB_NUM_FLOOR = 1 << 20  # forged candidate numbers live far above real ones
 HUGE_NUM = 1 << 40
 
 
@@ -26,14 +27,14 @@ def forge_token(raw: bytes, scheme):
     return digest(raw + b"n")
 
 
-def forge_vec(raw: bytes, s: int) -> tuple:
-    return tuple(digest(raw + b"v%d" % i) for i in range(1, s + 1))
-
-
-def forge_ts(raw: bytes, num: int, mode: str, pid: int) -> Timestamp:
+def forge_cand(raw: bytes, num: int, pid: int, mode: str, scheme,
+               s: int) -> Candidate:
+    """A candidate at num that parses fine in mode but was never written."""
+    token = forge_token(raw, scheme)
     if mode == "sw":
-        return Timestamp(num, 0, b"")
-    return Timestamp(num, pid, digest(raw + b"t")[:16])
+        return Candidate(Timestamp(num, 0, b""), token, None)
+    return Candidate(Timestamp(num, pid, digest(raw + b"t")[:16]), token,
+                     tuple(digest(raw + b"v%d" % i) for i in range(1, s + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +72,10 @@ class FabricateCandidate(ServerShell):
     """Invents a colossal candidate and a self-consistent record behind it."""
 
     def _forged(self, salt):
-        sid = self.base.sid
-        raw = digest(b"fab|%d|%d" % (sid, salt))
-        mode = self.base.mode
-        ts = forge_ts(raw, HUGE_NUM + salt, mode, sid)
-        token = forge_token(raw, self.base.scheme)
-        vec = forge_vec(raw, self.base.s) if mode == "mw" else None
-        return Candidate(ts, token, vec), raw
+        base = self.base
+        raw = digest(b"fab|%d|%d" % (base.sid, salt))
+        return forge_cand(raw, HUGE_NUM + salt, base.sid, base.mode,
+                          base.scheme, base.s), raw
 
     def _forged_record(self, raw):
         fr = Fragment(self.base.sid, 32, digest(raw + b"p"))
@@ -180,6 +178,7 @@ SERVERS = {
 class ByzReader:
     """Common pump loop: a budgeted burst, then reschedule while ops run."""
 
+    role = "reader"
     crashed = False
     busy = False
 
@@ -212,10 +211,8 @@ class ByzReader:
         self.sim.schedule(1 + self.rng.randint(0, 4), self.pump)
 
     def _forged_cand(self, raw, num):
-        ts = forge_ts(raw, num, self.mode, self.cid)
-        token = forge_token(raw, self.sim.scheme)
-        vec = forge_vec(raw, self.sim.s) if self.mode == "mw" else None
-        return Candidate(ts, token, vec)
+        return forge_cand(raw, num, self.cid, self.mode, self.sim.scheme,
+                          self.sim.s)
 
 
 class GarbageFilterSets(ByzReader):
@@ -268,7 +265,7 @@ class FloodWritebacks(ByzReader):
         cands = []
         for j in range(self.batch):
             seed = digest(raw + bytes([j]))
-            num = (1 << 20) + self.count * self.batch + j
+            num = FAB_NUM_FLOOR + self.count * self.batch + j
             cands.append(self._forged_cand(seed, num))
         self._all(codec.Filter(self.count, tuple(cands)))
 

@@ -28,7 +28,8 @@ from .crypto import (
     tag_timestamp,
     verify_timestamp,
 )
-from .erasure import cross_checksum, decode as ec_decode, encode as ec_encode, fragment_to_bytes
+from .erasure import (FRAGMENT_HEADER_BYTES, cross_checksum, fragment_to_bytes,
+                      decode as ec_decode, encode as ec_encode)
 
 
 class ProtocolInvariantError(AssertionError):
@@ -133,6 +134,7 @@ class WriterBase(ClientBase):
         # ("store"|"complete", k): crash after k sends of that phase
         self.crash_plan = None
         self._sends_left = None
+        self.data_bytes = 0  # fragment bytes the current write stores
 
     def _maybe_crash(self, phase):
         if self.crash_plan is None or self.crash_plan[0] != phase:
@@ -155,6 +157,8 @@ class WriterBase(ClientBase):
     def _start_store(self, value):
         self.token, commitments = self.scheme.mint(self.rng, self.t, self.s)
         frs = ec_encode(value, self.t + 1, self.s)
+        self.data_bytes = sum(FRAGMENT_HEADER_BYTES + len(fr.payload)
+                              for fr in frs)
         cc = cross_checksum(frs)
         self.vec = self._make_vec()
         self.phase = "store"

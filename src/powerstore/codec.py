@@ -68,7 +68,7 @@ def _enc_ts(out, ts: Timestamp):
 def _dec_ts(data, pos):
     num, pid, n = _TS.unpack_from(data, pos)
     pos += 18  # _TS.size
-    return Timestamp(num, pid, data[pos:pos + n]), pos + n
+    return tuple.__new__(Timestamp, (num, pid, data[pos:pos + n])), pos + n
 
 
 def _dec_blob16(data, pos):
@@ -180,37 +180,29 @@ def _dec_cand(data, pos):
     ts, pos = _dec_ts(data, pos)
     token, pos = _dec_token(data, pos)
     vec, pos = _dec_opt_list(data, pos)
-    return Candidate(ts, token, vec), pos
+    return tuple.__new__(Candidate, (ts, token, vec)), pos
 
 
 # Candidate lists are the longest wire field. The common sw record (empty
-# tag, 32-byte bytes token, no vector) is one _REC call each way; any other
-# shape takes the field codecs, inlined for a bytes token and no vector.
-# Candidates are built with tuple.__new__.
+# tag, 32-byte bytes token, no vector) is one _REC call each way, inlined in
+# both list loops; any other shape takes _enc_cand/_dec_cand.
 def _enc_cands(out, cands: tuple):
     out.append(_U16.pack(len(cands)))
     rec_pack = _REC.pack
-    for (num, pid, tag), token, vec in cands:
+    for c in cands:
+        (num, pid, tag), token, vec = c
         if (vec is None and tag == b"" and type(token) is bytes
                 and len(token) == 32):
             out.append(rec_pack(num, pid, 0, 1, 32, token, 0))
-            continue
-        out += (_TS.pack(num, pid, len(tag)), tag)
-        if type(token) is bytes:
-            out += (_FLAG_U16.pack(1, len(token)), token)
         else:
-            _enc_token(out, token)
-        if vec is None:
-            out.append(b"\x00")
-        else:
-            _enc_opt_list(out, vec)
+            _enc_cand(out, c)
 
 
 def _dec_cands(data, pos):
     count = _U16.unpack_from(data, pos)[0]
     pos += 2
     out = []
-    new, ts_unpack, rec_unpack = tuple.__new__, _TS.unpack_from, _REC.unpack_from
+    new, rec_unpack = tuple.__new__, _REC.unpack_from
     last_rec = len(data) - _REC.size  # the last position a whole _REC fits
     for _ in range(count):
         if pos <= last_rec:
@@ -220,19 +212,8 @@ def _dec_cands(data, pos):
                 out.append(new(Candidate, (new(Timestamp, (num, pid, b"")),
                                            token, None)))
                 continue
-        num, pid, n = ts_unpack(data, pos)
-        pos += 18 + n  # _TS.size, then the tag
-        ts = new(Timestamp, (num, pid, data[pos - n:pos]))
-        if data[pos] == 1:
-            end = pos + 3 + _U16.unpack_from(data, pos + 1)[0]
-            token, pos = data[pos + 3:end], end
-        else:
-            token, pos = _dec_token(data, pos)
-        if data[pos] == 0:
-            vec, pos = None, pos + 1
-        else:
-            vec, pos = _dec_opt_list(data, pos)
-        out.append(new(Candidate, (ts, token, vec)))
+        cand, pos = _dec_cand(data, pos)
+        out.append(cand)
     return tuple(out), pos
 
 

@@ -198,7 +198,3 @@ class OperationRecord:
     rounds: Optional[int] = None
     repair_sent: bool = False
     ts: Optional[Timestamp] = None  # the write's timestamp, set on completion
-
-    @property
-    def complete(self) -> bool:
-        return self.res_seq is not None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import codec
 from .client import MwReader, MwWriter, SwReader, SwWriter
-from .core import safe_witness
+from .core import Candidate, safe_witness
 from .server import MwServer, SwServer
 
 CLASSES = {
@@ -57,7 +57,7 @@ class LcNonMonotone:
     """Overwrites lc with whatever complete arrives last."""
 
     def _on_complete(self, msg):
-        self._accept(self._completed_candidate(msg), "complete")
+        self._accept(Candidate(msg.ts, msg.token, msg.vec), "complete")
         return codec.CompleteAck(msg.ts)
 
 

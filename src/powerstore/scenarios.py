@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import checker
+from .behaviors import FAB_NUM_FLOOR
 from .crypto import digest
 from .simnet import SimConfig, run
-
-FAB_NUM_FLOOR = 1 << 20  # forged candidate numbers live far above real ones
 
 
 @dataclass(frozen=True)

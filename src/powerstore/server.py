@@ -57,7 +57,6 @@ class ServerBase:
         self.lc = C0
         self.lc_set = set()  # LC, sw only: SwServer's handlers alone change it
         self.hist = {}  # ts.key() -> HistEntry
-        self.hist_bytes = 0
 
     # behaviors override trace indirection, not the tracer itself
     def trace(self, etype, **fields):
@@ -77,15 +76,15 @@ class ServerBase:
         self.trace("accept", via=via, ts=cand.ts, token=cand.token)
 
     def _on_store(self, msg):
-        entry = HistEntry(msg.fr, msg.cc, msg.commitment, msg.vec)
-        self.hist[msg.ts.key()] = entry
-        self.hist_bytes += _entry_bytes(entry)
+        self.hist[msg.ts.key()] = HistEntry(msg.fr, msg.cc, msg.commitment,
+                                            msg.vec)
         self.trace("store", ts=msg.ts, commitment=msg.commitment)
         return codec.StoreAck(msg.ts)
 
     def _on_complete(self, msg):
+        # a single-writer COMPLETE carries no vector, so vec is None there
         if msg.ts > self.lc.ts:
-            self._accept(self._completed_candidate(msg), "complete")
+            self._accept(Candidate(msg.ts, msg.token, msg.vec), "complete")
         return codec.CompleteAck(msg.ts)
 
     def _filter_ack(self, msg, valids):
@@ -102,7 +101,7 @@ class ServerBase:
             "lc_ts": self.lc.ts.key(),
             "lc_set_size": len(self.lc_set),
             "hist_len": len(self.hist),
-            "hist_bytes": self.hist_bytes,
+            "hist_bytes": sum(map(_entry_bytes, self.hist.values())),
         }
 
 
@@ -125,9 +124,6 @@ class SwServer(ServerBase):
         super().reset()
         self._pairs = []  # LC's members, sorted
         self._new_keys = set()  # stored keys that gained a member or entry
-
-    def _completed_candidate(self, msg):
-        return Candidate(msg.ts, msg.token, None)
 
     def _valid(self, cand):
         return valid_by_hist(cand, self.hist, self.scheme)
@@ -186,9 +182,6 @@ class MwServer(ServerBase):
     mode = "mw"
     kinds = (codec.STORE, codec.COMPLETE, codec.CLOCK, codec.COLLECT,
              codec.FILTER, codec.REPAIR)
-
-    def _completed_candidate(self, msg):
-        return Candidate(msg.ts, msg.token, msg.vec)
 
     def _valid(self, cand):
         return valid_mw(cand, self.hist, self.sid,

@@ -26,7 +26,7 @@ from .client import ProtocolInvariantError
 from .codec import MalformedMessage
 from .core import Candidate, OperationRecord, Timestamp
 from .crypto import KeyRing, Polynomial, ShamirShare, digest, pow_scheme
-from .erasure import FRAGMENT_HEADER_BYTES, ErasureError, Fragment
+from .erasure import ErasureError, Fragment
 
 WRITER_ID_BASE = 100  # writers are 101, 102, ...; readers 201, 202, ...
 READER_ID_BASE = 200
@@ -188,8 +188,10 @@ def parse_faults(directives, s, writers, readers) -> FaultPlan:
                 raise ValueError("no writer %d in %r" % (cid, d))
             if parts[2] not in ("after_store", "after_complete"):
                 raise ValueError("crash point must be after_store or after_complete")
-            plan.crash_writers[cid] = (parts[2][len("after_"):],
-                                       _fault_int(parts[3], d))
+            k = _fault_int(parts[3], d)
+            if k < 0:
+                raise ValueError("%d is below 0 in %r" % (k, d))
+            plan.crash_writers[cid] = (parts[2][len("after_"):], k)
         else:
             raise ValueError("bad fault directive %r" % d)
     return plan
@@ -285,7 +287,8 @@ class Simulation:
     def __init__(self, config: SimConfig):
         self.cfg = config
         self.t = config.t
-        for name in ("t", "writers", "readers", "writes", "reads", "value_size"):
+        for name in ("t", "writers", "readers", "writes", "reads", "value_size",
+                     "adversary_budget"):
             if getattr(config, name) < 0:
                 raise ValueError("%s must be at least 0, got %d"
                                  % (name, getattr(config, name)))
@@ -314,7 +317,6 @@ class Simulation:
         self.monitor = None
         self.crash_reason = None
         self.deadlock = None
-        self._store_frag_bytes = {}  # (writer, ts.key()) -> bytes in flight
         # payload -> [copies in flight, wire, decoded message or None]
         self._in_flight = {}
 
@@ -338,38 +340,22 @@ class Simulation:
             else:
                 self.servers[sid] = behaviors.SERVERS[name](base, self)
 
-        self.clients = {}
-        self.roles = {}
-        self.ops_left = {}
-        self.op_count = {}
-        self.correct_readers = set()
-        self.writer_ids = []
-        self.reader_ids = []
-        for i in range(1, config.writers + 1):
-            cid = WRITER_ID_BASE + i
-            self.writer_ids.append(cid)
-            self.roles[cid] = "writer"
-            self.clients[cid] = classes["writer"](
-                cid, s=self.s, t=self.t, scheme=self.scheme,
-                keyring=self.keyring, send=functools.partial(self.send, cid),
-                rng=self.rng["crypto"], tracer=self.trace)
-            self.ops_left[cid] = config.writes
-            self.op_count[cid] = 0
-        for i in range(1, config.readers + 1):
-            cid = READER_ID_BASE + i
-            self.reader_ids.append(cid)
-            self.roles[cid] = "reader"
-            name = plan.byz_readers.get(cid)
-            if name is None:
-                self.clients[cid] = classes["reader"](
+        self.clients = {}  # writers 101, 102, ..., then readers 201, 202, ...
+        self.ops_left = {}  # correct clients only
+        for role, base, n, ops, keyring in (
+                ("writer", WRITER_ID_BASE, config.writers, config.writes,
+                 self.keyring),
+                ("reader", READER_ID_BASE, config.readers, config.reads, None)):
+            for cid in range(base + 1, base + n + 1):
+                name = plan.byz_readers.get(cid)
+                if name is not None:
+                    self.clients[cid] = behaviors.READERS[name](cid, self)
+                    continue
+                self.clients[cid] = classes[role](
                     cid, s=self.s, t=self.t, scheme=self.scheme,
-                    keyring=None, send=functools.partial(self.send, cid),
+                    keyring=keyring, send=functools.partial(self.send, cid),
                     rng=self.rng["crypto"], tracer=self.trace)
-                self.ops_left[cid] = config.reads
-                self.op_count[cid] = 0
-                self.correct_readers.add(cid)
-            else:
-                self.clients[cid] = behaviors.READERS[name](cid, self)
+                self.ops_left[cid] = ops
 
     # -- plumbing ----------------------------------------------------------
 
@@ -401,11 +387,6 @@ class Simulation:
         metrics = self.metrics
         metrics["msgs_sent"] += 1
         metrics["bytes_sent"] += len(wire)
-        if src in self.ops_left and payload.kind == codec.STORE:
-            key = (src, payload.ts.key())  # correct clients' STOREs only
-            self._store_frag_bytes[key] = (self._store_frag_bytes.get(key, 0)
-                                           + FRAGMENT_HEADER_BYTES
-                                           + len(payload.fr.payload))
         to_server = dst in self.servers
         if self.cfg.log_wire:
             kind = int.from_bytes(wire[:1], "big")
@@ -425,7 +406,7 @@ class Simulation:
         elif kind == codec.STORE:
             redact = (self.scheme.name == "shamir"
                       and sid in self.correct_servers
-                      and self.roles.get(cid) == "writer")
+                      and self.clients[cid].role == "writer")
             entry["commitment"] = ("<redacted>" if redact
                                    else payload.commitment)
         self.taps.append(entry)
@@ -459,7 +440,7 @@ class Simulation:
         server = self.servers[sid]
         correct = sid in self.correct_servers
         prev_lc = server.lc if correct else None
-        reply = server.handle(msg, self.roles[cid])
+        reply = server.handle(msg, self.clients[cid].role)
         if correct:
             lc = server.lc
             if (lc is not prev_lc and lc.ts.key() < prev_lc.ts.key()
@@ -485,9 +466,9 @@ class Simulation:
             return
         assert not client.busy
         self.ops_left[cid] -= 1
-        self.op_count[cid] += 1
-        if self.roles[cid] == "writer":
-            value = make_value(cid, self.op_count[cid], self.cfg.value_size)
+        if client.role == "writer":
+            value = make_value(cid, self.cfg.writes - self.ops_left[cid],
+                               self.cfg.value_size)
             if (cid in self.plan.crash_writers and self.ops_left[cid] == 0):
                 client.crash_plan = self.plan.crash_writers[cid]
             rec = OperationRecord(client=cid, kind="write", value=value,
@@ -500,9 +481,7 @@ class Simulation:
                 rec.res_tick = self.now
                 rec.rounds = rounds
                 rec.ts = client.ts
-                self.metrics["completed_writes"] += 1
-                self.metrics["data_bytes"] += self._store_frag_bytes.pop(
-                    (cid, client.ts.key()), 0)
+                self.metrics["data_bytes"] += client.data_bytes
                 self.trace("respond", client=cid, op="write", ts=client.ts)
                 self._schedule_next_op(cid)
 
@@ -519,9 +498,6 @@ class Simulation:
                 rec.rounds = rounds
                 rec.repair_sent = repaired
                 rec.value = value
-                self.metrics["completed_reads"] += 1
-                if repaired:
-                    self.metrics["repairs"] += 1
                 self.trace("respond", client=cid, op="read", value=value)
                 self._schedule_next_op(cid)
 
@@ -541,10 +517,9 @@ class Simulation:
     # -- run ---------------------------------------------------------------
 
     def run(self) -> RunResult:
-        for cid in self.writer_ids + self.reader_ids:
-            if cid in self.ops_left:
-                self.schedule(self.rng["workload"].randint(0, 4),
-                              self._start_op, cid)
+        for cid in self.ops_left:
+            self.schedule(self.rng["workload"].randint(0, 4),
+                          self._start_op, cid)
         for cid in sorted(self.plan.byz_readers):
             self.clients[cid].arm()
         for sid in sorted(self.plan.byz_servers):
@@ -566,9 +541,13 @@ class Simulation:
                 self.trace("client_crash", detail=self.crash_reason)
                 break
 
-        self.metrics["ticks"] = self.now
-        self.metrics["accepts"] = sum(
-            1 for ev in self.events if ev["type"] == "accept")
+        done = [rec for rec in self.history if rec.res_seq is not None]
+        self.metrics.update(
+            ticks=self.now,
+            accepts=sum(1 for ev in self.events if ev["type"] == "accept"),
+            completed_writes=sum(1 for rec in done if rec.kind == "write"),
+            completed_reads=sum(1 for rec in done if rec.kind == "read"),
+            repairs=sum(1 for rec in done if rec.repair_sent))
         if self.ops_pending() and self.crash_reason is None:
             self.deadlock = self._deadlock_report(overran)
             self.trace("deadlock", detail=self.deadlock)
@@ -580,7 +559,8 @@ class Simulation:
             meta={
                 "pow": self.cfg.pow_name, "t": self.t,
                 "correct_servers": tuple(sorted(self.correct_servers)),
-                "correct_readers": tuple(sorted(self.correct_readers)),
+                "correct_readers": tuple(sorted(
+                    cid for cid in self.ops_left if cid > READER_ID_BASE)),
             })
 
     def _deadlock_report(self, overran):

@@ -73,7 +73,7 @@ def test_store_populates_history():
     srv = sw_server()
     ts, _, _ = store_at(srv, build_write(srv.scheme, 1))
     assert ts.key() in srv.hist
-    assert srv.hist_bytes > 0
+    assert srv.snapshot()["hist_bytes"] > 0
     assert srv.lc == C0  # store alone never moves the accepted candidate
 
 

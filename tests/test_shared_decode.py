@@ -9,7 +9,7 @@ import pytest
 
 from powerstore import behaviors, codec, scenarios, simnet
 from powerstore.core import Candidate, Timestamp
-from powerstore.erasure import Fragment, fragment_to_bytes
+from powerstore.erasure import Fragment
 from powerstore.simnet import SimConfig
 
 
@@ -207,7 +207,7 @@ def test_copies_of_one_wire_are_decoded_once_and_share_the_message(
     wires = counting_decode(monkeypatch)
     sim = simnet.Simulation(small())
     msg = codec.Filter(1, (Candidate(Timestamp(2), b"n" * 32),))
-    _broadcast(sim, sim.reader_ids[0], msg)
+    _broadcast(sim, 201, msg)
     wire = codec.encode(msg)
     assert sim._in_flight == {msg: [4, wire, None]}
     got = _receive_all(sim)
@@ -222,7 +222,7 @@ def test_equal_requests_from_two_readers_share_one_wire_and_one_decode(
     kinds = counting_encode(monkeypatch)
     wires = counting_decode(monkeypatch)
     sim = simnet.Simulation(small())
-    for cid in sim.reader_ids:
+    for cid in (201, 202):
         _broadcast(sim, cid, codec.Collect(1))  # equal, not the same object
     assert kinds == {codec.COLLECT: 1}
     assert sim._in_flight == {codec.Collect(1): [8, wire, None]}
@@ -262,19 +262,9 @@ def test_each_store_is_its_own_entry(monkeypatch):
     stores = [codec.Store(Timestamp(1), Fragment(sid, 3, b"abc"), (), b"d" * 32)
               for sid in range(1, sim.s + 1)]
     for sid, store in enumerate(stores, 1):
-        sim.send(sim.writer_ids[0], sid, store)
+        sim.send(simnet.WRITER_ID_BASE + 1, sid, store)
     assert {m: e[0] for m, e in sim._in_flight.items()} == {
         store: 1 for store in stores}
     assert _receive_all(sim) == stores
     assert len(wires) == 4
     assert sim._in_flight == {}
-
-
-def test_store_fragments_are_counted_for_correct_clients_only():
-    sim = simnet.Simulation(small(faults=GARBAGE))
-    store = codec.Store(Timestamp(1), Fragment(1, 3, b"abc"), (), b"d" * 32)
-    for cid in (sim.writer_ids[0], 201, 202):
-        sim.send(cid, 1, store)
-    frag = len(fragment_to_bytes(store.fr))  # the bytes the STORE carries
-    assert sim._store_frag_bytes == {(101, store.ts.key()): frag,
-                                     (201, store.ts.key()): frag}

@@ -86,6 +86,8 @@ def test_config_parser_names_the_line_and_key_of_a_bad_value(text, msg):
     ("byz_server:x:mute", "'x' is not an integer in 'byz_server:x:mute'"),
     ("crash_writer:101:after_store:x",
      "'x' is not an integer in 'crash_writer:101:after_store:x'"),
+    ("crash_writer:101:after_store:-3",
+     "-3 is below 0 in 'crash_writer:101:after_store:-3'"),
     ("sabotage:1:x", "bad fault directive"),
 ])
 def test_fault_directives_are_validated(directive, msg):
@@ -168,6 +170,7 @@ def test_pareto_draws_are_paretovariate_draws(mean, var):
     dict(writes=-1),
     dict(reads=-2),
     dict(value_size=-5),
+    dict(adversary_budget=-1),
 ])
 def test_impossible_configs_are_rejected(kw):
     with pytest.raises(ValueError):
@@ -218,11 +221,20 @@ def test_garbage_traffic_is_dropped_not_crashed():
 
 
 def test_data_bytes_match_the_fragment_layout():
-    for t, size in ((1, 48), (2, 4096)):
-        res = run(small(t=t, value_size=size, writes=3, reads=0, seed=5))
-        s = 3 * t + 1
-        per_write = s * (10 + math.ceil(size / (t + 1)))
-        assert res.metrics["data_bytes"] == per_write * 3
+    """Only completed writes count: not the fragments of a write its writer
+    crashed in, nor anything a byzantine reader sends."""
+    for faults, completed in (
+            ((), 3),
+            (("crash_writer:101:after_store:2",), 2),
+            (("crash_writer:101:after_complete:1",), 2),
+            (("byz_reader:202:garbage_filter_sets",), 3)):
+        for t, size in ((1, 48), (2, 4096)):
+            res = run(small(t=t, value_size=size, writes=3, reads=0, seed=5,
+                            faults=faults))
+            s = 3 * t + 1
+            per_write = s * (10 + math.ceil(size / (t + 1)))
+            assert res.metrics["completed_writes"] == completed
+            assert res.metrics["data_bytes"] == per_write * completed
 
 
 def test_wire_taps_are_opt_in():
@@ -372,7 +384,7 @@ def test_replies_of_different_kinds_never_share_a_wire():
     ts = Timestamp(4)
     replies = (codec.StoreAck(ts), codec.CompleteAck(ts), codec.StoreAck(ts))
     for sid, msg in enumerate(replies, 1):
-        sim.send(sid, sim.writer_ids[0], msg)
+        sim.send(sid, simnet.WRITER_ID_BASE + 1, msg)
     store_ack, complete_ack = codec.encode(replies[0]), codec.encode(replies[1])
     assert store_ack != complete_ack
     assert sim._in_flight == {replies[0]: [2, store_ack, None],
