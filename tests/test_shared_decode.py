@@ -9,7 +9,8 @@ import pytest
 
 from powerstore import behaviors, codec, scenarios, simnet
 from powerstore.core import Candidate, Timestamp
-from powerstore.erasure import Fragment
+from powerstore.erasure import FRAGMENT_HEADER_BYTES, Fragment
+from powerstore.erasure import encode as ec_encode
 from powerstore.simnet import SimConfig
 
 
@@ -254,6 +255,23 @@ def test_empty_raw_bytes_are_sent_logged_and_dropped():
         ("send", 0, 0)] * 4
     assert [(tap["kind"], tap["raw"]) for tap in sim.taps] == [(0, b"")] * 4
     assert sim._in_flight == {}
+
+
+def test_store_fragments_are_counted_for_correct_clients_only():
+    """Sending a STORE tallies nothing, whoever sends it: data_bytes grows
+    only when a correct writer completes a write, by the fragments it
+    encoded, and never by the STOREs a byzantine reader injects."""
+    config = small(faults=GARBAGE)
+    sim = simnet.Simulation(config)
+    store = codec.Store(Timestamp(1), Fragment(1, 3, b"abc"), (), b"d" * 32)
+    for cid in (simnet.WRITER_ID_BASE + 1, 201, 202):
+        sim.send(cid, 1, store)
+    assert sim.metrics["data_bytes"] == 0
+    res = simnet.Simulation(config).run()
+    per_write = sum(FRAGMENT_HEADER_BYTES + len(fr.payload) for fr in
+                    ec_encode(b"v" * config.value_size, sim.t + 1, sim.s))
+    assert res.metrics["completed_writes"] == config.writes
+    assert res.metrics["data_bytes"] == per_write * config.writes
 
 
 def test_each_store_is_its_own_entry(monkeypatch):
