@@ -1,7 +1,8 @@
-"""Byzantine drop-ins: wrapped servers and adversarial reader drivers.
+"""Byzantine drop-ins: server mixins and adversarial reader drivers.
 
-Server behaviors wrap a correct replica and distort what it says, or whether
-it says anything at all; reader drivers skip the read protocol entirely and
+A server behavior is a mixin layered over a correct replica's class, as a
+mutant is (``mutants.layer``): it distorts what the replica says, or whether
+it says anything at all. Reader drivers skip the read protocol entirely and
 pump forged traffic at the servers. Forgeries are derived from digest chains
 or from fixed-width draws on the adversary stream, so a run's schedule stays
 identical whichever proof scheme is active.
@@ -41,18 +42,7 @@ def forge_cand(raw: bytes, num: int, pid: int, mode: str, scheme,
 # Server behaviors
 # ---------------------------------------------------------------------------
 
-class ServerShell:
-    """Delegating wrapper; subclasses distort selected handlers."""
-
-    def __init__(self, base, sim):
-        self.base = base
-        self.sim = sim
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-
-class StaleLc(ServerShell):
+class StaleLc:
     """Acknowledges writes but answers all read traffic from time zero."""
 
     def handle(self, msg, role):
@@ -65,44 +55,43 @@ class StaleLc(ServerShell):
             return codec.ClockAck(msg.ts, TS0)
         if kind == codec.REPAIR:
             return codec.RepairAck(msg.tsr)
-        return self.base.handle(msg, role)
+        return super().handle(msg, role)
 
 
-class FabricateCandidate(ServerShell):
+class FabricateCandidate:
     """Invents a colossal candidate and a self-consistent record behind it."""
 
     def _forged(self, salt):
-        base = self.base
-        raw = digest(b"fab|%d|%d" % (base.sid, salt))
-        return forge_cand(raw, HUGE_NUM + salt, base.sid, base.mode,
-                          base.scheme, base.s), raw
+        raw = digest(b"fab|%d|%d" % (self.sid, salt))
+        return forge_cand(raw, HUGE_NUM + salt, self.sid, self.mode,
+                          self.scheme, self.s), raw
 
     def _forged_record(self, raw):
-        fr = Fragment(self.base.sid, 32, digest(raw + b"p"))
+        fr = Fragment(self.sid, 32, digest(raw + b"p"))
         cc = tuple(
-            digest(fragment_to_bytes(fr)) if i == self.base.sid
+            digest(fragment_to_bytes(fr)) if i == self.sid
             else digest(raw + b"c%d" % i)
-            for i in range(1, self.base.s + 1))
+            for i in range(1, self.s + 1))
         return fr, cc
 
     def handle(self, msg, role):
         kind = msg.kind
         if kind == codec.COLLECT:
-            reply = self.base.handle(msg, role)
+            reply = super().handle(msg, role)
             cand, _ = self._forged(msg.tsr)
             return codec.CollectAck(msg.tsr, reply.cands + (cand,))
         if kind == codec.FILTER:
-            self.base.handle(msg, role)  # keep state honest, lie in the reply
+            super().handle(msg, role)  # keep state honest, lie in the reply
             cand, raw = self._forged(msg.tsr)
             fr, cc = self._forged_record(raw)
             return codec.FilterAck(msg.tsr, cand.ts, fr, cc, cand.vec)
         if kind == codec.CLOCK:
             cand, _ = self._forged(msg.ts.num)
             return codec.ClockAck(msg.ts, cand.ts)
-        return self.base.handle(msg, role)
+        return super().handle(msg, role)
 
 
-class CorruptVec(ServerShell):
+class CorruptVec:
     """Honest state, garbled MAC vectors on everything read-facing."""
 
     @staticmethod
@@ -110,7 +99,7 @@ class CorruptVec(ServerShell):
         return tuple(digest(b"cv" + entry) for entry in vec)
 
     def handle(self, msg, role):
-        reply = self.base.handle(msg, role)
+        reply = super().handle(msg, role)
         if reply is None:
             return None
         if msg.kind == codec.COLLECT:
@@ -123,34 +112,34 @@ class CorruptVec(ServerShell):
         return reply
 
 
-class RevertState(ServerShell):
+class RevertState:
     """Periodically forgets everything: a restarting disk with no log."""
 
     period = 47
 
-    def arm(self):
-        self.sim.schedule(self.period, self.on_timer)
+    def arm(self, sim):
+        sim.schedule(self.period, self.on_timer, sim)
 
-    def on_timer(self):
-        self.base.reset()
-        self.base.trace("revert")
-        if self.sim.ops_pending():
-            self.sim.schedule(self.period, self.on_timer)
+    def on_timer(self, sim):
+        self.reset()
+        self.trace("revert")
+        if sim.ops_pending():
+            sim.schedule(self.period, self.on_timer, sim)
 
 
-class Mute(ServerShell):
+class Mute:
     """Receives everything, says nothing."""
 
     def handle(self, msg, role):
-        self.base.dropped += 1
+        self.dropped += 1
         return None
 
 
-class EquivocateFragments(ServerShell):
+class EquivocateFragments:
     """Serves filter replies whose fragment bytes contradict the checksum."""
 
     def handle(self, msg, role):
-        reply = self.base.handle(msg, role)
+        reply = super().handle(msg, role)
         if (msg.kind == codec.FILTER and reply is not None
                 and reply.fr is not None):
             fr = reply.fr
@@ -179,8 +168,6 @@ class ByzReader:
     """Common pump loop: a budgeted burst, then reschedule while ops run."""
 
     role = "reader"
-    crashed = False
-    busy = False
 
     def __init__(self, cid, sim):
         self.cid = cid
@@ -189,8 +176,6 @@ class ByzReader:
         self.mode = sim.cfg.mode
         self.budget = sim.cfg.adversary_budget
         self.count = 0
-        self.phase = "adversary"
-        self.rounds = None
 
     def arm(self):
         self.sim.schedule(1 + self.rng.randint(0, 4), self.pump)

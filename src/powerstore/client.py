@@ -95,17 +95,41 @@ class ClientBase:
         self.crashed = False
         self.phase = None
         self.rounds = 0
+        self.crash_plan = None  # (phase, k): crash after k sends of that phase
+        self._acks = set()
         self._done = None
 
     def trace(self, etype, **fields):
         if self.tracer is not None:
             self.tracer(etype, client=self.cid, **fields)
 
-    def _broadcast(self, msg):
+    def _begin(self, done):
+        assert not self.busy and not self.crashed
+        self.busy = True
+        self._done = done
+        self.rounds = 0
+
+    def _round(self, phase, build):
+        """Start the operation's next round: count it, forget the last
+        round's acks and send build(sid) to every server, unless the crash
+        plan for this phase stops the client partway."""
+        self.phase = phase
+        self._acks = set()
+        self.rounds += 1
+        plan = self.crash_plan
+        left = plan[1] if plan is not None and plan[0] == phase else self.s
         for sid in range(1, self.s + 1):
-            if self.crashed:
+            if left == 0:
+                self.crashed = True
+                self.trace("crash")
                 return
-            self.send(sid, msg)
+            left -= 1
+            self.send(sid, build(sid))
+
+    def _quorum(self, sid):
+        """Count sid's ack to this round; True once s-t servers answered."""
+        self._acks.add(sid)
+        return len(self._acks) >= self.s - self.t
 
     def _finish(self, **stats):
         cb, self._done = self._done, None
@@ -130,29 +154,7 @@ class WriterBase(ClientBase):
         self.ts = TS0
         self.token = None
         self.vec = None
-        self._acks = set()
-        # ("store"|"complete", k): crash after k sends of that phase
-        self.crash_plan = None
-        self._sends_left = None
         self.data_bytes = 0  # fragment bytes the current write stores
-
-    def _maybe_crash(self, phase):
-        if self.crash_plan is None or self.crash_plan[0] != phase:
-            return False
-        if self._sends_left is None:
-            self._sends_left = self.crash_plan[1]
-        if self._sends_left <= 0:
-            self.crashed = True
-            self.trace("crash")
-            return True
-        self._sends_left -= 1
-        return False
-
-    def _send_round(self, phase, build):
-        for sid in range(1, self.s + 1):
-            if self._maybe_crash(phase):
-                return
-            self.send(sid, build(sid))
 
     def _start_store(self, value):
         self.token, commitments = self.scheme.mint(self.rng, self.t, self.s)
@@ -161,31 +163,20 @@ class WriterBase(ClientBase):
                               for fr in frs)
         cc = cross_checksum(frs)
         self.vec = self._make_vec()
-        self.phase = "store"
-        self._acks = set()
-        self.rounds += 1
-        self._send_round("store", lambda sid: codec.Store(
+        self._round("store", lambda sid: codec.Store(
             self.ts, frs[sid - 1], cc, commitments[sid - 1], self.vec))
 
     def _on_store_ack(self, sid, msg):
         if self.phase != "store" or msg.ts.key() != self.ts.key():
             return
-        self._acks.add(sid)
-        if len(self._acks) >= self.s - self.t:
-            self._start_complete()
-
-    def _start_complete(self):
-        self.phase = "complete"
-        self._acks = set()
-        self.rounds += 1
-        msg = codec.Complete(self.ts, self.token, self.vec)
-        self._send_round("complete", lambda sid: msg)
+        if self._quorum(sid):
+            complete = codec.Complete(self.ts, self.token, self.vec)
+            self._round("complete", lambda _: complete)
 
     def _on_complete_ack(self, sid, msg):
         if self.phase != "complete" or msg.ts.key() != self.ts.key():
             return
-        self._acks.add(sid)
-        if len(self._acks) >= self.s - self.t:
+        if self._quorum(sid):
             self._finish(rounds=self.rounds)
 
 
@@ -196,10 +187,7 @@ class SwWriter(WriterBase):
         return None
 
     def write(self, value, done):
-        assert not self.busy and not self.crashed
-        self.busy = True
-        self._done = done
-        self.rounds = 0
+        self._begin(done)
         self.ts = Timestamp(self.ts.num + 1, 0, b"")
         self._start_store(value)
 
@@ -210,7 +198,6 @@ class MwWriter(WriterBase):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._value = None
-        self._clock_echo = None
         self._clock_best = None
 
     def _make_vec(self):
@@ -218,29 +205,24 @@ class MwWriter(WriterBase):
                         self.scheme.token_digest(self.token))
 
     def write(self, value, done):
-        assert not self.busy and not self.crashed
-        self.busy = True
-        self._done = done
-        self.rounds = 1
+        self._begin(done)
         self._value = value
-        self.phase = "clock"
-        self._acks = set()
-        self._clock_echo = self.ts
         self._clock_best = self.ts
-        self._broadcast(codec.Clock(self.ts))
+        clock = codec.Clock(self.ts)
+        self._round("clock", lambda _: clock)
 
     def _clock_ts_ok(self, ts_i):
         return verify_timestamp(self.keyring.writer_key, ts_i.num, ts_i.pid,
                                 ts_i.tag)
 
     def _on_clock_ack(self, sid, msg):
-        if self.phase != "clock" or msg.echo != self._clock_echo:
+        # self.ts changes only when the clock round ends
+        if self.phase != "clock" or msg.echo != self.ts:
             return
-        self._acks.add(sid)
         ts_i = msg.ts
         if ts_i > self._clock_best and self._clock_ts_ok(ts_i):
             self._clock_best = ts_i
-        if len(self._acks) >= self.s - self.t:
+        if self._quorum(sid):
             num = self._clock_best.num + 1
             tag = tag_timestamp(self.keyring.writer_key, num, self.cid)
             self.ts = Timestamp(num, self.cid, tag)
@@ -256,42 +238,32 @@ class ReaderBase(ClientBase):
         super().__init__(*args, **kwargs)
         self.tsr = 0
         self.C = set()
-        self.Q = set()
         self.R = {}
         self.repaired = False
         self._selected = None
         self._value = None
 
     def read(self, done):
-        assert not self.busy and not self.crashed
-        self.busy = True
-        self._done = done
+        self._begin(done)
         self.tsr += 1
         self.C = set()
-        self.Q = set()
         self.R = {}
         self.repaired = False
         self._selected = None
         self._value = None
-        self.phase = "collect"
-        self.rounds = 1
-        self._broadcast(codec.Collect(self.tsr))
+        collect = codec.Collect(self.tsr)
+        self._round("collect", lambda _: collect)
 
     def _on_collect_ack(self, sid, msg):
         if self.phase != "collect" or msg.tsr != self.tsr:
             return
-        self.Q.add(sid)
         self.C.update(msg.cands)
-        if len(self.Q) >= self.s - self.t:
-            self._start_filter()
-
-    def _start_filter(self):
-        self.phase = "filter"
-        self.rounds += 1
-        zero = TS0.key()
-        self.C = {c for c in self.C if c.ts.key() > zero}
-        cands = tuple(sorted(self.C, key=Candidate.sort_key))
-        self._broadcast(codec.Filter(self.tsr, cands))
+        if self._quorum(sid):
+            zero = TS0.key()
+            self.C = {c for c in self.C if c.ts.key() > zero}
+            filt = codec.Filter(self.tsr,
+                                tuple(sorted(self.C, key=Candidate.sort_key)))
+            self._round("filter", lambda _: filt)
 
     def _safe(self, cand):
         return safe_witness(cand, self.R, self.t)
@@ -353,14 +325,11 @@ class MwReader(ReaderBase):
             return
         self.repaired = True
         self.trace("repair_sent", ts=c.ts)
-        self.phase = "repair"
-        self.rounds += 1
-        self._repair_acks = set()
-        self._broadcast(codec.Repair(self.tsr, Candidate(c.ts, c.token, vec)))
+        repair = codec.Repair(self.tsr, Candidate(c.ts, c.token, vec))
+        self._round("repair", lambda _: repair)
 
     def _on_repair_ack(self, sid, msg):
         if self.phase != "repair" or msg.tsr != self.tsr:
             return
-        self._repair_acks.add(sid)
-        if len(self._repair_acks) >= self.s - self.t:
+        if self._quorum(sid):
             self._finish_read()

@@ -11,6 +11,8 @@ in the oracles, not a feature.
 
 from __future__ import annotations
 
+import functools
+
 from . import codec
 from .client import MwReader, MwWriter, SwReader, SwWriter
 from .core import Candidate, safe_witness
@@ -77,6 +79,12 @@ REGISTRY = {
 }
 
 
+@functools.cache
+def layer(mixin, base):
+    """base with mixin's methods in front: a mutant or a byzantine server."""
+    return type(mixin.__name__ + base.__name__, (mixin, base), {})
+
+
 def classes_for(mode, mutant=""):
     """Role -> class for a mode; a mutant name layers its mixins on top."""
     if not mutant:
@@ -85,6 +93,5 @@ def classes_for(mode, mutant=""):
         raise ValueError("unknown mutant %r" % mutant)
     classes = dict(CLASSES[mode])
     for role, mixin in REGISTRY[mutant].items():
-        base = classes[role]
-        classes[role] = type(mixin.__name__ + base.__name__, (mixin, base), {})
+        classes[role] = layer(mixin, classes[role])
     return classes

@@ -2,7 +2,7 @@
 
 A server never contacts another server and never originates a message; every
 handler returns at most one reply for the requesting client. Byzantine
-variants wrap or subclass these classes in behaviors.py.
+servers are behaviors.py's mixins, layered over these classes.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class ServerBase:
         self.lc_set = set()  # LC, sw only: SwServer's handlers alone change it
         self.hist = {}  # ts.key() -> HistEntry
 
-    # behaviors override trace indirection, not the tracer itself
     def trace(self, etype, **fields):
         if self.tracer is not None:
             self.tracer(etype, server=self.sid, **fields)

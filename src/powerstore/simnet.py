@@ -165,35 +165,41 @@ def _fault_int(text, d):
 
 
 def parse_faults(directives, s, writers, readers) -> FaultPlan:
+    """At most one directive per party: a server, a reader or a writer."""
     plan = FaultPlan()
+    seen = {}  # party id -> its directive; server and client ids never meet
     for d in directives:
         parts = d.split(":")
         if parts[0] == "byz_server" and len(parts) == 3:
-            sid = _fault_int(parts[1], d)
-            if not 1 <= sid <= s:
-                raise ValueError("no server %d in %r" % (sid, d))
+            party = _fault_int(parts[1], d)
+            if not 1 <= party <= s:
+                raise ValueError("no server %d in %r" % (party, d))
             if parts[2] not in behaviors.SERVERS:
                 raise ValueError("unknown server behavior in %r" % d)
-            plan.byz_servers[sid] = parts[2]
+            plan.byz_servers[party] = parts[2]
         elif parts[0] == "byz_reader" and len(parts) == 3:
-            cid = _fault_int(parts[1], d)
-            if not READER_ID_BASE < cid <= READER_ID_BASE + readers:
-                raise ValueError("no reader %d in %r" % (cid, d))
+            party = _fault_int(parts[1], d)
+            if not READER_ID_BASE < party <= READER_ID_BASE + readers:
+                raise ValueError("no reader %d in %r" % (party, d))
             if parts[2] not in behaviors.READERS:
                 raise ValueError("unknown reader behavior in %r" % d)
-            plan.byz_readers[cid] = parts[2]
+            plan.byz_readers[party] = parts[2]
         elif parts[0] == "crash_writer" and len(parts) == 4:
-            cid = _fault_int(parts[1], d)
-            if not WRITER_ID_BASE < cid <= WRITER_ID_BASE + writers:
-                raise ValueError("no writer %d in %r" % (cid, d))
+            party = _fault_int(parts[1], d)
+            if not WRITER_ID_BASE < party <= WRITER_ID_BASE + writers:
+                raise ValueError("no writer %d in %r" % (party, d))
             if parts[2] not in ("after_store", "after_complete"):
                 raise ValueError("crash point must be after_store or after_complete")
             k = _fault_int(parts[3], d)
             if k < 0:
                 raise ValueError("%d is below 0 in %r" % (k, d))
-            plan.crash_writers[cid] = (parts[2][len("after_"):], k)
+            plan.crash_writers[party] = (parts[2][len("after_"):], k)
         else:
             raise ValueError("bad fault directive %r" % d)
+        if party in seen:
+            raise ValueError("%r and %r are both for party %d; give each "
+                             "party one fault" % (seen[party], d, party))
+        seen[party] = d
     return plan
 
 
@@ -329,16 +335,15 @@ class Simulation:
 
         self.servers = {}
         self.correct_servers = set()
-        server_cls = classes["server"]
         for sid in range(1, self.s + 1):
-            base = server_cls(sid, self.s, self.t, scheme=self.scheme,
-                              keyring=self.keyring, tracer=self.trace)
+            cls = classes["server"]
             name = plan.byz_servers.get(sid)
             if name is None:
-                self.servers[sid] = base
                 self.correct_servers.add(sid)
             else:
-                self.servers[sid] = behaviors.SERVERS[name](base, self)
+                cls = mutants.layer(behaviors.SERVERS[name], cls)
+            self.servers[sid] = cls(sid, self.s, self.t, scheme=self.scheme,
+                                    keyring=self.keyring, tracer=self.trace)
 
         self.clients = {}  # writers 101, 102, ..., then readers 201, 202, ...
         self.ops_left = {}  # correct clients only
@@ -525,7 +530,7 @@ class Simulation:
         for sid in sorted(self.plan.byz_servers):
             arm = getattr(self.servers[sid], "arm", None)
             if arm is not None:
-                arm()
+                arm(self)
 
         overran = False
         while self.heap:

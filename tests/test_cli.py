@@ -144,6 +144,14 @@ def test_a_malformed_delay_spec_is_a_usage_error_naming_it(capsys, spec):
     assert "expected %s:" % spec.split(":")[0] in err
 
 
+def test_two_faults_for_one_server_are_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "replay", "--mode", "sw", "--seed", "0",
+                             "--fault", "byz_server:1:mute",
+                             "--fault", "byz_server:1:stale_lc")
+    assert code == 2 and out == ""
+    assert "'byz_server:1:mute' and 'byz_server:1:stale_lc'" in err
+
+
 @pytest.mark.parametrize("source", ["--config", "--scenario"])
 @pytest.mark.parametrize("flag,value", [("--fault", "byz_server:1:mute"),
                                         ("--mode", "mw")])

@@ -76,23 +76,31 @@ def test_config_parser_names_the_line_and_key_of_a_bad_value(text, msg):
         parse_config(text)
 
 
-@pytest.mark.parametrize("directive,msg", [
-    ("byz_server:9:mute", "no server"),
-    ("byz_server:1:jam", "unknown server behavior"),
-    ("byz_reader:205:garbage_filter_sets", "no reader"),
-    ("byz_reader:202:jam", "unknown reader behavior"),
-    ("crash_writer:103:after_store:1", "no writer"),
-    ("crash_writer:101:mid_flight:1", "crash point must be"),
-    ("byz_server:x:mute", "'x' is not an integer in 'byz_server:x:mute'"),
-    ("crash_writer:101:after_store:x",
+@pytest.mark.parametrize("directives,msg", [
+    (("byz_server:9:mute",), "no server"),
+    (("byz_server:1:jam",), "unknown server behavior"),
+    (("byz_reader:205:garbage_filter_sets",), "no reader"),
+    (("byz_reader:202:jam",), "unknown reader behavior"),
+    (("crash_writer:103:after_store:1",), "no writer"),
+    (("crash_writer:101:mid_flight:1",), "crash point must be"),
+    (("byz_server:x:mute",), "'x' is not an integer in 'byz_server:x:mute'"),
+    (("crash_writer:101:after_store:x",),
      "'x' is not an integer in 'crash_writer:101:after_store:x'"),
-    ("crash_writer:101:after_store:-3",
+    (("crash_writer:101:after_store:-3",),
      "-3 is below 0 in 'crash_writer:101:after_store:-3'"),
-    ("sabotage:1:x", "bad fault directive"),
-])
-def test_fault_directives_are_validated(directive, msg):
+    (("sabotage:1:x",), "bad fault directive"),
+    # one fault per party: a second one used to replace the first silently
+    (("byz_server:1:mute", "byz_server:1:stale_lc"),
+     "'byz_server:1:mute' and 'byz_server:1:stale_lc'"),
+    (("byz_reader:202:flood_writebacks", "byz_server:2:mute",
+      "byz_reader:202:garbage_filter_sets"),
+     "'byz_reader:202:flood_writebacks' and 'byz_reader:202:garbage_filter_sets'"),
+    (("crash_writer:101:after_store:1", "crash_writer:101:after_complete:0"),
+     "'crash_writer:101:after_store:1' and 'crash_writer:101:after_complete:0'"),
+], ids=lambda v: ",".join(v) if isinstance(v, tuple) else v)
+def test_fault_directives_are_validated(directives, msg):
     with pytest.raises(ValueError, match=msg):
-        parse_faults((directive,), s=4, writers=2, readers=2)
+        parse_faults(directives, s=4, writers=2, readers=2)
 
 
 def test_fault_plan_groups_by_kind():
