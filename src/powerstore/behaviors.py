@@ -177,8 +177,8 @@ class ByzReader:
         self.budget = sim.cfg.adversary_budget
         self.count = 0
 
-    def arm(self):
-        self.sim.schedule(1 + self.rng.randint(0, 4), self.pump)
+    def arm(self, sim):
+        sim.schedule(1 + self.rng.randint(0, 4), self.pump)
 
     def on_message(self, sid, msg):
         pass

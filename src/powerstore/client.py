@@ -4,6 +4,13 @@ Each client runs one operation at a time. An operation advances through its
 rounds as acks arrive; stale acks (wrong phase, wrong timestamp, wrong read
 counter) are dropped on the floor. A crashed writer stops mid-broadcast and
 never invokes its completion callback.
+
+From the (s-t)-th ack of a read's filter round on, each ack tries one
+decision: drop the candidates above the invalid bound, ask for one safety
+witness at the highest remaining one and, once a witness stands behind it,
+restore its value. In mw mode the witness's MAC vector decides whether a
+repair round writes the candidate back, and is the vector that round
+carries.
 """
 
 from __future__ import annotations
@@ -37,22 +44,17 @@ class ProtocolInvariantError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Pure read-side procedures, shared by both modes
+# Pure read-side procedure, shared by both modes
 # ---------------------------------------------------------------------------
 
-def _agreed(ts: Timestamp, replies, t: int, field: str):
-    """The smallest value of a reply field that t+1 replies for ts agree on,
-    or None when no value other than None has that many."""
-    counts = Counter(getattr(rep, field) for rep in replies.values()
-                     if rep.ts.key() == ts.key())
-    return min((v for v, n in counts.items() if v is not None and n > t),
-               default=None)
-
-
 def restore_value(ts: Timestamp, replies, t: int, s: int, check_cc=True) -> bytes:
-    """Decode the value at ts from the reply table: pick the cross-checksum
-    vouched by t+1 servers, keep fragments matching their own slot of it."""
-    cc = _agreed(ts, replies, t, "cc")
+    """Decode the value at ts from the reply table: pick the smallest
+    cross-checksum vouched by t+1 servers, keep fragments matching their own
+    slot of it."""
+    counts = Counter(rep.cc for rep in replies.values()
+                     if rep.ts.key() == ts.key())
+    cc = min((v for v, n in counts.items() if v is not None and n > t),
+             default=None)
     if cc is None:
         raise ProtocolInvariantError("restore without a cross-checksum witness")
     frs = []
@@ -64,14 +66,6 @@ def restore_value(ts: Timestamp, replies, t: int, s: int, check_cc=True) -> byte
             continue
         frs.append(rep.fr)
     return ec_decode(frs, t + 1, s)
-
-
-def agreed_vec(ts: Timestamp, replies, t: int) -> tuple:
-    """The MAC vector vouched by t+1 servers answering for ts."""
-    vec = _agreed(ts, replies, t, "vec")
-    if vec is None:
-        raise ProtocolInvariantError("repair without a vector witness")
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +233,12 @@ class ReaderBase(ClientBase):
         self.tsr = 0
         self.C = set()
         self.R = {}
-        self.repaired = False
-        self._selected = None
-        self._value = None
 
     def read(self, done):
         self._begin(done)
         self.tsr += 1
         self.C = set()
         self.R = {}
-        self.repaired = False
-        self._selected = None
-        self._value = None
         collect = codec.Collect(self.tsr)
         self._round("collect", lambda _: collect)
 
@@ -273,63 +261,56 @@ class ReaderBase(ClientBase):
             return
         fr_hash = digest(fragment_to_bytes(msg.fr)) if msg.fr is not None else None
         self.R[sid] = Reply(msg.ts, msg.fr, msg.cc, msg.vec, fr_hash)
-        # recomputed at every ack: a byzantine server may overwrite its R entry
-        bound = invalid_bound(self.R, self.s, self.t)
-        if bound is not None:
-            self.C = {c for c in self.C if c.ts.key() <= bound}
         if len(self.R) < self.s - self.t:
             return
+        # recomputed at every ack: a byzantine server may overwrite its R entry
+        bound = invalid_bound(self.R, self.s, self.t)
+        self.C = {c for c in self.C if c.ts.key() <= bound}
         if not self.C:
-            self._value = BOTTOM
-            self._after_restore()
+            self._restored(None, None, BOTTOM)
             return
-        top = max(c.ts.key() for c in self.C)  # highcand holds at this key
-        ready = [c for c in self.C if c.ts.key() == top and self._safe(c)]
-        if not ready:
+        # sort keys begin with (num, pid): c is highcand, and safety depends
+        # on c.ts alone, so one witness decides for every variant at its key
+        c = max(self.C, key=Candidate.sort_key)
+        witness = self._safe(c)  # (ids, cc, vec) or None
+        if witness is None:
             return
-        c = max(ready, key=Candidate.sort_key)
-        self._selected = c
         self.trace("select", ts=c.ts, token=c.token)
-        self._value = restore_value(c.ts, self.R, self.t, self.s,
-                                    check_cc=self.check_cc)
-        self._after_restore()
+        self._restored(c, witness[2], restore_value(
+            c.ts, self.R, self.t, self.s, check_cc=self.check_cc))
 
-    def _finish_read(self):
-        self._finish(value=self._value, rounds=self.rounds,
-                     repaired=self.repaired)
+    def _restored(self, c, vec, value):
+        """The read's last step once c (None for an empty set) is restored to
+        value; vec is the MAC vector its witnesses agree on."""
+        self._finish(value=value, rounds=self.rounds, repaired=False)
 
 
 class SwReader(ReaderBase):
     """Two rounds per read: collect candidates, then filter and restore."""
 
-    def _after_restore(self):
-        self._finish_read()
-
 
 class MwReader(ReaderBase):
     """Collect and filter as in the single-writer mode, plus a repair round
-    when the selected candidate's MAC vector fails its integrity check."""
+    when no collected variant of the selected candidate carries the vector
+    its witnesses agree on."""
 
-    def _after_restore(self):
-        c = self._selected
-        if c is None:
-            self._finish_read()
-            return
-        vec = agreed_vec(c.ts, self.R, self.t)
+    _value = None  # the restored value, answered once the repair is acked
+
+    def _restored(self, c, vec, value):
         # an adversary can plant same-timestamp variants that differ only in
         # their vector; repair only when no collected variant carries the
-        # agreed one, so the variant tiebreak cannot steer the round count
-        variants = {v.vec for v in self.C if v.ts.key() == c.ts.key()}
-        if vec in variants:
-            self._finish_read()
+        # witnesses' one, so the variant tiebreak cannot steer the round count
+        if c is None or any(v.vec == vec for v in self.C
+                            if v.ts.key() == c.ts.key()):
+            super()._restored(c, vec, value)
             return
-        self.repaired = True
+        self._value = value
         self.trace("repair_sent", ts=c.ts)
-        repair = codec.Repair(self.tsr, Candidate(c.ts, c.token, vec))
+        repair = codec.Repair(self.tsr, c._replace(vec=vec))
         self._round("repair", lambda _: repair)
 
     def _on_repair_ack(self, sid, msg):
         if self.phase != "repair" or msg.tsr != self.tsr:
             return
         if self._quorum(sid):
-            self._finish_read()
+            self._finish(value=self._value, rounds=self.rounds, repaired=True)

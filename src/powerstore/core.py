@@ -1,9 +1,13 @@
 """Protocol-wide domain types and the candidate predicates.
 
 A candidate is the metadata (timestamp, proof token[, MAC vector]) naming a
-potentially completed write. Servers judge candidates with valid_*; readers
-judge them with safe_witness/invalid/highcand over the reply table of their
-second round; invalid_bound gives invalid's threshold once for a whole table.
+potentially completed write. Servers judge candidates with valid_* against
+their history, which maps each stored timestamp to the STORE that wrote it.
+A reader judges the reply table of its second round once per filter round:
+invalid_bound is invalid's threshold for the whole table, and safe_witness
+gives the t+1 replies that make the top candidate safe and fix its MAC
+vector. invalid and highcand are the paper's per-candidate predicates, kept
+for the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -77,23 +81,13 @@ class Candidate(NamedTuple):
 C0 = Candidate(TS0, None, None)
 
 
-@dataclass(frozen=True)
-class HistEntry:
-    """One server's stored state for a timestamp: fragment, cross-checksum,
-    proof commitment (token hash or private share), and MW MAC vector."""
-
-    fr: object  # erasure.Fragment
-    cc: tuple
-    commitment: object
-    vec: Optional[tuple] = None
-
-
 # ---------------------------------------------------------------------------
 # Server-side validity
 # ---------------------------------------------------------------------------
 
 def valid_by_hist(candidate: Candidate, hist: Mapping, scheme=HASH_POW) -> bool:
-    """True iff the history entry at candidate.ts commits to its token."""
+    """True iff the history entry (a STORE) at candidate.ts commits to its
+    token."""
     if candidate.token is None:
         return False
     entry = hist.get(candidate.ts.key())

@@ -27,7 +27,6 @@ class Scenario:
     faults: tuple = ()
     delay: str = "uniform:1,10"
     pow_name: str = ""  # pinned scheme; empty defers to the caller
-    expect_repairs: str = "zero"  # "zero" per run, or "some" over a sweep
 
     def config(self, seed, t=1, pow_name="hash", **over):
         kw = dict(mode=self.mode, pow_name=self.pow_name or pow_name, t=t,
@@ -70,8 +69,7 @@ _CATALOG = [
     Scenario("mw-pareto", "concurrent writers under heavy-tailed delays",
              "mw", delay="pareto:20,4"),
     Scenario("mw-bigmac", "one server garbles MAC vectors, forcing repairs",
-             "mw", faults=("byz_server:1:corrupt_vec",),
-             expect_repairs="some"),
+             "mw", faults=("byz_server:1:corrupt_vec",)),
     Scenario("mw-byz-fabricate", "one server invents colossal candidates",
              "mw", faults=("byz_server:2:fabricate_candidate",)),
     Scenario("mw-byz-equivocate", "one server garbles served fragments",
@@ -96,6 +94,13 @@ CATALOG = {sc.name: sc for sc in _CATALOG}
 SWEEP_NAMES = ("sw-catalog", "mw-catalog")
 
 
+def garbles_vectors(faults) -> bool:
+    """Whether some server runs corrupt_vec: the one fault under which a
+    correct reader's repair round is expected rather than a failure."""
+    return any(d.startswith("byz_server:") and d.endswith(":corrupt_vec")
+               for d in faults)
+
+
 def fab_selects(result) -> int:
     """Selections of never-written candidates by correct readers."""
     correct = set(result.meta["correct_readers"])
@@ -104,8 +109,8 @@ def fab_selects(result) -> int:
                and ev["ts"].num >= FAB_NUM_FLOOR)
 
 
-def evaluate(scenario, result):
-    """Failure strings for one run against the scenario's expectations."""
+def evaluate(result):
+    """Failure strings and checker verdicts for one run."""
     failures = []
     if result.crash_reason is not None:
         failures.append("client crash: %s" % result.crash_reason)
@@ -121,7 +126,7 @@ def evaluate(scenario, result):
                 failures.append("%s: %s" % (name, verdicts[name].detail))
     except checker.HistoryMalformed as exc:
         failures.append("malformed history: %s" % exc)
-    if scenario.expect_repairs == "zero" and result.metrics["repairs"]:
+    if result.metrics["repairs"] and not garbles_vectors(result.config.faults):
         failures.append("repair rounds without vector corruption")
     if result.config.mode == "mw" and result.metrics["lc_set_peak"]:
         failures.append("multi-writer server accumulated %d candidates"
@@ -134,7 +139,7 @@ def evaluate(scenario, result):
 
 def report_for(scenario, result):
     """One picklable, json-friendly record summarizing a verified run."""
-    failures, verdicts = evaluate(scenario, result)
+    failures, verdicts = evaluate(result)
     write_rounds = sorted({rec.rounds for rec in result.history
                            if rec.kind == "write" and rec.res_seq is not None})
     read_rounds = sorted({rec.rounds for rec in result.history

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 
 from . import codec
-from .core import C0, Candidate, HistEntry, valid_by_hist, valid_mw
+from .core import C0, Candidate, valid_by_hist, valid_mw
 from .crypto import HASH_POW
 
 # role a correct server demands for each request kind
@@ -24,7 +24,7 @@ ROLE_FOR_KIND = {
 }
 
 
-def _entry_bytes(entry: HistEntry) -> int:
+def _entry_bytes(entry: codec.Store) -> int:
     n = 0
     if entry.fr is not None:
         n += len(entry.fr.payload) + 10
@@ -56,7 +56,7 @@ class ServerBase:
         """Forget lc, LC and the history, as a restarted replica would."""
         self.lc = C0
         self.lc_set = set()  # LC, sw only: SwServer's handlers alone change it
-        self.hist = {}  # ts.key() -> HistEntry
+        self.hist = {}  # ts.key() -> the STORE that wrote it
 
     def trace(self, etype, **fields):
         if self.tracer is not None:
@@ -75,8 +75,7 @@ class ServerBase:
         self.trace("accept", via=via, ts=cand.ts, token=cand.token)
 
     def _on_store(self, msg):
-        self.hist[msg.ts.key()] = HistEntry(msg.fr, msg.cc, msg.commitment,
-                                            msg.vec)
+        self.hist[msg.ts.key()] = msg
         self.trace("store", ts=msg.ts, commitment=msg.commitment)
         return codec.StoreAck(msg.ts)
 

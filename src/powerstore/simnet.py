@@ -8,7 +8,8 @@ Every message crosses the wire as encoded bytes and is decoded on delivery.
 One rule shares that work: a payload (a message, or an adversary's raw
 bytes) equal to one still in flight reuses its wire and its decode, so
 copies share one immutable message. An event is a function and its
-arguments, called when its tick comes.
+arguments, called when its tick comes. A party with an arm(sim) method
+schedules its own first event when the run starts.
 """
 
 from __future__ import annotations
@@ -525,10 +526,9 @@ class Simulation:
         for cid in self.ops_left:
             self.schedule(self.rng["workload"].randint(0, 4),
                           self._start_op, cid)
-        for cid in sorted(self.plan.byz_readers):
-            self.clients[cid].arm()
-        for sid in sorted(self.plan.byz_servers):
-            arm = getattr(self.servers[sid], "arm", None)
+        # timed parties: clients, then servers, each dict in id order
+        for party in (*self.clients.values(), *self.servers.values()):
+            arm = getattr(party, "arm", None)
             if arm is not None:
                 arm(self)
 

@@ -1,13 +1,14 @@
 """End-to-end command line behavior, in process via main(argv)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from test_golden import PINS_PATH
 from powerstore import scenarios
 from powerstore.cli import main
-from powerstore.simnet import SimConfig, format_config, parse_config
+from powerstore.simnet import SimConfig, format_config, parse_config, run
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +165,37 @@ def test_ad_hoc_flags_with_a_scenario_or_config_are_a_usage_error(
     where = str(path) if source == "--config" else "sw-baseline"
     code, out, err = run_cli(capsys, *cmd, source, where, flag, value)
     assert code == 2 and out == "" and "ad-hoc runs only" in err
+
+
+@pytest.mark.parametrize("cmd", [("run", "--seeds", "2"),
+                                 ("replay", "--seed", "0")])
+def test_a_config_with_a_scenario_is_a_usage_error(tmp_path, capsys, cmd):
+    path = tmp_path / "sw.cfg"
+    path.write_text("mode=sw\n")
+    code, out, err = run_cli(capsys, *cmd, "--config", str(path),
+                             "--scenario", "mw-bigmac")
+    assert code == 2 and out == ""
+    assert "--config and --scenario" in err
+
+
+def test_adhoc_vector_corruption_repairs_and_passes(capsys):
+    # seeds 8..12 repair, as the same seeds of --scenario mw-bigmac do
+    code, out, _ = run_cli(capsys, "run", "--mode", "mw", "--fault",
+                           "byz_server:1:corrupt_vec", "--seed-start", "8",
+                           "--seeds", "5")
+    assert code == 0 and "PASS" in out
+    assert int(out.split("repairs ")[1].split()[0]) > 0
+
+
+def test_repairs_fail_a_run_unless_a_server_garbles_vectors():
+    config = scenarios.pair_for("mw-bigmac", 8)[1]
+    result = run(config)
+    assert result.metrics["repairs"]
+    assert scenarios.evaluate(result)[0] == []
+    for faults in ((), ("byz_server:1:stale_lc",)):
+        result.config = replace(config, faults=faults)
+        assert scenarios.evaluate(result)[0] == [
+            "repair rounds without vector corruption"]
 
 
 def test_adhoc_run_with_fault_flags(capsys):

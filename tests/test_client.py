@@ -8,11 +8,11 @@ from dataclasses import replace
 import pytest
 
 from powerstore import codec
-from powerstore.client import (
-    BOTTOM, ProtocolInvariantError, agreed_vec, restore_value)
+from powerstore.client import BOTTOM, ProtocolInvariantError, restore_value
 from powerstore.core import C0, Candidate, Reply, TS0, Timestamp
 from powerstore.crypto import KeyRing, digest, pow_scheme
-from powerstore.erasure import cross_checksum, encode, fragment_to_bytes
+from powerstore.erasure import (Fragment, cross_checksum, encode,
+                                fragment_to_bytes)
 from powerstore.mutants import classes_for
 from test_core import _invalid_by_count
 
@@ -263,12 +263,29 @@ def test_restore_value_drops_fragments_failing_their_slot():
     assert restore_value(ts, replies, T, S) == b"payload"
 
 
-def test_agreed_vec_needs_a_quorum_of_matching_vectors():
+def test_mw_repair_carries_the_witnesses_vector():
+    # servers 3 and 4 agree on a vector below the witnesses' one, but their
+    # fragments fail their own checksum slot, so they witness nothing
+    loop = Loop("mw")
+    reader = loop.client("reader", 201)
+    out = {}
+    reader.read(lambda **kw: out.update(kw))
+    loop.queue.clear()
     ts = Timestamp(1, 102, b"tag")
-    vec = tuple(digest(b"%d" % i) for i in range(S))
-    replies = {1: Reply(ts, None, None, vec), 2: Reply(ts, None, None, vec)}
-    assert agreed_vec(ts, replies, T) == vec
-    lone = {1: Reply(ts, None, None, vec),
-            2: Reply(ts, None, None, tuple(reversed(vec)))}
-    with pytest.raises(ProtocolInvariantError):
-        agreed_vec(ts, lone, T)
+    low, good, garbled = ((bytes([b]) * 32,) * S for b in (1, 2, 3))
+    reader.phase = "filter"
+    reader.C = {Candidate(ts, b"token", garbled)}
+    frs = encode(b"payload", T + 1, S)
+    cc = cross_checksum(frs)
+    for sid, vec in ((3, low), (4, low), (1, good), (2, good)):
+        fr = frs[sid - 1]
+        if vec == low:
+            fr = Fragment(fr.index, fr.orig_len, b"\x00" * len(fr.payload))
+        reader.on_message(sid, codec.FilterAck(reader.tsr, ts, fr, cc, vec))
+    assert reader.phase == "repair"
+    repairs = {msg for _, _, msg in loop.queue}
+    assert repairs == {codec.Repair(reader.tsr, Candidate(ts, b"token", good))}
+    loop.queue.clear()
+    for sid in (1, 2, 3):
+        reader.on_message(sid, codec.RepairAck(reader.tsr))
+    assert out["value"] == b"payload" and out["repaired"]

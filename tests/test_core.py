@@ -6,11 +6,11 @@ import random
 
 import pytest
 
+from powerstore import codec
 from powerstore.core import (
     C0,
     TS0,
     Candidate,
-    HistEntry,
     Reply,
     Timestamp,
     highcand,
@@ -139,7 +139,7 @@ def test_logs_render_timestamps_and_candidates_as_objects():
 def test_valid_sw_accepts_committed_token():
     nonce = b"\x11" * 32
     ts = Timestamp(3)
-    hist = {ts.key(): HistEntry(b"fr", (b"c",), digest(nonce))}
+    hist = {ts.key(): codec.Store(ts, b"fr", (b"c",), digest(nonce))}
     assert valid_by_hist(Candidate(ts, nonce), hist)
     assert not valid_by_hist(Candidate(ts, b"\x22" * 32), hist)
     assert not valid_by_hist(Candidate(Timestamp(4), nonce), hist)
@@ -149,7 +149,8 @@ def test_valid_sw_accepts_committed_token():
 def test_valid_sw_shamir_share_commitment():
     scheme = pow_scheme("shamir", q=2**61 - 1)
     poly, shares = scheme.mint(random.Random(5), t=2, s=7)
-    hist = {Timestamp(1).key(): HistEntry(b"fr", (b"c",), shares[3])}
+    hist = {Timestamp(1).key(): codec.Store(Timestamp(1), b"fr", (b"c",),
+                                            shares[3])}
     assert valid_by_hist(Candidate(Timestamp(1), poly), hist, scheme)
     bad_poly, _ = scheme.mint(random.Random(6), t=2, s=7)
     assert not valid_by_hist(Candidate(Timestamp(1), bad_poly), hist, scheme)
@@ -163,7 +164,7 @@ def test_valid_mw_history_branch_and_mac_branch():
     ts = Timestamp(2, 5, b"tag")
     vec = make_vec(ring, ts.num, ts.pid, digest(nonce))
     cand = Candidate(ts, nonce, vec)
-    hist = {ts.key(): HistEntry(b"fr", (b"c",), digest(nonce))}
+    hist = {ts.key(): codec.Store(ts, b"fr", (b"c",), digest(nonce))}
 
     for sid in range(1, S + 1):
         assert valid_mw(cand, hist, sid, ring.key_for(sid))

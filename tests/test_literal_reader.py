@@ -8,6 +8,7 @@ t+1 replies, counted one by one, agree on. _LiteralSwReader and
 _LiteralMwReader are those rules; whole runs must give the same outputs
 under both."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -111,25 +112,38 @@ def differential_configs():
     return configs
 
 
-def outputs(config):
-    """A run's log digest, history signature and metrics."""
-    res = simnet.run(config)
-    return res.log_digest(), res.history_signature(), dict(res.metrics)
+def outputs(config, monkeypatch):
+    """A run's log digest, history signature, metrics and the digest of
+    every REPAIR it encoded: a repair's vector shows in no log event."""
+    repairs = hashlib.sha256()
+    real = codec.encode
+
+    def encode(msg):
+        wire = real(msg)
+        if msg.kind == codec.REPAIR:
+            repairs.update(wire)
+        return wire
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "encode", encode)
+        res = simnet.run(config)
+    return (res.log_digest(), res.history_signature(), dict(res.metrics),
+            repairs.hexdigest())
 
 
 @pytest.mark.parametrize("key", sorted(differential_configs()))
 def test_runs_match_the_literal_reader_rules(key, monkeypatch):
     config = differential_configs()[key]
-    got = outputs(config)
+    got = outputs(config, monkeypatch)
     monkeypatch.setitem(mutants.CLASSES[config.mode], "reader",
                         LITERAL[config.mode])
     sim = simnet.Simulation(config)
     assert any(isinstance(c, _LiteralRules) for c in sim.clients.values())
-    assert outputs(config) == got
+    assert outputs(config, monkeypatch) == got
 
 
-def test_the_differential_reaches_the_repair_round():
+def test_the_differential_reaches_the_repair_round(monkeypatch):
     configs = differential_configs()
     repairing = [key for key in sorted(configs) if key.startswith("mw-bigmac/")
-                 and outputs(configs[key])[2]["repairs"]]
+                 and outputs(configs[key], monkeypatch)[2]["repairs"]]
     assert len(repairing) >= 8, repairing
