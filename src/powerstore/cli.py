@@ -14,7 +14,8 @@ import sys
 from dataclasses import replace
 
 from . import scenarios
-from .simnet import format_config, make_delay_fn, parse_config, run
+from .simnet import (MAX_T, format_config, make_delay_fn, parse_config, run,
+                     value_header_bytes)
 
 
 # (flag, the SimConfig field it sets, argparse options); a flag applies only
@@ -181,28 +182,30 @@ def _percentile(values, frac):
 def cmd_bench(args):
     t_values = [int(v) for v in args.t_list.split(",")]
     sizes = [int(v) for v in args.sizes.split(",")]
+    bench = scenarios.Scenario(name="bench", summary="cost bench",
+                               mode=args.mode, delay=args.delay)
+    base = bench.config(0, pow_name=args.pow, writes=2, reads=2)
+    head = value_header_bytes(base.writers, base.writes)
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1, got %d" % args.seeds)
-    if min(sizes) < 1:
-        raise ValueError("--sizes must be at least 1 byte, got %d" % min(sizes))
-    if min(t_values) < 0:
-        raise ValueError("--t-list must be at least 0, got %d" % min(t_values))
+    if min(sizes) < head:
+        raise ValueError("--sizes must be at least %d bytes, the value header, "
+                         "got %d" % (head, min(sizes)))
+    if not 0 <= min(t_values) <= max(t_values) <= MAX_T:
+        raise ValueError("--t-list entries must be 0..%d, got %s"
+                         % (MAX_T, args.t_list))
     make_delay_fn(args.delay)  # a bad --delay raises before the header
     print("cost bench, %s mode, %s proofs, delays %s" %
           (args.mode, args.pow, args.delay))
     print("latencies are simulated ticks, not wall-clock throughput")
     header = ("t", "s", "value B", "data B/write", "ideal", "dev %",
               "write p50/p95", "read p50/p95", "msgs/op")
-    bench = scenarios.Scenario(name="bench", summary="cost bench",
-                               mode=args.mode, delay=args.delay)
     rows = []
     for t in t_values:
         for size in sizes:
             ops, wl, rl, data, msgs = [], [], [], 0, 0
             for seed in range(args.seeds):
-                cfg = bench.config(seed, t=t, pow_name=args.pow, writes=2,
-                                   reads=2, value_size=size)
-                res = run(cfg)
+                res = run(replace(base, seed=seed, t=t, value_size=size))
                 for rec in res.history:
                     if rec.res_tick is None:
                         continue
@@ -212,7 +215,7 @@ def cmd_bench(args):
                 data += res.metrics["data_bytes"]
                 msgs += res.metrics["msgs_sent"]
             s = 3 * t + 1
-            per_write = data / (cfg.writes * cfg.writers * args.seeds)
+            per_write = data / (base.writes * base.writers * args.seeds)
             ideal = s * size / (t + 1)
             rows.append((t, s, size, round(per_write), round(ideal),
                          "%+.2f" % ((per_write - ideal) / ideal * 100),

@@ -24,18 +24,6 @@ ROLE_FOR_KIND = {
 }
 
 
-def _entry_bytes(entry: codec.Store) -> int:
-    n = 0
-    if entry.fr is not None:
-        n += len(entry.fr.payload) + 10
-    if entry.cc:
-        n += sum(len(c) for c in entry.cc)
-    n += 32  # commitment, give or take the share encoding
-    if entry.vec:
-        n += sum(len(v) for v in entry.vec)
-    return n
-
-
 class ServerBase:
     """State and the store/complete handlers shared by both modes."""
 
@@ -99,7 +87,8 @@ class ServerBase:
             "lc_ts": self.lc.ts.key(),
             "lc_set_size": len(self.lc_set),
             "hist_len": len(self.hist),
-            "hist_bytes": sum(map(_entry_bytes, self.hist.values())),
+            "hist_bytes": sum(len(codec.encode(entry))
+                              for entry in self.hist.values()),
         }
 
 

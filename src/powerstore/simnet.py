@@ -9,7 +9,14 @@ One rule shares that work: a payload (a message, or an adversary's raw
 bytes) equal to one still in flight reuses its wire and its decode, so
 copies share one immutable message. An event is a function and its
 arguments, called when its tick comes. A party with an arm(sim) method
-schedules its own first event when the run starts.
+schedules its own first event when the run starts. One delivery step hands
+each copy to its client, or to its server to answer.
+
+The fault table maps each party id to its one fault; server, writer and
+reader ids never meet, so a party is correct iff it is absent. With log_wire
+on, a send event is the adversary's view of a message: kind, size, raw bytes
+as sent, and a STORE's commitment, "<redacted>" from a correct writer to a
+correct server under the proof-sharing scheme.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import behaviors, codec, mutants
 from .client import ProtocolInvariantError
@@ -29,8 +36,10 @@ from .core import Candidate, OperationRecord, Timestamp
 from .crypto import KeyRing, Polynomial, ShamirShare, digest, pow_scheme
 from .erasure import ErasureError, Fragment
 
-WRITER_ID_BASE = 100  # writers are 101, 102, ...; readers 201, 202, ...
+WRITER_ID_BASE = 100  # servers 1..3t+1, writers 101, 102, ..., readers 201, ...
 READER_ID_BASE = 200
+MAX_T = (WRITER_ID_BASE - 1) // 3  # so that ids never meet: 3t+1 <= 100
+MAX_WRITERS = READER_ID_BASE - WRITER_ID_BASE
 MAX_TICKS = 1_000_000  # livelock guard: a run still going then is a deadlock
 
 
@@ -151,13 +160,6 @@ def make_delay_fn(spec: str):
     return lambda rng: max(1, round(xm * (1.0 - rng.random()) ** e))
 
 
-@dataclass
-class FaultPlan:
-    byz_servers: dict = field(default_factory=dict)  # sid -> behavior name
-    byz_readers: dict = field(default_factory=dict)  # cid -> behavior name
-    crash_writers: dict = field(default_factory=dict)  # cid -> (phase, k)
-
-
 def _fault_int(text, d):
     try:
         return int(text)
@@ -165,10 +167,10 @@ def _fault_int(text, d):
         raise ValueError("%r is not an integer in %r" % (text, d)) from None
 
 
-def parse_faults(directives, s, writers, readers) -> FaultPlan:
-    """At most one directive per party: a server, a reader or a writer."""
-    plan = FaultPlan()
-    seen = {}  # party id -> its directive; server and client ids never meet
+def parse_faults(directives, s, writers, readers) -> dict:
+    """The fault table: party id -> a byzantine server's or reader's
+    behavior name, or a crashing writer's (phase, k)."""
+    faults = {}
     for d in directives:
         parts = d.split(":")
         if parts[0] == "byz_server" and len(parts) == 3:
@@ -177,14 +179,14 @@ def parse_faults(directives, s, writers, readers) -> FaultPlan:
                 raise ValueError("no server %d in %r" % (party, d))
             if parts[2] not in behaviors.SERVERS:
                 raise ValueError("unknown server behavior in %r" % d)
-            plan.byz_servers[party] = parts[2]
+            fault = parts[2]
         elif parts[0] == "byz_reader" and len(parts) == 3:
             party = _fault_int(parts[1], d)
             if not READER_ID_BASE < party <= READER_ID_BASE + readers:
                 raise ValueError("no reader %d in %r" % (party, d))
             if parts[2] not in behaviors.READERS:
                 raise ValueError("unknown reader behavior in %r" % d)
-            plan.byz_readers[party] = parts[2]
+            fault = parts[2]
         elif parts[0] == "crash_writer" and len(parts) == 4:
             party = _fault_int(parts[1], d)
             if not WRITER_ID_BASE < party <= WRITER_ID_BASE + writers:
@@ -194,14 +196,16 @@ def parse_faults(directives, s, writers, readers) -> FaultPlan:
             k = _fault_int(parts[3], d)
             if k < 0:
                 raise ValueError("%d is below 0 in %r" % (k, d))
-            plan.crash_writers[party] = (parts[2][len("after_"):], k)
+            fault = (parts[2][len("after_"):], k)
         else:
             raise ValueError("bad fault directive %r" % d)
-        if party in seen:
+        if party in faults:
+            # every directive before d parsed, so the first for party is one
+            first = next(e for e in directives if int(e.split(":")[1]) == party)
             raise ValueError("%r and %r are both for party %d; give each "
-                             "party one fault" % (seen[party], d, party))
-        seen[party] = d
-    return plan
+                             "party one fault" % (first, d, party))
+        faults[party] = fault
+    return faults
 
 
 def _stream_seed(seed: int, name: str) -> int:
@@ -210,9 +214,14 @@ def _stream_seed(seed: int, name: str) -> int:
 
 def make_value(cid: int, k: int, size: int) -> bytes:
     head = b"%d.%d|" % (cid, k)
-    if len(head) >= size:
-        return head
     return head + b"x" * (size - len(head))
+
+
+def value_header_bytes(writers: int, writes: int) -> int:
+    """The longest value header a run writes: the last writer's last one."""
+    if not writers or not writes:
+        return 0
+    return len(make_value(WRITER_ID_BASE + writers, writes, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,6 @@ class RunResult:
     monitor: object
     crash_reason: object
     deadlock: object
-    taps: list
     meta: dict
 
     def export_ndjson(self) -> str:
@@ -300,6 +308,14 @@ class Simulation:
                 raise ValueError("%s must be at least 0, got %d"
                                  % (name, getattr(config, name)))
         self.s = 3 * self.t + 1
+        for name, most in (("t", MAX_T), ("writers", MAX_WRITERS)):
+            if getattr(config, name) > most:
+                raise ValueError("%s must be at most %d, got %d"
+                                 % (name, most, getattr(config, name)))
+        head = value_header_bytes(config.writers, config.writes)
+        if config.value_size < head:
+            raise ValueError("value_size must be at least %d, the longest value "
+                             "header, got %d" % (head, config.value_size))
         if config.mode not in ("sw", "mw"):
             raise ValueError("mode must be sw or mw")
         if config.mode == "sw" and config.writers > 1:
@@ -313,7 +329,6 @@ class Simulation:
         self._seq = 0
         self.heap = []
         self.events = []
-        self.taps = []
         self.metrics = {
             "msgs_sent": 0, "msgs_delivered": 0, "bytes_sent": 0,
             "dropped_malformed": 0, "data_bytes": 0, "completed_writes": 0,
@@ -327,22 +342,17 @@ class Simulation:
         # payload -> [copies in flight, wire, decoded message or None]
         self._in_flight = {}
 
-        plan = parse_faults(config.faults, self.s,
-                            config.writers, config.readers)
-        self.plan = plan
+        self.faults = parse_faults(config.faults, self.s,
+                                   config.writers, config.readers)
         self.keyring = (KeyRing.generate(self.s, self.rng["crypto"])
                         if config.mode == "mw" else None)
         classes = mutants.classes_for(config.mode, config.mutant)
 
         self.servers = {}
-        self.correct_servers = set()
         for sid in range(1, self.s + 1):
             cls = classes["server"]
-            name = plan.byz_servers.get(sid)
-            if name is None:
-                self.correct_servers.add(sid)
-            else:
-                cls = mutants.layer(behaviors.SERVERS[name], cls)
+            if sid in self.faults:
+                cls = mutants.layer(behaviors.SERVERS[self.faults[sid]], cls)
             self.servers[sid] = cls(sid, self.s, self.t, scheme=self.scheme,
                                     keyring=self.keyring, tracer=self.trace)
 
@@ -353,9 +363,9 @@ class Simulation:
                  self.keyring),
                 ("reader", READER_ID_BASE, config.readers, config.reads, None)):
             for cid in range(base + 1, base + n + 1):
-                name = plan.byz_readers.get(cid)
-                if name is not None:
-                    self.clients[cid] = behaviors.READERS[name](cid, self)
+                if role == "reader" and cid in self.faults:
+                    self.clients[cid] = behaviors.READERS[self.faults[cid]](
+                        cid, self)
                     continue
                 self.clients[cid] = classes[role](
                     cid, s=self.s, t=self.t, scheme=self.scheme,
@@ -393,29 +403,20 @@ class Simulation:
         metrics = self.metrics
         metrics["msgs_sent"] += 1
         metrics["bytes_sent"] += len(wire)
-        to_server = dst in self.servers
-        if self.cfg.log_wire:
+        if self.cfg.log_wire:  # the send event is the adversary's view
             kind = int.from_bytes(wire[:1], "big")
-            if to_server:
-                self._tap(src, dst, payload, wire, kind)
-            self.trace("send", src=src, dst=dst, kind=kind, nbytes=len(wire))
-        self.schedule(self._delay(), self._deliver_to_server if to_server
-                      else self._deliver_to_client, src, dst, payload, entry)
-
-    def _tap(self, cid, sid, payload, wire, kind):
-        """What the adversary observes of client-to-server traffic. With the
-        proof-sharing scheme, the commitment rides a confidential channel, so
-        it is redacted between correct endpoints."""
-        entry = {"src": cid, "dst": sid, "nbytes": len(wire), "kind": kind}
-        if isinstance(payload, bytes):
-            entry["raw"] = payload
-        elif kind == codec.STORE:
-            redact = (self.scheme.name == "shamir"
-                      and sid in self.correct_servers
-                      and self.clients[cid].role == "writer")
-            entry["commitment"] = ("<redacted>" if redact
-                                   else payload.commitment)
-        self.taps.append(entry)
+            view = {}
+            if isinstance(payload, bytes):
+                view["raw"] = payload
+            elif kind == codec.STORE:
+                redact = (self.scheme.name == "shamir"
+                          and dst not in self.faults
+                          and self.clients[src].role == "writer")
+                view["commitment"] = ("<redacted>" if redact
+                                      else payload.commitment)
+            self.trace("send", src=src, dst=dst, kind=kind, nbytes=len(wire),
+                       **view)
+        self.schedule(self._delay(), self._deliver, src, dst, payload, entry)
 
     # -- deliveries --------------------------------------------------------
 
@@ -439,44 +440,41 @@ class Simulation:
             self.trace("deliver", src=src, dst=dst, kind=msg.kind)
         return msg
 
-    def _deliver_to_server(self, cid, sid, payload, entry):
-        msg = self._receive(cid, sid, payload, entry)
+    def _deliver(self, src, dst, payload, entry):
+        """One copy reaches dst: a client takes it, a server answers it."""
+        msg = self._receive(src, dst, payload, entry)
         if msg is None:
             return
-        server = self.servers[sid]
-        correct = sid in self.correct_servers
+        if dst in self.clients:
+            self.clients[dst].on_message(src, msg)
+            return
+        server = self.servers[dst]
+        correct = dst not in self.faults
         prev_lc = server.lc if correct else None
-        reply = server.handle(msg, self.clients[cid].role)
+        reply = server.handle(msg, self.clients[src].role)
         if correct:
             lc = server.lc
             if (lc is not prev_lc and lc.ts.key() < prev_lc.ts.key()
                     and self.monitor is None):
                 self.monitor = "lc regressed at server %d: %r -> %r" % (
-                    sid, prev_lc.ts.key(), lc.ts.key())
-                self.trace("monitor", server=sid, detail=self.monitor)
+                    dst, prev_lc.ts.key(), lc.ts.key())
+                self.trace("monitor", server=dst, detail=self.monitor)
             if len(server.lc_set) > self.metrics["lc_set_peak"]:
                 self.metrics["lc_set_peak"] = len(server.lc_set)
         if reply is not None:
-            self.send(sid, cid, reply)
-
-    def _deliver_to_client(self, sid, cid, payload, entry):
-        msg = self._receive(sid, cid, payload, entry)
-        if msg is not None:
-            self.clients[cid].on_message(sid, msg)
+            self.send(dst, src, reply)
 
     # -- workload ----------------------------------------------------------
 
     def _start_op(self, cid):
         client = self.clients[cid]
-        if client.crashed or self.ops_left.get(cid, 0) <= 0:
-            return
         assert not client.busy
         self.ops_left[cid] -= 1
         if client.role == "writer":
             value = make_value(cid, self.cfg.writes - self.ops_left[cid],
                                self.cfg.value_size)
-            if (cid in self.plan.crash_writers and self.ops_left[cid] == 0):
-                client.crash_plan = self.plan.crash_writers[cid]
+            if self.ops_left[cid] == 0 and cid in self.faults:
+                client.crash_plan = self.faults[cid]
             rec = OperationRecord(client=cid, kind="write", value=value,
                                   inv_seq=self.next_seq(), inv_tick=self.now)
             self.history.append(rec)
@@ -523,9 +521,12 @@ class Simulation:
     # -- run ---------------------------------------------------------------
 
     def run(self) -> RunResult:
-        for cid in self.ops_left:
-            self.schedule(self.rng["workload"].randint(0, 4),
-                          self._start_op, cid)
+        for cid, ops in self.ops_left.items():
+            # a client with no operations still draws its start, so the
+            # other clients' schedules do not depend on it
+            start = self.rng["workload"].randint(0, 4)
+            if ops:
+                self.schedule(start, self._start_op, cid)
         # timed parties: clients, then servers, each dict in id order
         for party in (*self.clients.values(), *self.servers.values()):
             arm = getattr(party, "arm", None)
@@ -560,10 +561,10 @@ class Simulation:
             config=self.cfg, history=self.history, events=self.events,
             metrics=self.metrics, monitor=self.monitor,
             crash_reason=self.crash_reason, deadlock=self.deadlock,
-            taps=self.taps,
             meta={
                 "pow": self.cfg.pow_name, "t": self.t,
-                "correct_servers": tuple(sorted(self.correct_servers)),
+                "correct_servers": tuple(sid for sid in self.servers
+                                         if sid not in self.faults),
                 "correct_readers": tuple(sorted(
                     cid for cid in self.ops_left if cid > READER_ID_BASE)),
             })

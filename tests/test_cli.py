@@ -1,6 +1,9 @@
 """End-to-end command line behavior, in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -119,6 +122,48 @@ def test_a_negative_run_size_is_a_usage_error(capsys, flag, value, message):
 def test_an_empty_bench_is_a_usage_error(capsys, flag, value):
     code, out, err = run_cli(capsys, "bench", "--t-list", "1", flag, value)
     assert code == 2 and out == "" and flag in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("run", "--scenario", "sw-baseline", "--seeds", "1", "--t", "34"),
+     "t must be at most 33, got 34"),
+    (("replay", "--scenario", "sw-baseline", "--seed", "0", "--t", "34"),
+     "t must be at most 33, got 34"),
+    (("run", "--mode", "mw", "--writers", "101", "--writes", "1", "--reads",
+      "1", "--seeds", "1"), "writers must be at most 100, got 101"),
+    (("run", "--scenario", "sw-baseline", "--seeds", "1", "--value-size",
+      "1"), "value_size must be at least 6, the longest value header, got 1"),
+    (("bench", "--t-list", "1", "--sizes", "1", "--seeds", "1"),
+     "--sizes must be at least 6 bytes, the value header, got 1"),
+    (("bench", "--t-list", "1,34", "--sizes", "64", "--seeds", "1"),
+     "--t-list entries must be 0..33, got 1,34"),
+], ids=["run-t", "replay-t", "writers", "value-size", "bench-sizes",
+        "bench-t-list"])
+def test_colliding_ids_and_headless_values_are_usage_errors(capsys, argv,
+                                                             message):
+    """Server, writer and reader ids must not meet, and every value must
+    hold its writer's header."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_the_console_entry_point_exits_with_mains_code():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "powerstore.cli", "run", "--scenario",
+             "sw-baseline", "--seeds", "1", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    ok = cli()
+    assert ok.returncode == 0 and "PASS" in ok.stdout
+    bad = cli("--t", "34")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert "t must be at most 33" in bad.stderr
 
 
 def test_a_negative_t_in_bench_is_a_usage_error(capsys):

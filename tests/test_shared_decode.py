@@ -253,7 +253,7 @@ def test_empty_raw_bytes_are_sent_logged_and_dropped():
     assert sim.metrics["dropped_malformed"] == 4
     assert [(ev["type"], ev["kind"], ev["nbytes"]) for ev in sim.events] == [
         ("send", 0, 0)] * 4
-    assert [(tap["kind"], tap["raw"]) for tap in sim.taps] == [(0, b"")] * 4
+    assert [(ev["kind"], ev["raw"]) for ev in sim.events] == [(0, b"")] * 4
     assert sim._in_flight == {}
 
 

@@ -103,13 +103,12 @@ def test_fault_directives_are_validated(directives, msg):
         parse_faults(directives, s=4, writers=2, readers=2)
 
 
-def test_fault_plan_groups_by_kind():
-    plan = parse_faults(("byz_server:2:mute", "byz_reader:202:flood_writebacks",
-                         "crash_writer:101:after_store:2"),
-                        s=4, writers=1, readers=2)
-    assert plan.byz_servers == {2: "mute"}
-    assert plan.byz_readers == {202: "flood_writebacks"}
-    assert plan.crash_writers == {101: ("store", 2)}
+def test_the_fault_table_gives_each_party_its_fault():
+    faults = parse_faults(("byz_server:2:mute",
+                           "byz_reader:202:flood_writebacks",
+                           "crash_writer:101:after_store:2"),
+                          s=4, writers=1, readers=2)
+    assert faults == {2: "mute", 202: "flood_writebacks", 101: ("store", 2)}
 
 
 def test_uniform_delay_stays_in_bounds():
@@ -185,6 +184,31 @@ def test_impossible_configs_are_rejected(kw):
         simnet.Simulation(small(**{"writers": 1, **kw}))
 
 
+@pytest.mark.parametrize("kw,message", [
+    (dict(t=34), "t must be at most 33, got 34"),
+    (dict(mode="mw", writers=101, writes=1, reads=1),
+     "writers must be at most 100, got 101"),
+    (dict(value_size=5), "value_size must be at least 6, the longest value "
+     "header, got 5"),
+    (dict(mode="mw", writers=12, writes=10, value_size=6),
+     "value_size must be at least 7"),
+])
+def test_party_ids_and_value_headers_must_fit(kw, message):
+    """Servers, writers and readers share one id space, and a value starts
+    with its writer's header; a config that breaks either is refused."""
+    with pytest.raises(ValueError, match=message):
+        simnet.Simulation(small(**kw))
+
+
+def test_the_largest_fitting_configs_are_accepted():
+    sim = simnet.Simulation(small(t=simnet.MAX_T, value_size=6))
+    assert max(sim.servers) < min(sim.clients) == simnet.WRITER_ID_BASE + 1
+    sim = simnet.Simulation(small(mode="mw", writers=100, writes=1))
+    assert max(sim.clients) == simnet.READER_ID_BASE + 2
+    assert len(sim.clients) == 102
+    simnet.Simulation(small(writes=0, value_size=0))  # writes nothing
+
+
 def test_unknown_mutant_is_rejected():
     with pytest.raises(ValueError, match="unknown mutant"):
         simnet.Simulation(small(mutant="no_such_mutant"))
@@ -245,15 +269,22 @@ def test_data_bytes_match_the_fragment_layout():
             assert res.metrics["data_bytes"] == per_write * completed
 
 
+def _wire_view(res):
+    """The send events of client-to-server messages: what the adversary
+    sees on the wire."""
+    return [ev for ev in res.events
+            if ev["type"] == "send" and ev["src"] > simnet.WRITER_ID_BASE]
+
+
 def test_wire_taps_are_opt_in():
-    assert run(small()).taps == []
+    assert _wire_view(run(small())) == []
     res = run(small(log_wire=True))
-    assert res.taps and all(e["nbytes"] > 0 for e in res.taps)
+    assert _wire_view(res) and all(e["nbytes"] > 0 for e in _wire_view(res))
 
 
 def _store_commitments(res):
-    from powerstore import codec
-    return [e["commitment"] for e in res.taps if e["kind"] == codec.STORE]
+    return [e["commitment"] for e in _wire_view(res)
+            if e["kind"] == codec.STORE]
 
 
 def test_secret_share_commitments_are_redacted_in_wire_logs():
@@ -262,6 +293,20 @@ def test_secret_share_commitments_are_redacted_in_wire_logs():
     assert set(_store_commitments(shamir)) == {"<redacted>"}
     hashed = run(small(pow_name="hash", **cfg))
     assert "<redacted>" not in _store_commitments(hashed)
+
+
+def test_only_a_correct_writers_store_to_a_correct_server_is_redacted():
+    """A byzantine reader's STORE, and a STORE to a byzantine server, are
+    seen by the adversary under the proof-sharing scheme too."""
+    sim = simnet.Simulation(small(
+        pow_name="shamir", log_wire=True,
+        faults=("byz_server:2:mute", "byz_reader:202:garbage_filter_sets")))
+    store = codec.Store(Timestamp(1), Fragment(1, 3, b"abc"), (), b"d" * 32)
+    for src, dst in ((simnet.WRITER_ID_BASE + 1, 1),
+                     (simnet.WRITER_ID_BASE + 1, 2), (202, 1)):
+        sim.send(src, dst, store)
+    assert [ev["commitment"] for ev in sim.events] == [
+        "<redacted>", store.commitment, store.commitment]
 
 
 def test_flooded_sw_servers_accumulate_candidates():

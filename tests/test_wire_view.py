@@ -19,12 +19,13 @@ import pytest
 
 from powerstore import scenarios
 from powerstore.crypto import digest
-from powerstore.simnet import event_to_json, run
+from powerstore.simnet import WRITER_ID_BASE, event_to_json, run
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "wire_pins.json")
 SWEEPS = {"sw-catalog": range(28), "mw-catalog": range(24)}
 VIEW_FIELDS = ("raw", "commitment")
+TAP_FIELDS = ("src", "dst", "nbytes", "kind") + VIEW_FIELDS
 
 
 def pinned_configs():
@@ -50,7 +51,8 @@ def _log_digest(result):
 
 def wire_view(result):
     """What the adversary saw of each client-to-server message."""
-    return result.taps
+    return [{k: ev[k] for k in TAP_FIELDS if k in ev} for ev in result.events
+            if ev["type"] == "send" and ev["src"] > WRITER_ID_BASE]
 
 
 def pin(config):
