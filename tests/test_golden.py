@@ -34,6 +34,27 @@ def _mutant_config(mutant):
     return SimConfig(mutant=mutant, seed=0, **kw)
 
 
+def partial_reveal_configs():
+    """Runs whose crashed writer reveals its last write to k of the servers,
+    so some correct servers adopt the pending write through gc."""
+    configs = {}
+    for k in (1, 2, 3):
+        for seed in range(3):
+            configs["partial-reveal/%d/%d" % (k, seed)] = scenarios.pair_for(
+                "sw-crash-writer", seed, writes=3, reads=6, readers=3,
+                faults=("crash_writer:101:after_complete:%d" % k,))[1]
+    return configs
+
+
+def deadlock_configs():
+    """Runs with two mute servers of four: no quorum, so each ends in a
+    deadlock report that lists the pending operations."""
+    return {"deadlock/%s/%d" % (mode, seed): SimConfig(
+                mode=mode, writers=1 if mode == "sw" else 2, seed=seed,
+                faults=("byz_server:1:mute", "byz_server:2:mute"))
+            for mode in ("sw", "mw") for seed in (0, 1)}
+
+
 def pinned_configs():
     """Run key -> SimConfig for every pinned run."""
     configs = {}
@@ -44,6 +65,8 @@ def pinned_configs():
                     _catalog_config(sweep, pow_name, seed)
     for mutant in sorted(KILL_PLANS):
         configs["mutant/%s/0" % mutant] = _mutant_config(mutant)
+    configs.update(partial_reveal_configs())
+    configs.update(deadlock_configs())
     return configs
 
 
@@ -63,7 +86,8 @@ def test_pins_cover_every_pinned_run():
     assert sorted(_load_pins()) == sorted(pinned_configs())
 
 
-@pytest.mark.parametrize("prefix", ["sw-catalog/", "mw-catalog/", "mutant/"])
+@pytest.mark.parametrize("prefix", ["sw-catalog/", "mw-catalog/", "mutant/",
+                                    "partial-reveal/", "deadlock/"])
 def test_pinned_runs_reproduce_their_digests(prefix):
     pins = _load_pins()
     drift = [key for key, config in sorted(pinned_configs().items())
