@@ -131,7 +131,6 @@ class Mute:
     """Receives everything, says nothing."""
 
     def handle(self, msg, role):
-        self.dropped += 1
         return None
 
 

@@ -32,14 +32,6 @@ class ErasureError(Exception):
     """Inconsistent or undecodable fragment input."""
 
 
-class InsufficientFragments(ErasureError):
-    """Fewer than k fragments with distinct indices."""
-
-
-class IndexOutOfRange(ErasureError):
-    """Fragment index outside 1..S."""
-
-
 def _build_tables():
     exp = [0] * 512
     log = [0] * 256
@@ -166,10 +158,10 @@ def decode(fragments: Iterable[Fragment], k: int, s: int) -> bytes:
     by_index = {}
     for fr in fragments:
         if not 1 <= fr.index <= s:
-            raise IndexOutOfRange("fragment index %d outside 1..%d" % (fr.index, s))
+            raise ErasureError("fragment index %d outside 1..%d" % (fr.index, s))
         by_index.setdefault(fr.index, fr)
     if len(by_index) < k:
-        raise InsufficientFragments(
+        raise ErasureError(
             "%d distinct fragments, need %d" % (len(by_index), k))
     chosen = [by_index[i] for i in sorted(by_index)][:k]
     orig_len = chosen[0].orig_len

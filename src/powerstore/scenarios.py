@@ -217,7 +217,9 @@ def _run_pair(pair):
 
 
 def run_tasks(pairs, jobs=1):
-    """Reports for (Scenario, SimConfig) pairs, in order."""
+    """Reports for (Scenario, SimConfig) pairs, in order, from at most jobs
+    worker processes but no more than pairs; one pair runs in-process."""
+    jobs = min(jobs, len(pairs))
     if jobs <= 1:
         return [_run_pair(pair) for pair in pairs]
     # Imported here so that a jobs=1 run never pays for the pool's import.

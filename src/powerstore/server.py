@@ -37,7 +37,6 @@ class ServerBase:
         self.scheme = scheme
         self.keyring = keyring
         self.tracer = tracer
-        self.dropped = 0
         self.reset()
 
     def reset(self):
@@ -54,7 +53,6 @@ class ServerBase:
         """Dispatch one request; None means the message was dropped."""
         kind = getattr(msg, "kind", None)
         if kind not in self.kinds or ROLE_FOR_KIND.get(kind) != role:
-            self.dropped += 1
             return None
         return getattr(self, codec.HANDLER_NAMES[kind])(msg)
 

@@ -357,7 +357,7 @@ class Simulation:
                                     keyring=self.keyring, tracer=self.trace)
 
         self.clients = {}  # writers 101, 102, ..., then readers 201, 202, ...
-        self.ops_left = {}  # correct clients only
+        self.ops_left = {}  # operations not yet started, per correct client
         for role, base, n, ops, keyring in (
                 ("writer", WRITER_ID_BASE, config.writers, config.writes,
                  self.keyring),
@@ -467,56 +467,56 @@ class Simulation:
     # -- workload ----------------------------------------------------------
 
     def _start_op(self, cid):
+        """Invoke cid's next operation: one history record, stamped at its
+        invoke event and again, by done, at its respond event."""
         client = self.clients[cid]
         assert not client.busy
         self.ops_left[cid] -= 1
-        if client.role == "writer":
+        writing = client.role == "writer"
+        kind = "write" if writing else "read"
+        value = None
+        if writing:
             value = make_value(cid, self.cfg.writes - self.ops_left[cid],
                                self.cfg.value_size)
             if self.ops_left[cid] == 0 and cid in self.faults:
                 client.crash_plan = self.faults[cid]
-            rec = OperationRecord(client=cid, kind="write", value=value,
-                                  inv_seq=self.next_seq(), inv_tick=self.now)
-            self.history.append(rec)
-            self.trace("invoke", client=cid, op="write", value=value)
+        rec = OperationRecord(client=cid, kind=kind, value=value,
+                              inv_seq=self.next_seq(), inv_tick=self.now)
+        self.history.append(rec)
+        shown = {"value": value} if writing else {}
+        self.trace("invoke", client=cid, op=kind, **shown)
 
-            def done(rounds):
-                rec.res_seq = self.next_seq()
-                rec.res_tick = self.now
-                rec.rounds = rounds
+        def done(rounds, value=None, repaired=False):
+            rec.res_seq = self.next_seq()
+            rec.res_tick = self.now
+            rec.rounds = rounds
+            if writing:
                 rec.ts = client.ts
                 self.metrics["data_bytes"] += client.data_bytes
-                self.trace("respond", client=cid, op="write", ts=client.ts)
-                self._schedule_next_op(cid)
+                shown = {"ts": client.ts}
+            else:
+                rec.value, rec.repair_sent = value, repaired
+                shown = {"value": value}
+            self.trace("respond", client=cid, op=kind, **shown)
+            self._schedule_next_op(cid)
 
+        if writing:
             client.write(value, done)
         else:
-            rec = OperationRecord(client=cid, kind="read", value=None,
-                                  inv_seq=self.next_seq(), inv_tick=self.now)
-            self.history.append(rec)
-            self.trace("invoke", client=cid, op="read")
-
-            def done(value, rounds, repaired):
-                rec.res_seq = self.next_seq()
-                rec.res_tick = self.now
-                rec.rounds = rounds
-                rec.repair_sent = repaired
-                rec.value = value
-                self.trace("respond", client=cid, op="read", value=value)
-                self._schedule_next_op(cid)
-
             client.read(done)
 
     def _schedule_next_op(self, cid):
         if self.ops_left.get(cid, 0) > 0:
             self.schedule(self.rng["workload"].randint(1, 6), self._start_op, cid)
 
+    def _pending(self):
+        """The records of operations started, unfinished and not crashed."""
+        return (rec for rec in self.history if rec.res_seq is None
+                and not self.clients[rec.client].crashed)
+
     def ops_pending(self) -> bool:
-        if any(n > 0 for n in self.ops_left.values()):
-            return True
-        return any(rec.res_seq is None
-                   and not self.clients[rec.client].crashed
-                   for rec in self.history)
+        return (any(n > 0 for n in self.ops_left.values())
+                or any(self._pending()))
 
     # -- run ---------------------------------------------------------------
 
@@ -565,21 +565,18 @@ class Simulation:
                 "pow": self.cfg.pow_name, "t": self.t,
                 "correct_servers": tuple(sid for sid in self.servers
                                          if sid not in self.faults),
-                "correct_readers": tuple(sorted(
-                    cid for cid in self.ops_left if cid > READER_ID_BASE)),
+                "correct_readers": tuple(cid for cid in self.clients
+                                         if cid > READER_ID_BASE
+                                         and cid not in self.faults),
             })
 
     def _deadlock_report(self, overran):
-        pending = []
-        for rec in self.history:
-            if rec.res_seq is None and not self.clients[rec.client].crashed:
-                client = self.clients[rec.client]
-                pending.append({"client": rec.client, "op": rec.kind,
-                                "phase": client.phase,
-                                "rounds": client.rounds})
         return {
             "reason": "tick budget exhausted" if overran else "no events left",
-            "pending": pending,
+            "pending": [{"client": rec.client, "op": rec.kind,
+                         "phase": self.clients[rec.client].phase,
+                         "rounds": self.clients[rec.client].rounds}
+                        for rec in self._pending()],
             "unstarted": {cid: n for cid, n in sorted(self.ops_left.items())
                           if n > 0},
             "servers": {sid: self.servers[sid].snapshot()

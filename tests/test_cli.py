@@ -1,5 +1,6 @@
 """End-to-end command line behavior, in process via main(argv)."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -320,6 +321,34 @@ def test_config_sweep_records_do_not_depend_on_jobs(tmp_path, capsys,
         records.append(out_path.read_text())
     assert jobs_seen == [1, 2]
     assert records[0] == records[1]
+
+
+def test_jobs_never_asks_for_more_workers_than_runs(capsys, monkeypatch):
+    """Under fork every worker starts at the first submit, so --jobs 64 on
+    two runs must ask for two workers, and on one run for none."""
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for seeds in ("2", "1"):
+        code, out, _ = run_cli(capsys, "run", "--scenario", "sw-baseline",
+                               "--seeds", seeds, "--jobs", "64")
+        assert code == 0 and "PASS" in out
+    assert sizes == [2]
 
 
 def test_bench_reports_cost_within_tolerance(capsys):

@@ -28,7 +28,7 @@ CHI2_DF100_P999 = 149.449
 
 def test_digest_empty_matches_reference_vector():
     assert digest(b"").hex() == SHA256_EMPTY_HEX
-    assert len(digest(b"")) == crypto.DIGEST_BYTES
+    assert len(digest(b"")) == 32
 
 
 def test_digest_deterministic():

@@ -16,6 +16,8 @@ from powerstore.erasure import Fragment
 from powerstore.server import SwServer
 from powerstore.simnet import SimConfig
 
+from test_golden import partial_reveal_configs
+
 
 class _LiteralLc(SwServer):
     """SwServer with LC handled by the literal rules, in full every time."""
@@ -68,6 +70,7 @@ def differential_configs():
                 garbage, seed=seed, mutant=mutant, writes=4, reads=4,
                 faults=("crash_writer:101:after_complete:0",
                         "byz_reader:202:garbage_filter_sets")))
+    configs.update(partial_reveal_configs())
     return configs
 
 
@@ -98,6 +101,16 @@ def test_runs_match_the_literal_lc_rules(key, monkeypatch):
     assert outputs(config, monkeypatch) == got
     if key.startswith("flood"):
         assert got[2]["lc_set_peak"] > 100
+
+
+def test_the_differential_reaches_the_gc_adoption():
+    """A write revealed to only some servers is written back by readers and
+    adopted in gc: the one path where a correct server accepts a candidate
+    that no COMPLETE brought it."""
+    adoptions = [ev for config in partial_reveal_configs().values()
+                 for ev in simnet.run(config).events
+                 if ev["type"] == "accept" and ev["via"] == "gc"]
+    assert adoptions
 
 
 def _step_servers(seed, cls):

@@ -22,6 +22,7 @@ from powerstore.erasure import fragment_to_bytes
 from powerstore.simnet import SimConfig
 
 from test_acceptance import KILL_PLANS
+from test_golden import partial_reveal_configs
 from test_literal_lc import FLOOD
 
 CONTENDED = dict(writers=8, readers=8, writes=4, reads=4)
@@ -109,6 +110,7 @@ def differential_configs():
             kw.update(KILL_PLANS[mutant])
             configs["%s/%d" % (mutant, seed)] = SimConfig(
                 mutant=mutant, seed=seed, **kw)
+    configs.update(partial_reveal_configs())
     return configs
 
 
