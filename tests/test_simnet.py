@@ -14,6 +14,8 @@ from powerstore.erasure import Fragment
 from powerstore.simnet import (
     SimConfig, event_to_json, format_config, make_delay_fn, make_value,
     parse_config, parse_faults, run)
+from test_golden import _mutant_config, deadlock_configs
+from test_perfbench_smoke import _import_tracing
 
 
 def small(**over):
@@ -345,15 +347,38 @@ def _reference_event_to_json(ev):
                       separators=(",", ":"))
 
 
-def test_export_matches_the_reference_on_both_catalog_sweeps():
-    events = 0
+def _every_event_shape():
+    """Configs whose runs between them write every event shape the program
+    writes: both catalog sweeps with the wire taps off, and on under both
+    proof schemes (send and deliver events, raw bytes, redacted and
+    secret-share commitments, polynomial tokens); the deadlock runs, whose
+    report nests dicts with int keys; a monitor and a client-crash run; and
+    seed 0 of perfbench's flood and contended workloads."""
     for sweep, seeds in (("sw-catalog", 28), ("mw-catalog", 24)):
         for seed in range(seeds):
-            res = run(scenarios.pair_for(sweep, seed)[1])
-            for ev in res.events:
-                assert event_to_json(ev) == _reference_event_to_json(ev), ev
-            events += len(res.events)
-    assert events > 10_000
+            yield scenarios.pair_for(sweep, seed)[1]
+            for pow_name in ("hash", "shamir"):
+                yield scenarios.pair_for(sweep, seed, pow_name=pow_name,
+                                         log_wire=True)[1]
+    yield from deadlock_configs().values()
+    yield _mutant_config("lc_non_monotone")  # a monitor event
+    yield _mutant_config("safe_quorum_minus_one")  # a client_crash event
+    _, workloads = _import_tracing()
+    for name in ("flood", "contended"):
+        yield workloads.config_for(workloads.WORKLOADS[name].task(0))
+
+
+def test_export_matches_the_reference_on_both_catalog_sweeps():
+    events, types = 0, set()
+    for config in _every_event_shape():
+        res = run(config)
+        for ev in res.events:
+            assert event_to_json(ev) == _reference_event_to_json(ev), ev
+            types.add(ev["type"])
+        events += len(res.events)
+    assert events > 250_000
+    assert {"send", "deliver", "deadlock", "monitor",
+            "client_crash"} <= types
 
 
 class _Stamp(Timestamp):
