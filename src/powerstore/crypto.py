@@ -10,6 +10,7 @@ prove the first round reached a quorum. Two interchangeable schemes:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import random
@@ -30,11 +31,32 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@functools.lru_cache(maxsize=101)  # a run's keys at t=33: 100 group, 1 writer
+def _keyed(key: bytes):
+    """HMAC-SHA256's inner and outer hash states for key, computed once per
+    key (RFC 2104, section 4): the key zero-padded to the 64-byte block,
+    hashed first if longer, XORed with ipad and with opad."""
+    if len(key) > 64:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
+
+
 def mac(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256 tag over message (32 bytes). Keys must be >= 16 bytes."""
     if len(key) < MIN_KEY_BYTES:
         raise ValueError("MAC key shorter than %d bytes" % MIN_KEY_BYTES)
-    return _hmac.new(key, message, hashlib.sha256).digest()
+    inner, outer = _keyed(key)
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def verify_mac(key: bytes, message: bytes, tag: bytes) -> bool:

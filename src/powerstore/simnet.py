@@ -26,8 +26,10 @@ import functools
 import heapq
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import behaviors, codec, mutants
 from .client import ProtocolInvariantError
@@ -157,7 +159,7 @@ def make_delay_fn(spec: str):
     if not all(map(math.isfinite, (mean, var, alpha, xm))):
         raise bad
     e = -1.0 / alpha
-    return lambda rng: max(1, round(xm * (1.0 - rng.random()) ** e))
+    return lambda rng: round(xm * (1.0 - rng.random()) ** e) or 1
 
 
 def _fault_int(text, d):
@@ -225,7 +227,7 @@ def value_header_bytes(writers: int, writes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON export helpers
+# JSON export
 # ---------------------------------------------------------------------------
 
 _PLAIN = frozenset((str, int, float, bool, type(None)))
@@ -262,8 +264,58 @@ def _jsonable(v):
     return convert(v)
 
 
-def event_to_json(ev: dict) -> str:
-    return _ENCODER.encode(_jsonable(ev))
+def _any_json(v):
+    """Any value's JSON text; the converter of a field whose type has no
+    entry in _FIELDS_JSON."""
+    return _ENCODER.encode(_jsonable(v))
+
+
+def _timestamp_json(ts):
+    return '{"num":%d,"pid":%d,"tag":"0x%s"}' % (ts.num, ts.pid, ts.tag.hex())
+
+
+_FIELDS_JSON = {  # a value's exact type -> (its %-format, its converter)
+    int: ("%d", int),
+    Timestamp: ("%s", _timestamp_json),
+    bytes: ('"0x%s"', bytes.hex),
+    str: ("%s", _json_str),
+}
+# operator.call is new in Python 3.11
+_call = getattr(operator, "call", lambda convert, value: convert(value))
+_LAYOUTS = {}  # event shape -> (%-format, sorted values getter, converters)
+
+
+def _layout(ev):
+    """The layout every event shaped like ev exports through, or None for
+    one without: fewer than two keys (itemgetter gives a tuple for two or
+    more), or a key that is not a str."""
+    if len(ev) < 2 or any(type(k) is not str for k in ev):
+        return None
+    keys = sorted(ev)
+    forms, converters = [], []
+    for key in keys:
+        form, convert = _FIELDS_JSON.get(type(ev[key]), ("%s", _any_json))
+        forms.append(_json_str(key).replace("%", "%%") + ":" + form)
+        converters.append(convert)
+    return ("{" + ",".join(forms) + "}", operator.itemgetter(*keys),
+            tuple(converters))
+
+
+def event_to_json(ev) -> str:
+    """One event as JSON with sorted keys and no spaces. A dict's layout is
+    built once per shape (its keys in order and each value's exact type);
+    anything else is one _any_json value."""
+    if type(ev) is not dict:
+        return _any_json(ev)
+    shape = (*ev, *map(type, ev.values()))
+    layout = _LAYOUTS.get(shape)
+    if layout is None:
+        layout = _layout(ev)
+        if layout is None:
+            return _any_json(ev)
+        _LAYOUTS[shape] = layout
+    form, values, converters = layout
+    return form % tuple(map(_call, converters, values(ev)))
 
 
 @dataclass
@@ -278,7 +330,7 @@ class RunResult:
     meta: dict
 
     def export_ndjson(self) -> str:
-        return "\n".join(event_to_json(ev) for ev in self.events) + "\n"
+        return "\n".join(map(event_to_json, self.events)) + "\n"
 
     def log_digest(self) -> str:
         return digest(self.export_ndjson().encode()).hex()
@@ -380,9 +432,10 @@ class Simulation:
         return self._seq
 
     def trace(self, etype, **fields):
-        ev = {"seq": self.next_seq(), "tick": self.now, "type": etype}
-        ev.update(fields)
-        self.events.append(ev)
+        fields["seq"] = self.next_seq()
+        fields["tick"] = self.now
+        fields["type"] = etype
+        self.events.append(fields)
 
     def schedule(self, delay, fn, *args):
         """Call fn(*args) delay ticks from now."""

@@ -1,5 +1,7 @@
 """Crypto primitives: hashing, MACs, Shamir splitting, key derivation."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -51,6 +53,20 @@ def test_mac_round_trip_property():
         k = rng.randbytes(rng.randrange(16, 48))
         m = rng.randbytes(rng.randrange(0, 40))
         assert verify_mac(k, m, mac(k, m))
+
+
+def test_mac_equals_hmac_for_every_key_and_message_length():
+    rng = random.Random(4)
+    lengths = (16, 32, 63, 64, 65, 100)
+    keys = [rng.randbytes(n) for _ in range(20) for n in lengths]
+    assert len(keys) > crypto._keyed.cache_info().maxsize  # keys get evicted
+    for m in (rng.randbytes(n) for n in (0, 1, 48, 200)):
+        for i, k in enumerate(keys):
+            # a fresh key, then one of the first six, whose states stay cached
+            for key in (k, keys[i % len(lengths)]):
+                assert mac(key, m) == hmac.new(key, m, hashlib.sha256).digest()
+    with pytest.raises(ValueError):
+        mac(rng.randbytes(15), b"m")
 
 
 def test_mac_rejects_altered_message():

@@ -368,7 +368,8 @@ def _every_event_shape():
         yield workloads.config_for(workloads.WORKLOADS[name].task(0))
 
 
-def test_export_matches_the_reference_on_both_catalog_sweeps():
+def test_export_matches_the_reference_on_both_catalog_sweeps(monkeypatch):
+    monkeypatch.setattr(simnet, "_LAYOUTS", {})
     events, types = 0, set()
     for config in _every_event_shape():
         res = run(config)
@@ -379,6 +380,9 @@ def test_export_matches_the_reference_on_both_catalog_sweeps():
     assert events > 250_000
     assert {"send", "deliver", "deadlock", "monitor",
             "client_crash"} <= types
+    # one layout per event shape, never one per event: a shape key that
+    # picked up a value instead of its type would grow with the sweep
+    assert len(simnet._LAYOUTS) < 64
 
 
 class _Stamp(Timestamp):
@@ -399,6 +403,28 @@ def test_export_matches_the_reference_on_every_converted_type():
     assert event_to_json(ev) == _reference_event_to_json(ev)
     assert json.loads(event_to_json(ev))["subclasses"][0] == {
         "num": 1, "pid": 0, "tag": "0x"}
+
+
+class _Count(int):
+    """An int subclass exports as the reference does, not as an int field."""
+
+
+def test_a_layout_never_leaks_from_one_event_to_the_next(monkeypatch):
+    monkeypatch.setattr(simnet, "_LAYOUTS", {})
+    ts = Timestamp(2, 101, b"\x07")
+    events = [{"seq": 1, "tick": 4, "type": "accept", "ts": ts, "token": v}
+              for v in (b"\x01\x02", Polynomial((3, 2), 13), None)]
+    events += [{"seq": 2, "tick": 5, "type": "send", "commitment": v}
+               for v in (b"\xaa", "<redacted>", ShamirShare(1, 5, 13))]
+    events += [{"type": "probe", "seq": 3, "flag": v}
+               for v in (True, 1, _Count(1), False, 0, 1.0)]
+    events += [{"seq": 4, "type": "monitor", "detail": v}
+               for v in ('say "hi"', "back\\slash", "new\nline", "caf\u00e9",
+                         "<redacted>", "100%", "")]
+    events += [{"100%": 1, "%d": "%s"}, {"a": 1, "b": ts},
+               [1, b"x", "s"], (ts,), "top", 5, None]
+    for ev in events + events:  # the second pass reuses every layout
+        assert event_to_json(ev) == _reference_event_to_json(ev), ev
 
 
 def test_export_rejects_what_the_reference_rejects():
