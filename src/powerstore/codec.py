@@ -36,7 +36,8 @@ REPAIR, REPAIR_ACK = 11, 12
 #
 # Each field type is an (encode, decode) pair. Encoders append wire pieces to
 # a list that encode() joins once; decoders take (data, pos) and return
-# (value, pos). Decoders never check lengths: struct raises on a short read,
+# (value, pos), and the candidate-list decoder also takes decode()'s records
+# table. Decoders never check lengths: struct raises on a short read,
 # indexing raises IndexError, and a blob slice that runs past the end leaves
 # pos beyond len(data), which decode() rejects after the last field.
 # ---------------------------------------------------------------------------
@@ -185,7 +186,10 @@ def _dec_cand(data, pos):
 
 # Candidate lists are the longest wire field. The common sw record (empty
 # tag, 32-byte bytes token, no vector) is one _REC call each way, inlined in
-# both list loops; any other shape takes _enc_cand/_dec_cand.
+# both list loops; any other shape takes _enc_cand/_dec_cand. The decoder
+# keeps each common record's 54 bytes in `records` with the Candidate first
+# decoded from them, so a repeat of the record reuses that object: a run
+# passes one table for all its messages, and any other caller a fresh one.
 def _enc_cands(out, cands: tuple):
     out.append(_U16.pack(len(cands)))
     rec_pack = _REC.pack
@@ -198,19 +202,24 @@ def _enc_cands(out, cands: tuple):
             _enc_cand(out, c)
 
 
-def _dec_cands(data, pos):
+def _dec_cands(data, pos, records):
     count = _U16.unpack_from(data, pos)[0]
     pos += 2
     out = []
-    new, rec_unpack = tuple.__new__, _REC.unpack_from
+    new, rec_unpack, known = tuple.__new__, _REC.unpack, records.get
     last_rec = len(data) - _REC.size  # the last position a whole _REC fits
     for _ in range(count):
         if pos <= last_rec:
-            num, pid, n, kind, size, token, flag = rec_unpack(data, pos)
-            if n == 0 and kind == 1 and size == 32 and flag == 0:
-                pos += 54  # _REC.size
-                out.append(new(Candidate, (new(Timestamp, (num, pid, b"")),
-                                           token, None)))
+            rec = data[pos:pos + 54]  # _REC.size
+            cand = known(rec)
+            if cand is None:
+                num, pid, n, kind, size, token, flag = rec_unpack(rec)
+                if n == 0 and kind == 1 and size == 32 and flag == 0:
+                    cand = records[rec] = new(Candidate, (
+                        new(Timestamp, (num, pid, b"")), token, None))
+            if cand is not None:
+                pos += 54
+                out.append(cand)
                 continue
         cand, pos = _dec_cand(data, pos)
         out.append(cand)
@@ -283,7 +292,11 @@ def encode(msg) -> bytes:
     return b"".join(out)
 
 
-def decode(data: bytes):
+def decode(data: bytes, records: Optional[dict] = None):
+    """The message data encodes; bytes that do not parse as one raise
+    MalformedMessage. records maps a common sw candidate record's bytes to
+    its decoded Candidate; a run passes one table to every call so repeats
+    share one object, and None gives this call a table of its own."""
     try:
         k = data[0]
         if k not in _LAYOUT:
@@ -291,7 +304,10 @@ def decode(data: bytes):
         cls, fields = _LAYOUT[k]
         values, pos = [], 1
         for _, dec in fields:
-            value, pos = dec(data, pos)
+            if dec is _dec_cands:
+                value, pos = dec(data, pos, {} if records is None else records)
+            else:
+                value, pos = dec(data, pos)
             values.append(value)
     except (struct.error, IndexError):
         raise MalformedMessage("truncated message") from None

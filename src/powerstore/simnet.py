@@ -5,12 +5,13 @@ operation starts, adversary pumps, and state-reset timers. Four independent
 RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
 Every message crosses the wire as encoded bytes and is decoded on delivery.
-One rule shares that work: a payload (a message, or an adversary's raw
+Two rules share that work: a payload (a message, or an adversary's raw
 bytes) equal to one still in flight reuses its wire and its decode, so
-copies share one immutable message. An event is a function and its
-arguments, called when its tick comes. A party with an arm(sim) method
-schedules its own first event when the run starts. One delivery step hands
-each copy to its client, or to its server to answer.
+copies share one immutable message; and a common sw candidate record seen
+earlier in the run reuses the Candidate first decoded from it. An event is
+a function and its arguments, called when its tick comes. A party with an
+arm(sim) method schedules its own first event when the run starts. One
+delivery step hands each copy to its client, or to its server to answer.
 
 The fault table maps each party id to its one fault; server, writer and
 reader ids never meet, so a party is correct iff it is absent. With log_wire
@@ -126,10 +127,11 @@ _DELAY_SHAPES = {  # model -> (its numbers' type, the spec's expected shape)
 
 
 def make_delay_fn(spec: str):
-    """uniform:a,b draws integer ticks in [a,b]; pareto:mean,var matches the
-    first two moments with a shifted Pareto, rounded up to a whole tick.
-    A draw takes the same numbers from rng as rng.randint(a, b) and
-    rng.paretovariate(alpha) would."""
+    """uniform:a,b draws integer ticks in [a,b]; pareto:mean,var draws a
+    type-I Pareto whose scale xm and shape alpha match the mean and variance,
+    rounded to the nearest tick and never below 1. A draw takes the same
+    numbers from rng as rng.randint(a, b) and rng.paretovariate(alpha)
+    would."""
     kind, _, args = spec.partition(":")
     if kind not in _DELAY_SHAPES:
         raise ValueError("unknown delay model %r" % spec)
@@ -393,6 +395,8 @@ class Simulation:
         self.deadlock = None
         # payload -> [copies in flight, wire, decoded message or None]
         self._in_flight = {}
+        # a common sw candidate record's wire bytes -> its decoded Candidate
+        self._records = {}
 
         self.faults = parse_faults(config.faults, self.s,
                                    config.writers, config.readers)
@@ -476,7 +480,8 @@ class Simulation:
     def _receive(self, src, dst, payload, entry):
         """One copy arrives: its message, decoded for the first copy and
         shared with the rest, or None for malformed bytes, which are
-        decoded and dropped on every copy."""
+        decoded and dropped on every copy. Decoding shares the run's table
+        of candidate records."""
         metrics = self.metrics
         metrics["msgs_delivered"] += 1
         entry[0] -= 1
@@ -485,7 +490,7 @@ class Simulation:
         msg = entry[2]
         if msg is None:
             try:
-                msg = entry[2] = codec.decode(entry[1])
+                msg = entry[2] = codec.decode(entry[1], self._records)
             except MalformedMessage:
                 metrics["dropped_malformed"] += 1
                 return None

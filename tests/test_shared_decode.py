@@ -28,7 +28,8 @@ def counting_decode(monkeypatch):
     """Patch codec.decode to record every wire it parses."""
     wires = []
     real = codec.decode
-    monkeypatch.setattr(codec, "decode", lambda w: wires.append(w) or real(w))
+    monkeypatch.setattr(codec, "decode",
+                        lambda w, *rest: wires.append(w) or real(w, *rest))
     return wires
 
 

@@ -2,14 +2,25 @@
 records repeat from message to message. Every COLLECT_ACK and FILTER wire of
 a flood run and of four sw-catalog runs with 100-200 distinct records must
 decode to what the byte-at-a-time reference codec decodes, with the exact
-types a constructed message has."""
+types a constructed message has.
+
+A run decodes through one table of common sw candidate records (empty tag,
+32-byte bytes token, no vector), so a record seen before reuses its decoded
+Candidate. The table must never change a verdict or an output, and it lives
+exactly as long as its run."""
+
+import random
 
 import pytest
 
 from powerstore import codec, scenarios, simnet
+from powerstore.codec import CollectAck, Filter, MalformedMessage
 from powerstore.core import Candidate, Timestamp
-from test_codec import _reference_decode
+from test_codec import (
+    _filter_wire, _list_messages, _mutate, _mutation_corpus, _reference_decode,
+    _verdict)
 from test_literal_lc import FLOOD
+from test_shared_decode import _Forgetful, equivalence_configs
 
 LIST_KINDS = (codec.COLLECT_ACK, codec.FILTER)
 
@@ -58,3 +69,110 @@ def test_run_lists_decode_as_the_reference_decodes_them(key, monkeypatch):
         assert_constructed_types(msg)
         records.update(msg.cands)
     assert 100 <= len(records) <= 205
+    # a run decodes its lists in send order through one table
+    shared = {}
+    for wire in wires:
+        msg = codec.decode(wire, shared)
+        assert msg == _reference_decode(wire)
+        assert_constructed_types(msg)
+    assert 0 < len(shared) <= len(records)
+
+
+def common(cand):
+    """Whether cand is a common sw record, the shape the table keeps."""
+    (_, _, tag), token, vec = cand
+    return vec is None and tag == b"" and type(token) is bytes and len(token) == 32
+
+
+def record_of(cand):
+    return codec.encode(Filter(0, (cand,)))[11:]  # kind, tsr, count: 11 bytes
+
+
+def assert_table_is_sound(records):
+    """Every entry is a common record's bytes and the Candidate they encode."""
+    for rec, cand in records.items():
+        assert type(rec) is bytes and len(rec) == codec._REC.size
+        assert common(cand) and record_of(cand) == rec
+        assert _reference_decode(_filter_wire(rec)).cands == (cand,)
+
+
+RECORD = record_of(Candidate(Timestamp(7, 0), b"\x42" * 32))
+MARK_OFFSETS = (16, 17, 18, 19, 20, 53)  # tag length, token kind and length,
+# vector flag
+
+
+def _marks_flipped():
+    """RECORD with one mark byte changed, every way that byte can change to
+    a small value, an all-ones byte or one flipped bit."""
+    for at in MARK_OFFSETS:
+        values = {0, 1, 2, 3, 0x20, 0xFF} | {RECORD[at] ^ 1 << b for b in range(8)}
+        for value in sorted(values - {RECORD[at]}):
+            yield RECORD[:at] + bytes((value,)) + RECORD[at + 1:]
+
+
+def test_the_table_never_changes_a_verdict():
+    records = {}
+    blobs = [codec.encode(msg) for msg in _list_messages()]
+    rng = random.Random(0x7AB1E)
+    blobs += [_mutate(rng, blob) for blob in blobs for _ in range(40)]
+    blobs += _mutation_corpus(0x5EED, 5000)
+    codec.decode(_filter_wire(RECORD), records)
+    assert RECORD in records
+    tail = record_of(Candidate(Timestamp(8)))  # a 20-byte record, no token
+    for rec in _marks_flipped():
+        blobs += [_filter_wire(rec), _filter_wire(RECORD, rec),
+                  _filter_wire(rec, RECORD), _filter_wire(rec, tail)]
+    blobs += [_filter_wire(RECORD, RECORD[:cut]) for cut in range(54)]
+    blobs += [_filter_wire(RECORD[:cut]) for cut in range(54)]
+    accepted = 0
+    for blob in blobs:
+        want = _verdict(_reference_decode, blob)
+        assert _verdict(lambda b: codec.decode(b, records), blob) == want, blob
+        accepted += want is not MalformedMessage
+    assert 0 < accepted < len(blobs)
+    assert_table_is_sound(records)
+
+
+def test_a_shared_table_shares_each_record_and_no_table_keeps_nothing():
+    a, b = Candidate(Timestamp(1), b"\x01" * 32), Candidate(Timestamp(2), b"\x02" * 32)
+    odd = Candidate(Timestamp(3, 0, b"tag"), b"\x03" * 32)  # not common
+    first, second = CollectAck(4, (a, odd, b)), Filter(5, (b, odd, a))
+    records = {}
+    one = codec.decode(codec.encode(first), records)
+    two = codec.decode(codec.encode(second), records)
+    assert one == first and two == second
+    assert one.cands[0] is two.cands[2] and one.cands[2] is two.cands[0]
+    assert one.cands[1] is not two.cands[1]
+    assert set(records.values()) == {a, b}
+    assert_table_is_sound(records)
+    one = codec.decode(codec.encode(first))
+    two = codec.decode(codec.encode(second))
+    assert one.cands[0] == two.cands[2] and one.cands[0] is not two.cands[2]
+
+
+def outputs(config, records=None):
+    sim = simnet.Simulation(config)
+    assert sim._records == {}
+    if records is not None:
+        sim._records = records
+    res = sim.run()
+    return res.log_digest(), res.history_signature(), dict(res.metrics)
+
+
+@pytest.mark.parametrize("key", sorted(equivalence_configs()))
+def test_the_table_gives_the_outputs_of_decoding_every_record(key):
+    config = equivalence_configs()[key]
+    assert outputs(config, _Forgetful()) == outputs(config)
+
+
+def test_the_table_lives_for_one_run_and_holds_its_common_records(
+        monkeypatch):
+    config = equivalence_configs()["flood/0"]
+    distinct = {cand for wire in list_wires(config, monkeypatch)
+                for cand in _reference_decode(wire).cands if common(cand)}
+    sim = simnet.Simulation(config)
+    sim.run()
+    assert 0 < len(sim._records) <= len(distinct)
+    assert set(sim._records.values()) <= distinct
+    assert_table_is_sound(sim._records)
+    assert simnet.Simulation(config)._records == {}
