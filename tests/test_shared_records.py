@@ -81,7 +81,8 @@ def test_run_lists_decode_as_the_reference_decodes_them(key, monkeypatch):
 def common(cand):
     """Whether cand is a common sw record, the shape the table keeps."""
     (_, _, tag), token, vec = cand
-    return vec is None and tag == b"" and type(token) is bytes and len(token) == 32
+    return (vec is None and tag == b"" and type(token) is bytes
+            and len(token) == 32)
 
 
 def record_of(cand):
@@ -97,15 +98,16 @@ def assert_table_is_sound(records):
 
 
 RECORD = record_of(Candidate(Timestamp(7, 0), b"\x42" * 32))
-MARK_OFFSETS = (16, 17, 18, 19, 20, 53)  # tag length, token kind and length,
-# vector flag
+# the record's marks: tag length, token kind, token length, vector flag
+MARK_OFFSETS = (16, 17, 18, 19, 20, 53)
 
 
 def _marks_flipped():
     """RECORD with one mark byte changed, every way that byte can change to
     a small value, an all-ones byte or one flipped bit."""
     for at in MARK_OFFSETS:
-        values = {0, 1, 2, 3, 0x20, 0xFF} | {RECORD[at] ^ 1 << b for b in range(8)}
+        values = {0, 1, 2, 3, 0x20, 0xFF}
+        values |= {RECORD[at] ^ 1 << bit for bit in range(8)}
         for value in sorted(values - {RECORD[at]}):
             yield RECORD[:at] + bytes((value,)) + RECORD[at + 1:]
 
@@ -134,7 +136,8 @@ def test_the_table_never_changes_a_verdict():
 
 
 def test_a_shared_table_shares_each_record_and_no_table_keeps_nothing():
-    a, b = Candidate(Timestamp(1), b"\x01" * 32), Candidate(Timestamp(2), b"\x02" * 32)
+    a = Candidate(Timestamp(1), b"\x01" * 32)
+    b = Candidate(Timestamp(2), b"\x02" * 32)
     odd = Candidate(Timestamp(3, 0, b"tag"), b"\x03" * 32)  # not common
     first, second = CollectAck(4, (a, odd, b)), Filter(5, (b, odd, a))
     records = {}

@@ -8,9 +8,9 @@ import pytest
 
 from powerstore import scenarios, simnet
 
-RUNS = ([(sweep, t, seeds) for t in (3, 4, 8)
-         for sweep, seeds in (("sw-catalog", range(14)), ("mw-catalog", range(12)))]
-        + [("sw-catalog", 33, [1]), ("mw-catalog", 33, [1])])
+SEEDS = (("sw-catalog", range(14)), ("mw-catalog", range(12)))
+RUNS = ([(sweep, t, seeds) for t in (3, 4, 8) for sweep, seeds in SEEDS]
+        + [(sweep, 33, [1]) for sweep, _ in SEEDS])
 
 
 @pytest.mark.parametrize("sweep,t,seeds", RUNS,
