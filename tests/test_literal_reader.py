@@ -14,11 +14,10 @@ from collections import Counter
 import pytest
 
 from powerstore import codec, mutants, scenarios, simnet
-from powerstore.client import (BOTTOM, MwReader, ProtocolInvariantError,
-                               SwReader, restore_value)
+from powerstore.client import BOTTOM, MwReader, ProtocolInvariantError, SwReader
 from powerstore.core import Candidate, Reply, highcand, invalid
 from powerstore.crypto import digest
-from powerstore.erasure import fragment_to_bytes
+from powerstore.erasure import decode as ec_decode, fragment_to_bytes
 from powerstore.simnet import SimConfig
 
 from test_acceptance import KILL_PLANS
@@ -27,6 +26,28 @@ from test_literal_lc import FLOOD
 
 CONTENDED = dict(writers=8, readers=8, writes=4, reads=4)
 BUSY_BIGMAC = dict(writers=3, readers=4, reads=10)  # more reads, more repairs
+
+
+def _literal_restore_value(ts, replies, t, s, check_cc=True):
+    """Decode the value at ts from the reply table: pick the smallest
+    cross-checksum vouched by t+1 servers, keep fragments matching their own
+    slot of it."""
+    counts = Counter(rep.cc for rep in replies.values()
+                     if rep.ts.key() == ts.key())
+    cc = min((v for v, n in counts.items() if v is not None and n > t),
+             default=None)
+    if cc is None:
+        raise ProtocolInvariantError("restore without a cross-checksum witness")
+    frs = []
+    for sid in sorted(replies):
+        rep = replies[sid]
+        if rep.ts.key() != ts.key() or rep.fr is None:
+            continue
+        if check_cc and not (len(cc) >= sid and
+                             digest(fragment_to_bytes(rep.fr)) == cc[sid - 1]):
+            continue
+        frs.append(rep.fr)
+    return ec_decode(frs, t + 1, s)
 
 
 class _LiteralRules:
@@ -48,8 +69,9 @@ class _LiteralRules:
             return
         c = max(ready, key=Candidate.sort_key)
         self.trace("select", ts=c.ts, token=c.token)
-        value = restore_value(c.ts, self.R, self.t, self.s,
-                              check_cc=self.check_cc)
+        value = _literal_restore_value(
+            c.ts, self.R, self.t, self.s,
+            check_cc=not isinstance(self, mutants.DecodeSkipCc))
         self._literal_restored(c, value)
 
     def _literal_restored(self, c, value):
@@ -102,6 +124,13 @@ def differential_configs():
         for seed in range(10):
             configs["mw-bigmac/busy/t%d/%d" % (t, seed)] = scenarios.pair_for(
                 "mw-bigmac", seed, t=t, **BUSY_BIGMAC)[1]
+    for name in ("sw-byz-equivocate", "mw-byz-equivocate", "sw-byz-fabricate",
+                 "mw-byz-fabricate", "mw-bigmac"):
+        # mw-bigmac/hash/t2 above already runs mw-bigmac's t=2 configs
+        for t in (3, 4) if name == "mw-bigmac" else (2, 3, 4):
+            for seed in range(4):
+                configs["%s/t%d/%d" % (name, t, seed)] = scenarios.pair_for(
+                    name, seed, t=t)[1]
     configs["flood/0"] = scenarios.pair_for("sw-flood", 0, **FLOOD)[1]
     configs["contended/0"] = scenarios.pair_for("mw-pareto", 0, **CONTENDED)[1]
     for mutant in ("safe_quorum_minus_one", "decode_skip_cc"):
