@@ -8,34 +8,26 @@ never invokes its completion callback.
 From the (s-t)-th ack of a read's filter round on, each ack tries one
 decision: drop the candidates above the invalid bound, ask for one safety
 witness at the highest remaining one and, once a witness stands behind it,
-restore its value. In mw mode the witness's MAC vector decides whether a
-repair round writes the candidate back, and is the vector that round
-carries.
+restore its value from the witness's fragments. In mw mode the witness's
+MAC vector decides whether a repair round writes the candidate back, and is
+the vector that round carries.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from . import codec
 from .core import (
     BOTTOM,
     TS0,
     Candidate,
-    Reply,
     Timestamp,
+    checked_reply,
     invalid,  # not called here; perfbench's tracer tests expect this binding
     invalid_bound,
     safe_witness,
 )
-from .crypto import (
-    HASH_POW,
-    digest,
-    make_vec,
-    tag_timestamp,
-    verify_timestamp,
-)
-from .erasure import (FRAGMENT_HEADER_BYTES, cross_checksum, fragment_to_bytes,
+from .crypto import HASH_POW, make_vec, tag_timestamp, verify_timestamp
+from .erasure import (FRAGMENT_HEADER_BYTES, cross_checksum,
                       decode as ec_decode, encode as ec_encode)
 
 
@@ -47,25 +39,13 @@ class ProtocolInvariantError(AssertionError):
 # Pure read-side procedure, shared by both modes
 # ---------------------------------------------------------------------------
 
-def restore_value(ts: Timestamp, replies, t: int, s: int, check_cc=True) -> bytes:
-    """Decode the value at ts from the reply table: pick the smallest
-    cross-checksum vouched by t+1 servers, keep fragments matching their own
-    slot of it."""
-    counts = Counter(rep.cc for rep in replies.values()
-                     if rep.ts.key() == ts.key())
-    cc = min((v for v, n in counts.items() if v is not None and n > t),
-             default=None)
-    if cc is None:
+def restore_value(witness, replies, t: int, s: int) -> bytes:
+    """Decode the value from the fragments of a safety witness (ids, cc,
+    vec): t+1 checked replies that agree on one cross-checksum."""
+    ids = witness[0]
+    if len(ids) <= t:
         raise ProtocolInvariantError("restore without a cross-checksum witness")
-    frs = []
-    for sid in sorted(replies):
-        rep = replies[sid]
-        if rep.ts.key() != ts.key() or rep.fr is None:
-            continue
-        if check_cc and not (len(cc) >= sid and rep.fr_hash == cc[sid - 1]):
-            continue
-        frs.append(rep.fr)
-    return ec_decode(frs, t + 1, s)
+    return ec_decode([replies[sid].fr for sid in ids], t + 1, s)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +65,6 @@ class ClientBase:
         self.send = send  # send(server_id, msg)
         self.rng = rng
         self.tracer = tracer
-        self.busy = False
         self.crashed = False
         self.phase = None
         self.rounds = 0
@@ -93,13 +72,17 @@ class ClientBase:
         self._acks = set()
         self._done = None
 
+    @property
+    def busy(self):
+        """True while an operation is running."""
+        return self._done is not None
+
     def trace(self, etype, **fields):
         if self.tracer is not None:
             self.tracer(etype, client=self.cid, **fields)
 
     def _begin(self, done):
         assert not self.busy and not self.crashed
-        self.busy = True
         self._done = done
         self.rounds = 0
 
@@ -127,7 +110,6 @@ class ClientBase:
 
     def _finish(self, **stats):
         cb, self._done = self._done, None
-        self.busy = False
         self.phase = None
         if cb is not None:
             cb(**stats)
@@ -226,7 +208,6 @@ class MwWriter(WriterBase):
 
 class ReaderBase(ClientBase):
     role = "reader"
-    check_cc = True  # fault-injection hook: restore's own-slot hash filter
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -256,12 +237,14 @@ class ReaderBase(ClientBase):
     def _safe(self, cand):
         return safe_witness(cand, self.R, self.t)
 
+    def _checked(self, sid, msg):
+        return checked_reply(sid, msg)
+
     def _on_filter_ack(self, sid, msg):
         if self.phase != "filter" or msg.tsr != self.tsr:
             return
-        fr_hash = digest(fragment_to_bytes(msg.fr)) if msg.fr is not None else None
-        self.R[sid] = Reply(msg.ts, msg.fr, msg.cc, msg.vec, fr_hash)
-        if len(self.R) < self.s - self.t:
+        self.R[sid] = self._checked(sid, msg)
+        if not self._quorum(sid):
             return
         # recomputed at every ack: a byzantine server may overwrite its R entry
         bound = invalid_bound(self.R, self.s, self.t)
@@ -276,8 +259,8 @@ class ReaderBase(ClientBase):
         if witness is None:
             return
         self.trace("select", ts=c.ts, token=c.token)
-        self._restored(c, witness[2], restore_value(
-            c.ts, self.R, self.t, self.s, check_cc=self.check_cc))
+        self._restored(c, witness[2],
+                       restore_value(witness, self.R, self.t, self.s))
 
     def _restored(self, c, vec, value):
         """The read's last step once c (None for an empty set) is restored to

@@ -3,11 +3,12 @@
 A candidate is the metadata (timestamp, proof token[, MAC vector]) naming a
 potentially completed write. Servers judge candidates with valid_* against
 their history, which maps each stored timestamp to the STORE that wrote it.
-A reader judges the reply table of its second round once per filter round:
-invalid_bound is invalid's threshold for the whole table, and safe_witness
-gives the t+1 replies that make the top candidate safe and fix its MAC
-vector. invalid and highcand are the paper's per-candidate predicates, kept
-for the tests and the benchmark's tracer.
+A reader keeps each FILTER_ACK of its second round as checked_reply leaves
+it and judges that table once per filter round: invalid_bound is invalid's
+threshold for the whole table, and safe_witness gives the t+1 replies that
+make the top candidate safe, fix its MAC vector and hold the fragments its
+value is restored from. invalid and highcand are the paper's per-candidate
+predicates, kept for the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .crypto import HASH_POW, Polynomial, verify_vec_entry
+from .crypto import HASH_POW, Polynomial, digest, verify_vec_entry
+from .erasure import fragment_to_bytes
 
 Token = Union[bytes, Polynomial]
 
@@ -116,35 +118,30 @@ def valid_mw(candidate: Candidate, hist: Mapping, server_index: int,
 # Reader-side reply table and predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Reply:
-    """One server's filter-round answer: (ts, fr, cc[, vec]) with the
-    fragment's hash precomputed at arrival."""
-
-    ts: Timestamp
-    fr: object
-    cc: Optional[tuple]
-    vec: Optional[tuple] = None
-    fr_hash: Optional[bytes] = None
+def checked_reply(sid: int, msg):
+    """FILTER_ACK msg from server sid as the reader keeps it: unchanged if
+    its fragment's digest is slot sid of its cross-checksum, else with
+    fr=None, so a reply with a missing or short cc witnesses nothing."""
+    cc = msg.cc
+    if msg.fr is None or (cc is not None and len(cc) >= sid and
+                          digest(fragment_to_bytes(msg.fr)) == cc[sid - 1]):
+        return msg
+    return msg._replace(fr=None)
 
 
 def safe_witness(candidate: Candidate, replies: Mapping, t: int):
-    """The t+1 lexicographically smallest server ids agreeing on candidate.ts
-    with one cross-checksum/vec and self-consistent fragments, or None.
+    """The t+1 lexicographically smallest server ids whose checked replies
+    carry a fragment for candidate.ts under one cross-checksum/vec, or None.
 
     Returns (ids, cc, vec). Grouping by (cc, vec) realizes the pairwise
-    agreement clauses; the own-slot hash check uses each server's index.
+    agreement clauses; checked_reply has already applied the own-slot rule.
     """
+    key = candidate.ts.key()
     groups = {}
     for sid in sorted(replies):
         rep = replies[sid]
-        if rep.ts.key() != candidate.ts.key() or rep.cc is None:
-            continue
-        if rep.fr is None or len(rep.cc) < sid:
-            continue
-        if rep.fr_hash != rep.cc[sid - 1]:
-            continue
-        groups.setdefault((rep.cc, rep.vec), []).append(sid)
+        if rep.fr is not None and rep.ts.key() == key:
+            groups.setdefault((rep.cc, rep.vec), []).append(sid)
     best = None
     for (cc, vec), ids in groups.items():
         if len(ids) >= t + 1:

@@ -73,9 +73,10 @@ _FIELDS = {{"pow_name": "pow", "faults": "fault"}.get(f.name, f.name): f
 
 
 def parse_config(text: str) -> SimConfig:
-    """Key=value lines; # starts a comment; fault= may repeat."""
+    """Key=value lines; # starts a comment; only fault= may repeat."""
     kwargs = {}
     faults = []
+    first = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,7 +91,12 @@ def parse_config(text: str) -> SimConfig:
         kind = type(f.default)
         if key == "fault":
             faults.append(value)
-        elif kind is bool:
+            continue
+        if key in first:
+            raise ValueError("lines %d and %d both set %s"
+                             % (first[key], lineno, key))
+        first[key] = lineno
+        if kind is bool:
             if value not in ("true", "false"):
                 raise ValueError("line %d: %s wants true/false" % (lineno, key))
             kwargs[f.name] = value == "true"

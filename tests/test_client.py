@@ -1,6 +1,7 @@
 """Writer and reader state machines driven against real replicas in FIFO
 order, plus the restore helpers' failure modes."""
 
+import itertools
 import random
 from collections import deque
 from dataclasses import replace
@@ -9,10 +10,10 @@ import pytest
 
 from powerstore import codec
 from powerstore.client import BOTTOM, ProtocolInvariantError, restore_value
-from powerstore.core import C0, Candidate, Reply, TS0, Timestamp
+from powerstore.core import (C0, Candidate, TS0, Timestamp, checked_reply,
+                             safe_witness)
 from powerstore.crypto import KeyRing, digest, pow_scheme
-from powerstore.erasure import (Fragment, cross_checksum, encode,
-                                fragment_to_bytes)
+from powerstore.erasure import Fragment, cross_checksum, encode
 from powerstore.mutants import classes_for
 from test_core import _invalid_by_count
 
@@ -234,33 +235,34 @@ def test_reader_prunes_per_ack_when_a_server_answers_twice(byz_ts):
 def _replies_for(value, ts, s=S, t=T):
     frs = encode(value, t + 1, s)
     cc = cross_checksum(frs)
-    return {sid: Reply(ts, frs[sid - 1], cc, None,
-                       digest(fragment_to_bytes(frs[sid - 1])))
+    return {sid: checked_reply(sid, codec.FilterAck(1, ts, frs[sid - 1], cc,
+                                                    None))
             for sid in range(1, s + 1)}
 
 
 def test_restore_value_decodes_from_any_witness():
     ts = Timestamp(1, 0, b"")
     replies = _replies_for(b"payload", ts)
-    assert restore_value(ts, replies, T, S) == b"payload"
+    cc = replies[1].cc
+    for ids in itertools.combinations(range(1, S + 1), T + 1):
+        assert restore_value((ids, cc, None), replies, T, S) == b"payload"
 
 
 def test_restore_value_requires_a_checksum_witness():
     ts = Timestamp(1, 0, b"")
     replies = _replies_for(b"payload", ts)
-    broken = {sid: replace(rep, cc=tuple(digest(b"%d" % sid) for _ in range(S)))
-              for sid, rep in replies.items()}
-    with pytest.raises(ProtocolInvariantError):
-        restore_value(ts, broken, T, S)
+    with pytest.raises(ProtocolInvariantError, match="cross-checksum witness"):
+        restore_value(((1,) * T, replies[1].cc, None), replies, T, S)
 
 
 def test_restore_value_drops_fragments_failing_their_slot():
     ts = Timestamp(1, 0, b"")
     replies = _replies_for(b"payload", ts)
     bad_fr = replace(replies[1].fr, payload=b"\x00" * len(replies[1].fr.payload))
-    replies[1] = replace(replies[1], fr=bad_fr,
-                         fr_hash=digest(fragment_to_bytes(bad_fr)))
-    assert restore_value(ts, replies, T, S) == b"payload"
+    replies[1] = checked_reply(1, replies[1]._replace(fr=bad_fr))
+    witness = safe_witness(Candidate(ts), replies, T)
+    assert witness[0] == (2, 3)
+    assert restore_value(witness, replies, T, S) == b"payload"
 
 
 def test_mw_repair_carries_the_witnesses_vector():

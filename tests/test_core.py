@@ -11,8 +11,8 @@ from powerstore.core import (
     C0,
     TS0,
     Candidate,
-    Reply,
     Timestamp,
+    checked_reply,
     highcand,
     invalid,
     invalid_bound,
@@ -29,6 +29,7 @@ from powerstore.crypto import (
     make_vec,
     pow_scheme,
 )
+from powerstore.erasure import cross_checksum, encode, fragment_to_bytes
 from powerstore.simnet import event_to_json
 
 T = 1
@@ -189,9 +190,43 @@ def test_valid_mw_rejects_short_or_garbage_vec():
     assert not valid_mw(Candidate(ts, None, good), {}, 1, ring.key_for(1))
 
 
-def _reply(ts, cc, sid, vec=None, ok=True):
-    h = cc[sid - 1] if (cc and len(cc) >= sid and ok) else b"BAD"
-    return Reply(ts=ts, fr=b"frag-%d" % sid, cc=cc, vec=vec, fr_hash=h)
+def _coded(value, s=S):
+    """A value's fragments for s servers and their cross-checksum."""
+    frs = encode(value, (s - 1) // 3 + 1, s)
+    return frs, cross_checksum(frs)
+
+
+def _reply(ts, coded, sid, vec=None, ok=True):
+    """Server sid's checked FILTER_ACK at ts under coded's cross-checksum,
+    with its own fragment or (ok=False) a fragment that fails its slot."""
+    frs, cc = coded
+    fr = frs[sid - 1] if ok else frs[sid % len(frs)]
+    return checked_reply(sid, codec.FilterAck(1, ts, fr, cc, vec))
+
+
+def _at(ts):
+    """A FILTER_ACK that carries only a timestamp."""
+    return codec.FilterAck(1, ts, None, None, None)
+
+
+def test_checked_reply_keeps_a_fragment_that_matches_its_slot():
+    coded = _coded(b"value")
+    ack = codec.FilterAck(1, Timestamp(3), coded[0][1], coded[1], None)
+    assert checked_reply(2, ack) is ack
+
+
+@pytest.mark.parametrize("sid, cc", [(3, "full"), (2, "short"), (2, None)],
+                         ids=["wrong-slot", "short-cc", "no-cc"])
+def test_checked_reply_drops_a_fragment_it_cannot_check(sid, cc):
+    frs, full = _coded(b"value")
+    cc = {"full": full, "short": full[:1]}.get(cc)
+    ack = codec.FilterAck(1, Timestamp(3), frs[1], cc, (b"v",) * S)
+    assert checked_reply(sid, ack) == ack._replace(fr=None)
+
+
+def test_checked_reply_leaves_a_reply_without_fragment_unchanged():
+    ack = codec.FilterAck(1, Timestamp(3), None, _coded(b"value")[1], None)
+    assert checked_reply(1, ack) is ack
 
 
 def _safe(candidate, replies, t):
@@ -201,52 +236,52 @@ def _safe(candidate, replies, t):
 
 def test_safe_quorum_example():
     ts5, ts3 = Timestamp(5), Timestamp(3)
-    cc = tuple(digest(b"f%d" % i) for i in range(1, S + 1))
-    other = tuple(digest(b"g%d" % i) for i in range(1, S + 1))
+    coded, other = _coded(b"f"), _coded(b"g")
     replies = {
-        1: _reply(ts5, cc, 1),
-        2: _reply(ts5, cc, 2),
+        1: _reply(ts5, coded, 1),
+        2: _reply(ts5, coded, 2),
         3: _reply(ts3, other, 3),
         4: _reply(ts3, other, 4),
     }
     cand = Candidate(ts5, b"n")
     assert _safe(cand, replies, t=1)
     ids, got_cc, got_vec = safe_witness(cand, replies, t=1)
-    assert ids == (1, 2) and got_cc == cc and got_vec is None
+    assert ids == (1, 2) and got_cc == coded[1] and got_vec is None
     # the lower candidate is also safe for its own pair of responders
     assert _safe(Candidate(ts3, b"m"), replies, t=1)
 
 
 def test_safe_needs_t_plus_one_and_own_slot_hash():
     ts = Timestamp(5)
-    cc = tuple(digest(b"f%d" % i) for i in range(1, S + 1))
-    replies = {1: _reply(ts, cc, 1), 2: _reply(ts, cc, 2, ok=False)}
+    coded = _coded(b"f")
+    replies = {1: _reply(ts, coded, 1), 2: _reply(ts, coded, 2, ok=False)}
     assert not _safe(Candidate(ts, b"n"), replies, t=1)
-    replies[3] = _reply(ts, cc, 3)
+    replies[3] = _reply(ts, coded, 3)
     assert _safe(Candidate(ts, b"n"), replies, t=1)
     assert safe_witness(Candidate(ts, b"n"), replies, t=1)[0] == (1, 3)
 
 
 def test_safe_groups_split_on_cc_and_vec_disagreement():
     ts = Timestamp(4, 2)
-    cc_a = tuple(digest(b"a%d" % i) for i in range(1, S + 1))
-    cc_b = tuple(digest(b"b%d" % i) for i in range(1, S + 1))
-    replies = {1: _reply(ts, cc_a, 1), 2: _reply(ts, cc_b, 2)}
+    coded_a, coded_b = _coded(b"a"), _coded(b"b")
+    replies = {1: _reply(ts, coded_a, 1), 2: _reply(ts, coded_b, 2)}
     assert not _safe(Candidate(ts), replies, t=1)
     vec_x, vec_y = (b"x",) * S, (b"y",) * S
-    replies = {1: _reply(ts, cc_a, 1, vec=vec_x), 2: _reply(ts, cc_a, 2, vec=vec_y)}
+    replies = {1: _reply(ts, coded_a, 1, vec=vec_x),
+               2: _reply(ts, coded_a, 2, vec=vec_y)}
     assert not _safe(Candidate(ts), replies, t=1)
-    replies[3] = _reply(ts, cc_a, 3, vec=vec_x)
-    assert safe_witness(Candidate(ts), replies, t=1) == ((1, 3), cc_a, vec_x)
+    replies[3] = _reply(ts, coded_a, 3, vec=vec_x)
+    assert safe_witness(Candidate(ts), replies, t=1) == (
+        (1, 3), coded_a[1], vec_x)
 
 
 def test_safe_ignores_missing_fragment_or_short_cc():
     ts = Timestamp(2)
-    cc = tuple(digest(b"f%d" % i) for i in range(1, S + 1))
+    frs, cc = coded = _coded(b"f")
     replies = {
-        1: Reply(ts, None, cc, fr_hash=cc[0]),
-        2: Reply(ts, b"fr", cc[:1], fr_hash=cc[1]),
-        3: _reply(ts, cc, 3),
+        1: checked_reply(1, codec.FilterAck(1, ts, None, cc, None)),
+        2: checked_reply(2, codec.FilterAck(1, ts, frs[1], cc[:1], None)),
+        3: _reply(ts, coded, 3),
     }
     assert not _safe(Candidate(ts), replies, t=1)
 
@@ -264,7 +299,8 @@ def _brute_safe(cand, replies, t):
                 continue
             if len({rep.vec for rep in reps}) != 1:
                 continue
-            if any(len(rep.cc) < i or rep.fr_hash != rep.cc[i - 1]
+            if any(len(rep.cc) < i or
+                   digest(fragment_to_bytes(rep.fr)) != rep.cc[i - 1]
                    for i, rep in zip(sub, reps)):
                 continue
             return True
@@ -273,9 +309,11 @@ def _brute_safe(cand, replies, t):
 
 def test_safe_matches_subset_enumeration_oracle():
     rng = random.Random(0xC0FFEE)
-    cc_pool = [tuple(digest(b"%d/%d" % (j, i)) for i in range(1, 8))
-               for j in range(3)]
-    vec_pool = [None, (b"v1",) * 7, (b"v2",) * 7]
+    coded_pool = [_coded(b"value %d" % j, 7) for j in range(2)]
+    # draws lean towards one write, so both outcomes are common
+    ts_pool = [Timestamp(1)] * 3 + [Timestamp(1, 1)]
+    vec_pool = [None] * 3 + [(b"v1",) * 7]
+    outcomes = set()
     for trial in range(400):
         t = rng.choice([1, 2])
         s = 3 * t + 1
@@ -283,24 +321,27 @@ def test_safe_matches_subset_enumeration_oracle():
         for sid in range(1, s + 1):
             if rng.random() < 0.15:
                 continue  # silent server
-            ts = Timestamp(rng.randrange(3), rng.randrange(2))
-            cc = rng.choice(cc_pool + [None])
+            ts = rng.choice(ts_pool)
+            j = rng.choice([0, 0, 0, 1])
+            cc = rng.choice([coded_pool[j][1]] * 5 + [None])
             vec = rng.choice(vec_pool)
-            fr = None if rng.random() < 0.1 else b"f"
+            # a fragment of another value fails its slot of this cc
+            own = j if rng.random() < 0.8 else (j + 1) % len(coded_pool)
+            fr = None if rng.random() < 0.1 else coded_pool[own][0][sid - 1]
             if cc is not None and rng.random() < 0.1:
                 cc = cc[: rng.randrange(len(cc))]
-            ok = rng.random() < 0.8
-            h = cc[sid - 1] if (cc and len(cc) >= sid and ok) else b"BAD"
-            replies[sid] = Reply(ts, fr, cc, vec, h)
-        cand = Candidate(Timestamp(rng.randrange(3), rng.randrange(2)), b"n")
-        assert _safe(cand, replies, t) == _brute_safe(cand, replies, t), (
-            "trial %d diverged" % trial)
+            replies[sid] = checked_reply(sid, codec.FilterAck(1, ts, fr, cc, vec))
+        cand = Candidate(rng.choice([Timestamp(1), Timestamp(1, 1)]), b"n")
+        expect = _brute_safe(cand, replies, t)
+        assert _safe(cand, replies, t) == expect, "trial %d diverged" % trial
+        outcomes.add(expect)
+    assert outcomes == {False, True}
 
 
 def test_invalid_counts_strictly_lower_timestamps():
     cand = Candidate(Timestamp(5), b"n")
-    low, high = Reply(Timestamp(1), None, None), Reply(Timestamp(9), None, None)
-    eq = Reply(Timestamp(5), None, None)
+    low, high = _at(Timestamp(1)), _at(Timestamp(9))
+    eq = _at(Timestamp(5))
     replies = {1: low, 2: low, 3: low, 4: high}
     assert invalid(cand, replies, s=S, t=T)  # 3 >= S - t
     replies[3] = eq
@@ -317,8 +358,8 @@ def _random_replies(rng, s, fill):
     """A reply table over s servers with each present with probability fill;
     timestamps come from a small range, so ties (and equal keys with other
     tags) are common."""
-    return {sid: Reply(Timestamp(rng.randrange(4), rng.randrange(2),
-                                 rng.choice([b"", b"x"])), None, None)
+    return {sid: _at(Timestamp(rng.randrange(4), rng.randrange(2),
+                               rng.choice([b"", b"x"])))
             for sid in range(1, s + 1) if rng.random() < fill}
 
 
@@ -346,7 +387,7 @@ def test_invalid_and_its_bound_agree_with_counting(t):
 
 
 def test_invalid_bound_with_tied_timestamps():
-    tied = {sid: Reply(Timestamp(3, 0, b"t%d" % sid), None, None)
+    tied = {sid: _at(Timestamp(3, 0, b"t%d" % sid))
             for sid in range(1, S + 1)}
     assert invalid_bound(tied, S, T) == (3, 0)
     assert not invalid(Candidate(Timestamp(3, 0, b"other")), tied, S, T)

@@ -15,7 +15,7 @@ import pytest
 
 from powerstore import codec, mutants, scenarios, simnet
 from powerstore.client import BOTTOM, MwReader, ProtocolInvariantError, SwReader
-from powerstore.core import Candidate, Reply, highcand, invalid
+from powerstore.core import Candidate, highcand, invalid
 from powerstore.crypto import digest
 from powerstore.erasure import decode as ec_decode, fragment_to_bytes
 from powerstore.simnet import SimConfig
@@ -56,8 +56,7 @@ class _LiteralRules:
     def _on_filter_ack(self, sid, msg):
         if self.phase != "filter" or msg.tsr != self.tsr:
             return
-        fr_hash = digest(fragment_to_bytes(msg.fr)) if msg.fr is not None else None
-        self.R[sid] = Reply(msg.ts, msg.fr, msg.cc, msg.vec, fr_hash)
+        self.R[sid] = self._checked(sid, msg)
         self.C = {c for c in self.C if not invalid(c, self.R, self.s, self.t)}
         if len(self.R) < self.s - self.t:
             return

@@ -4,11 +4,12 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
 from powerstore import codec, mutants, scenarios, simnet
-from powerstore.core import Candidate, Reply, Timestamp
+from powerstore.core import Candidate, Timestamp
 from powerstore.crypto import Polynomial, ShamirShare
 from powerstore.erasure import Fragment
 from powerstore.simnet import (
@@ -427,8 +428,13 @@ def test_a_layout_never_leaks_from_one_event_to_the_next(monkeypatch):
         assert event_to_json(ev) == _reference_event_to_json(ev), ev
 
 
+@dataclass(frozen=True)
+class _Opaque:
+    ts: Timestamp
+
+
 def test_export_rejects_what_the_reference_rejects():
-    ev = {"reply": Reply(Timestamp(1), None, None)}  # a dataclass: no converter
+    ev = {"reply": _Opaque(Timestamp(1))}  # a dataclass: no converter
     for export in (event_to_json, _reference_event_to_json):
         with pytest.raises(TypeError):
             export(ev)
