@@ -281,9 +281,6 @@ def test_a_config_file_that_repeats_a_key_is_a_usage_error(tmp_path, capsys):
     path.write_text("t=1\nmode=sw\n# t=3\nt=2\n")
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2 and out == "" and "lines 1 and 4 both set t" in err
-    path.write_text("fault=byz_server:1:mute\nfault=byz_server:2:stale_lc\n")
-    assert parse_config(path.read_text()).faults == (
-        "byz_server:1:mute", "byz_server:2:stale_lc")
 
 
 def test_config_file_drives_run_and_replay(tmp_path, capsys):

@@ -31,7 +31,8 @@ BUSY_BIGMAC = dict(writers=3, readers=4, reads=10)  # more reads, more repairs
 def _literal_restore_value(ts, replies, t, s, check_cc=True):
     """Decode the value at ts from the reply table: pick the smallest
     cross-checksum vouched by t+1 servers, keep fragments matching their own
-    slot of it."""
+    slot of it. The reader's restore before it decoded its safety witness's
+    fragments, frozen here as the reference for that rule."""
     counts = Counter(rep.cc for rep in replies.values()
                      if rep.ts.key() == ts.key())
     cc = min((v for v, n in counts.items() if v is not None and n > t),
