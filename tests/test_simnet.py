@@ -369,18 +369,36 @@ def _every_event_shape():
         yield workloads.config_for(workloads.WORKLOADS[name].task(0))
 
 
+def _nested_types(v, into):
+    """Add the exact type of every value a dict, list or tuple v nests."""
+    if type(v) is dict:
+        v = v.values()
+    elif type(v) not in (list, tuple):
+        return
+    for x in v:
+        into.add(type(x))
+        _nested_types(x, into)
+
+
 def test_export_matches_the_reference_on_both_catalog_sweeps(monkeypatch):
     monkeypatch.setattr(simnet, "_LAYOUTS", {})
-    events, types = 0, set()
+    events, types, top, nested = 0, set(), set(), set()
     for config in _every_event_shape():
         res = run(config)
         for ev in res.events:
             assert event_to_json(ev) == _reference_event_to_json(ev), ev
             types.add(ev["type"])
+            for v in ev.values():
+                top.add(type(v))
+                _nested_types(v, nested)
         events += len(res.events)
     assert events > 250_000
     assert {"send", "deliver", "deadlock", "monitor",
             "client_crash"} <= types
+    # the census of what the log carries: its export converts exactly these
+    assert top == {int, str, bytes, type(None), Timestamp, Polynomial,
+                   ShamirShare, dict}
+    assert nested == {dict, list, tuple, int, str}
     # one layout per event shape, never one per event: a shape key that
     # picked up a value instead of its type would grow with the sweep
     assert len(simnet._LAYOUTS) < 64
