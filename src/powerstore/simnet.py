@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
-import json
 import math
 import operator
 import random
@@ -35,9 +34,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import behaviors, codec, mutants
 from .client import ProtocolInvariantError
 from .codec import MalformedMessage
-from .core import Candidate, OperationRecord, Timestamp
+from .core import OperationRecord, Timestamp
 from .crypto import KeyRing, Polynomial, ShamirShare, digest, pow_scheme
-from .erasure import ErasureError, Fragment
+from .erasure import ErasureError
 
 WRITER_ID_BASE = 100  # servers 1..3t+1, writers 101, 102, ..., readers 201, ...
 READER_ID_BASE = 200
@@ -238,90 +237,67 @@ def value_header_bytes(writers: int, writes: int) -> int:
 # JSON export
 # ---------------------------------------------------------------------------
 
-_PLAIN = frozenset((str, int, float, bool, type(None)))
+def _entry(v):
+    """v's row of _JSON; the log carries no other type."""
+    if type(v) not in _JSON:
+        raise TypeError("the event log carries no %s" % type(v).__name__)
+    return _JSON[type(v)]
+
+
+def _to_json(v):
+    form, convert = _entry(v)
+    return form % convert(v)
 
 
 def _items(v):
-    return [_jsonable(x) for x in v]
+    return "[%s]" % ",".join(map(_to_json, v))
 
 
-_TO_JSON = {  # type -> its JSON form; other types use their nearest base here
-    bytes: lambda v: "0x" + v.hex(),
-    Timestamp: lambda v: {"num": v.num, "pid": v.pid, "tag": "0x" + v.tag.hex()},
-    Candidate: lambda v: {"ts": _jsonable(v.ts), "token": _jsonable(v.token),
-                          "vec": _jsonable(v.vec)},
-    Polynomial: lambda v: {"poly": {"q": v.q, "coeffs": list(v.coeffs)}},
-    ShamirShare: lambda v: {"share": [v.x, v.y, v.q]},
-    Fragment: lambda v: {"fragment": [v.index, v.orig_len,
-                                      "0x" + v.payload.hex()]},
-    tuple: _items, list: _items, set: _items, frozenset: _items,
-    dict: lambda v: {str(k): _jsonable(x) for k, x in v.items()},
-}
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def _dict(v):
+    """Keys as their str, sorted: the deadlock report's tables have int keys."""
+    return "{%s}" % ",".join([_json_str(str(k)) + ":" + _to_json(v[k])
+                              for k in sorted(v, key=str)])
 
 
-def _jsonable(v):
-    t = type(v)
-    if t in _PLAIN:
-        return v
-    convert = _TO_JSON.get(t)
-    if convert is None:
-        convert = next((_TO_JSON[b] for b in t.__mro__ if b in _TO_JSON), None)
-        if convert is None:
-            return v
-    return convert(v)
-
-
-def _any_json(v):
-    """Any value's JSON text; the converter of a field whose type has no
-    entry in _FIELDS_JSON."""
-    return _ENCODER.encode(_jsonable(v))
-
-
-def _timestamp_json(ts):
-    return '{"num":%d,"pid":%d,"tag":"0x%s"}' % (ts.num, ts.pid, ts.tag.hex())
-
-
-_FIELDS_JSON = {  # a value's exact type -> (its %-format, its converter)
+_JSON = {  # each type the log carries, exactly -> (its %-format, converter)
     int: ("%d", int),
-    Timestamp: ("%s", _timestamp_json),
-    bytes: ('"0x%s"', bytes.hex),
     str: ("%s", _json_str),
+    bytes: ('"0x%s"', bytes.hex),
+    type(None): ("%s", lambda v: "null"),
+    Timestamp: ("%s", lambda ts: '{"num":%d,"pid":%d,"tag":"0x%s"}'
+                % (ts.num, ts.pid, ts.tag.hex())),
+    Polynomial: ("%s", lambda p: '{"poly":{"coeffs":%s,"q":%d}}'
+                 % (_items(p.coeffs), p.q)),
+    ShamirShare: ("%s", lambda sh: '{"share":[%d,%d,%d]}'
+                  % (sh.x, sh.y, sh.q)),
+    dict: ("%s", _dict),
+    list: ("%s", _items),
+    tuple: ("%s", _items),
 }
 # operator.call is new in Python 3.11
 _call = getattr(operator, "call", lambda convert, value: convert(value))
 _LAYOUTS = {}  # event shape -> (%-format, sorted values getter, converters)
 
 
-def _layout(ev):
-    """The layout every event shaped like ev exports through, or None for
-    one without: fewer than two keys (itemgetter gives a tuple for two or
-    more), or a key that is not a str."""
-    if len(ev) < 2 or any(type(k) is not str for k in ev):
-        return None
-    keys = sorted(ev)
-    forms, converters = [], []
-    for key in keys:
-        form, convert = _FIELDS_JSON.get(type(ev[key]), ("%s", _any_json))
-        forms.append(_json_str(key).replace("%", "%%") + ":" + form)
-        converters.append(convert)
-    return ("{" + ",".join(forms) + "}", operator.itemgetter(*keys),
-            tuple(converters))
-
-
 def event_to_json(ev) -> str:
-    """One event as JSON with sorted keys and no spaces. A dict's layout is
-    built once per shape (its keys in order and each value's exact type);
-    anything else is one _any_json value."""
+    """One event as JSON with sorted keys and no spaces. A dict with two or
+    more keys, all str, exports through its shape's layout (its keys in
+    order and each value's exact type), built from _JSON the first time
+    the shape is met; anything else is one _to_json value."""
     if type(ev) is not dict:
-        return _any_json(ev)
+        return _to_json(ev)
     shape = (*ev, *map(type, ev.values()))
     layout = _LAYOUTS.get(shape)
     if layout is None:
-        layout = _layout(ev)
-        if layout is None:
-            return _any_json(ev)
-        _LAYOUTS[shape] = layout
+        # itemgetter gives a tuple for two or more keys
+        if len(ev) < 2 or any(type(k) is not str for k in ev):
+            return _to_json(ev)
+        keys = sorted(ev)
+        forms, converters = zip(*map(_entry, map(ev.get, keys)))
+        form = ",".join(_json_str(k).replace("%", "%%") + ":" + f
+                        for k, f in zip(keys, forms))
+        layout = _LAYOUTS[shape] = ("{" + form + "}",
+                                    operator.itemgetter(*keys), converters)
     form, values, converters = layout
     return form % tuple(map(_call, converters, values(ev)))
 
