@@ -205,6 +205,9 @@ def parse_faults(directives, s, writers, readers) -> dict:
             k = _fault_int(parts[3], d)
             if k < 0:
                 raise ValueError("%d is below 0 in %r" % (k, d))
+            if k >= s:  # a round crashes before its (k+1)-th send
+                raise ValueError("%r never fires: k must be below s=%d"
+                                 % (d, s))
             fault = (parts[2][len("after_"):], k)
         else:
             raise ValueError("bad fault directive %r" % d)
@@ -382,6 +385,11 @@ class Simulation:
 
         self.faults = parse_faults(config.faults, self.s,
                                    config.writers, config.readers)
+        crash = next((d for d in config.faults
+                      if d.startswith("crash_writer")), None)
+        if crash is not None and config.writes == 0:
+            # the crash plan rides on a writer's last write
+            raise ValueError("%r never fires: writes=0" % crash)
         self.keyring = (KeyRing.generate(self.s, self.rng["crypto"])
                         if config.mode == "mw" else None)
         classes = mutants.classes_for(config.mode, config.mutant)

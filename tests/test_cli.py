@@ -191,6 +191,19 @@ def test_a_malformed_delay_spec_is_a_usage_error_naming_it(capsys, spec):
     assert "expected %s:" % spec.split(":")[0] in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--t", "0"), "'crash_writer:101:after_store:2' never fires: k must be "
+     "below s=1"),
+    (("--writes", "0"), "'crash_writer:101:after_store:2' never fires: "
+     "writes=0"),
+], ids=["k-at-s", "no-writes"])
+def test_a_crash_that_cannot_fire_is_a_usage_error(capsys, flags, message):
+    """Both used to print PASS for a writer that never crashed."""
+    code, out, err = run_cli(capsys, "replay", "--scenario", "sw-crash-store",
+                             "--seed", "0", *flags)
+    assert code == 2 and out == "" and message in err
+
+
 def test_two_faults_for_one_server_are_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "replay", "--mode", "sw", "--seed", "0",
                              "--fault", "byz_server:1:mute",

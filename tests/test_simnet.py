@@ -91,6 +91,9 @@ def test_config_parser_names_the_line_and_key_of_a_bad_value(text, msg):
      "'x' is not an integer in 'crash_writer:101:after_store:x'"),
     (("crash_writer:101:after_store:-3",),
      "-3 is below 0 in 'crash_writer:101:after_store:-3'"),
+    # a round crashes before its (k+1)-th send: k=s used to run fault-free
+    (("crash_writer:101:after_complete:4",),
+     "'crash_writer:101:after_complete:4' never fires: k must be below s=4"),
     (("sabotage:1:x",), "bad fault directive"),
     # one fault per party: a second one used to replace the first silently
     (("byz_server:1:mute", "byz_server:1:stale_lc"),
@@ -210,6 +213,16 @@ def test_the_largest_fitting_configs_are_accepted():
     assert max(sim.clients) == simnet.READER_ID_BASE + 2
     assert len(sim.clients) == 102
     simnet.Simulation(small(writes=0, value_size=0))  # writes nothing
+
+
+def test_a_crash_directive_needs_a_write_to_crash_in():
+    """The crash plan rides on the writer's last write; with none it used to
+    run fault-free."""
+    crash = ("crash_writer:101:after_store:1",)
+    with pytest.raises(ValueError, match="'crash_writer:101:after_store:1' "
+                       "never fires: writes=0"):
+        simnet.Simulation(small(writes=0, faults=crash))
+    assert run(small(writes=1, faults=crash)).metrics["completed_writes"] == 0
 
 
 def test_unknown_mutant_is_rejected():
