@@ -17,6 +17,7 @@ from powerstore.simnet import (
     parse_config, parse_faults, run)
 from test_golden import _mutant_config, deadlock_configs
 from test_perfbench_smoke import _import_tracing
+from test_wire_view import SWEEPS, pin, pinned_configs
 
 
 def small(**over):
@@ -362,24 +363,24 @@ def _reference_event_to_json(ev):
 
 
 def _every_event_shape():
-    """Configs whose runs between them write every event shape the program
-    writes: both catalog sweeps with the wire taps off, and on under both
-    proof schemes (send and deliver events, raw bytes, redacted and
-    secret-share commitments, polynomial tokens); the deadlock runs, whose
-    report nests dicts with int keys; a monitor and a client-crash run; and
-    seed 0 of perfbench's flood and contended workloads."""
-    for sweep, seeds in (("sw-catalog", 28), ("mw-catalog", 24)):
-        for seed in range(seeds):
-            yield scenarios.pair_for(sweep, seed)[1]
-            for pow_name in ("hash", "shamir"):
-                yield scenarios.pair_for(sweep, seed, pow_name=pow_name,
-                                         log_wire=True)[1]
-    yield from deadlock_configs().values()
-    yield _mutant_config("lc_non_monotone")  # a monitor event
-    yield _mutant_config("safe_quorum_minus_one")  # a client_crash event
+    """(wire pin key or None, config) for runs that between them write every
+    event shape the program writes: both catalog sweeps with the wire taps
+    off, and on under both proof schemes as test_wire_view pins them (send
+    and deliver events, raw bytes, redacted and secret-share commitments,
+    polynomial tokens); the deadlock runs, whose report nests dicts with
+    int keys; a monitor and a client-crash run; and seed 0 of perfbench's
+    flood and contended workloads."""
+    for sweep, seeds in SWEEPS.items():
+        for seed in seeds:
+            yield None, scenarios.pair_for(sweep, seed)[1]
+    yield from pinned_configs().items()
     _, workloads = _import_tracing()
-    for name in ("flood", "contended"):
-        yield workloads.config_for(workloads.WORKLOADS[name].task(0))
+    for config in (*deadlock_configs().values(),
+                   _mutant_config("lc_non_monotone"),  # a monitor event
+                   _mutant_config("safe_quorum_minus_one"),  # a client_crash
+                   *(workloads.config_for(workloads.WORKLOADS[name].task(0))
+                     for name in ("flood", "contended"))):
+        yield None, config
 
 
 def _nested_types(v, into):
@@ -393,28 +394,44 @@ def _nested_types(v, into):
         _nested_types(x, into)
 
 
-def test_export_matches_the_reference_on_both_catalog_sweeps(monkeypatch):
-    monkeypatch.setattr(simnet, "_LAYOUTS", {})
-    events, types, top, nested = 0, set(), set(), set()
-    for config in _every_event_shape():
-        res = run(config)
-        for ev in res.events:
-            assert event_to_json(ev) == _reference_event_to_json(ev), ev
-            types.add(ev["type"])
-            for v in ev.values():
-                top.add(type(v))
-                _nested_types(v, nested)
-        events += len(res.events)
-    assert events > 250_000
+def export_pass():
+    """One run of each _every_event_shape config, with fresh layouts. A run
+    is dropped once summarised: the first event whose export differs from
+    the reference, counts, the event types and the value-type census, and
+    a wire-tapped run's pins. The layouts made end the summary."""
+    summary = dict(mismatch=None, events=0, types=set(), top=set(),
+                   nested=set(), pins={})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "_LAYOUTS", {})
+        for key, config in _every_event_shape():
+            res = run(config)
+            for ev in res.events:
+                if (summary["mismatch"] is None and
+                        event_to_json(ev) != _reference_event_to_json(ev)):
+                    summary["mismatch"] = ev
+                summary["types"].add(ev["type"])
+                for v in ev.values():
+                    summary["top"].add(type(v))
+                    _nested_types(v, summary["nested"])
+            summary["events"] += len(res.events)
+            if key is not None:
+                summary["pins"][key] = pin(res)
+        summary["layouts"] = len(simnet._LAYOUTS)
+    return summary
+
+
+def test_export_matches_the_reference_on_both_catalog_sweeps(event_log_pass):
+    assert event_log_pass["mismatch"] is None, event_log_pass["mismatch"]
+    assert event_log_pass["events"] > 250_000
     assert {"send", "deliver", "deadlock", "monitor",
-            "client_crash"} <= types
+            "client_crash"} <= event_log_pass["types"]
     # the census of what the log carries: its export converts exactly these
-    assert top == {int, str, bytes, type(None), Timestamp, Polynomial,
-                   ShamirShare, dict}
-    assert nested == {dict, list, tuple, int, str}
+    assert event_log_pass["top"] == {int, str, bytes, type(None), Timestamp,
+                                     Polynomial, ShamirShare, dict}
+    assert event_log_pass["nested"] == {dict, list, tuple, int, str}
     # one layout per event shape, never one per event: a shape key that
     # picked up a value instead of its type would grow with the sweep
-    assert len(simnet._LAYOUTS) < 64
+    assert event_log_pass["layouts"] < 64
 
 
 def test_export_matches_the_reference_on_every_converted_type():
