@@ -185,6 +185,8 @@ def test_pareto_draws_are_paretovariate_draws(mean, var):
     dict(reads=-2),
     dict(value_size=-5),
     dict(adversary_budget=-1),
+    # the crash plan rides on the last write; with none it never fired
+    dict(writes=0, faults=("crash_writer:101:after_store:1",)),
 ])
 def test_impossible_configs_are_rejected(kw):
     with pytest.raises(ValueError):
@@ -214,16 +216,6 @@ def test_the_largest_fitting_configs_are_accepted():
     assert max(sim.clients) == simnet.READER_ID_BASE + 2
     assert len(sim.clients) == 102
     simnet.Simulation(small(writes=0, value_size=0))  # writes nothing
-
-
-def test_a_crash_directive_needs_a_write_to_crash_in():
-    """The crash plan rides on the writer's last write; with none it used to
-    run fault-free."""
-    crash = ("crash_writer:101:after_store:1",)
-    with pytest.raises(ValueError, match="'crash_writer:101:after_store:1' "
-                       "never fires: writes=0"):
-        simnet.Simulation(small(writes=0, faults=crash))
-    assert run(small(writes=1, faults=crash)).metrics["completed_writes"] == 0
 
 
 def test_unknown_mutant_is_rejected():
@@ -458,7 +450,7 @@ def test_a_layout_never_leaks_from_one_event_to_the_next(monkeypatch):
     events += [{"seq": 4, "type": "monitor", "detail": v}
                for v in ('say "hi"', "back\\slash", "new\nline", "caf\u00e9",
                          "<redacted>", "100%", "")]
-    events += [{"100%": 1, "%d": "%s"}, {"a": 1, "b": ts},
+    events += [{"100%": 1, "%d": "%s"}, {"a": 1, "b": ts}, {"only": ts}, {},
                [1, b"x", "s"], (ts,), "top", 5, None]
     for ev in events + events:  # the second pass reuses every layout
         assert event_to_json(ev) == _reference_event_to_json(ev), ev
