@@ -230,9 +230,9 @@ class ShamirPow:
 HASH_POW = HashPow()
 
 
-def pow_scheme(name: str, q: int = MERSENNE_61):
+def pow_scheme(name: str):
     if name == "hash":
         return HASH_POW
     if name == "shamir":
-        return ShamirPow(q)
+        return ShamirPow()
     raise ValueError("unknown pow scheme %r" % name)

@@ -110,7 +110,12 @@ def fab_selects(result) -> int:
 
 
 def evaluate(result):
-    """Failure strings and checker verdicts for one run."""
+    """Failure strings and checker verdicts for one run, by these rules in
+    order: client crash, monitor, deadlock (no events left or tick budget
+    exhausted), the failing checker verdicts by name (linearizable,
+    non_skipping, pow_sound, rounds), malformed history, repairs without
+    vector corruption, multi-writer candidate accumulation, fabricated
+    candidates selected."""
     failures = []
     if result.crash_reason is not None:
         failures.append("client crash: %s" % result.crash_reason)
@@ -153,7 +158,6 @@ def report_for(scenario, result):
         "mode": result.config.mode,
         "pow": result.config.pow_name,
         "t": result.config.t,
-        "healthy": result.healthy,
         "failures": failures,
         "verdicts": {k: v.ok for k, v in verdicts.items()},
         "write_rounds": write_rounds,

@@ -331,11 +331,6 @@ class RunResult:
                         rec.ts.key() if rec.ts is not None else None))
         return tuple(sig)
 
-    @property
-    def healthy(self) -> bool:
-        return (self.monitor is None and self.crash_reason is None
-                and self.deadlock is None)
-
 
 class Simulation:
     def __init__(self, config: SimConfig):

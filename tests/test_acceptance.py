@@ -9,13 +9,14 @@ import itertools
 import math
 import os
 import random
+import re
 import time
 
 import pytest
 
 import test_checker
 from powerstore import mutants, scenarios
-from powerstore.checker import check_linearizable, verify_run
+from powerstore.checker import check_linearizable
 from powerstore.erasure import cross_checksum, decode, encode
 from powerstore.simnet import SimConfig, run
 
@@ -92,8 +93,7 @@ def test_linearizability_at_sixteen_writers():
     for seed in range(3):
         res = run(SimConfig(mode="mw", delay="pareto:20,4", writers=16,
                             readers=4, writes=10, reads=10, seed=seed))
-        verdicts = verify_run(res)
-        assert res.healthy and all(verdicts.values()), (seed, verdicts)
+        assert scenarios.evaluate(res)[0] == [], seed
     print("PASS linearizability: mw, 16 writers x 10 writes, 3 seeds")
 
 
@@ -119,13 +119,11 @@ def test_proofs_of_writing_are_sound(sw_sweep, mw_sweep, fab_sweeps):
           % (2 * FAB_SEEDS))
 
 
-def test_proof_schemes_are_interchangeable():
-    for mode in ("sw", "mw"):
-        name = "%s-catalog" % mode
-        a = scenarios.sweep(name, range(EQUIV_SEEDS), jobs=JOBS,
-                            pow_name="hash")
-        b = scenarios.sweep(name, range(EQUIV_SEEDS), jobs=JOBS,
-                            pow_name="shamir")
+def test_proof_schemes_are_interchangeable(sw_sweep, mw_sweep):
+    for mode, hash_sweep in (("sw", sw_sweep), ("mw", mw_sweep)):
+        a = hash_sweep["reports"][:EQUIV_SEEDS]
+        b = scenarios.sweep("%s-catalog" % mode, range(EQUIV_SEEDS),
+                            jobs=JOBS, pow_name="shamir")
         for ra, rb in zip(a, b):
             assert ra["read_values"] == rb["read_values"], (ra, rb)
             assert ra["signature"] == rb["signature"], (ra, rb)
@@ -142,7 +140,7 @@ def test_timestamps_never_skip(mw_sweep):
         res = run(SimConfig(mode="mw", writers=2, readers=2, writes=4,
                             reads=2, seed=seed,
                             faults=("byz_server:1:fabricate_candidate",)))
-        assert res.healthy
+        assert scenarios.evaluate(res)[0] == [], seed
         invocations = sum(1 for r in res.history if r.kind == "write")
         top = max(r.ts.num for r in res.history if r.ts is not None)
         assert top <= invocations, (seed, top)
@@ -210,25 +208,29 @@ KILL_PLANS = {
 }
 
 
-def _rejected(res):
-    if not res.healthy:
-        return res.crash_reason or res.monitor or res.deadlock["reason"]
-    for name, verdict in verify_run(res).items():
-        if not verdict.ok:
-            return "%s: %s" % (name, verdict.detail)
-    return None
+# What scenarios.evaluate reports for each mutant on every seed: one pattern
+# per failure, in evaluate's order
+_FABRICATED = r"\d+ fabricated candidates selected$"
+KILLED_BY = {
+    "safe_quorum_minus_one": ("client crash: ", "pow_sound: ", _FABRICATED),
+    "lc_non_monotone": ("monitor: ",),
+    "clock_skip_mac": ("non_skipping: ", _FABRICATED),
+    "decode_skip_cc": ("linearizable: ",),
+    "repair_skip_valid": ("linearizable: ", "pow_sound: "),
+    "valid_skip_nonce": ("pow_sound: ",),
+}
 
 
 @pytest.mark.parametrize("mutant", sorted(KILL_PLANS))
 def test_single_fault_variants_are_rejected(mutant):
-    assert set(KILL_PLANS) == set(mutants.REGISTRY)
-    kills = []
+    assert set(KILL_PLANS) == set(mutants.REGISTRY) == set(KILLED_BY)
+    want = KILLED_BY[mutant]
     for seed in range(10):
         kw = dict(writes=4, reads=4, readers=2)
         kw.update(KILL_PLANS[mutant])
-        reason = _rejected(run(SimConfig(mutant=mutant, seed=seed, **kw)))
-        if reason:
-            kills.append((seed, reason))
-    assert kills, "variant %s survived 10 seeds" % mutant
-    print("PASS mutant %s: rejected on %d/10 seeds (first: %s)"
-          % (mutant, len(kills), kills[0][1]))
+        failures, _ = scenarios.evaluate(
+            run(SimConfig(mutant=mutant, seed=seed, **kw)))
+        assert (len(failures) == len(want)
+                and all(map(re.match, want, failures))), (seed, failures)
+    print("PASS mutant %s: rejected on 10/10 seeds, first by %s"
+          % (mutant, want[0].rstrip(": ")))

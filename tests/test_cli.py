@@ -44,7 +44,7 @@ def test_sweep_records_are_newline_delimited_json(tmp_path, capsys):
     assert code == 0
     records = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert [r["seed"] for r in records] == [0, 1, 2]
-    assert all(r["healthy"] and not r["failures"] for r in records)
+    assert all(not r["failures"] for r in records)
     assert all(r["verdicts"]["linearizable"] for r in records)
 
 
@@ -246,15 +246,45 @@ def test_adhoc_vector_corruption_repairs_and_passes(capsys):
     assert int(out.split("repairs ")[1].split()[0]) > 0
 
 
-def test_repairs_fail_a_run_unless_a_server_garbles_vectors():
-    config = scenarios.pair_for("mw-bigmac", 8)[1]
+def _slow_first_write(result):
+    next(rec for rec in result.history
+         if rec.kind == "write" and rec.res_seq is not None).rounds = 3
+
+
+def _repeat_first_value(result):
+    first, second = [rec for rec in result.history if rec.kind == "write"][:2]
+    second.value = first.value
+
+
+def _faults(*faults):
+    def alter(result):
+        result.config = replace(result.config, faults=faults)
+    return alter
+
+
+_BIGMAC = scenarios.pair_for("mw-bigmac", 8)[1]
+
+
+@pytest.mark.parametrize("config,alter,failure", [
+    (SimConfig(), _slow_first_write,
+     "rounds: write by 101 took 3 rounds, wanted 2"),
+    (SimConfig(), _repeat_first_value,
+     "malformed history: duplicate write values break the oracle"),
+    (SimConfig(mode="mw", writers=2),
+     lambda result: result.metrics.update(lc_set_peak=3),
+     "multi-writer server accumulated 3 candidates"),
+    (_BIGMAC, _faults(), "repair rounds without vector corruption"),
+    (_BIGMAC, _faults("byz_server:1:stale_lc"),
+     "repair rounds without vector corruption"),
+], ids=["rounds", "malformed-history", "mw-accumulation", "repairs",
+        "repairs-under-stale-lc"])
+def test_each_rule_of_evaluate_goes_red_alone(config, alter, failure):
+    """A clean run, altered past one rule, fails that rule and no other.
+    The other rules go red in the mutant kill test and the deadlock tests."""
     result = run(config)
-    assert result.metrics["repairs"]
     assert scenarios.evaluate(result)[0] == []
-    for faults in ((), ("byz_server:1:stale_lc",)):
-        result.config = replace(config, faults=faults)
-        assert scenarios.evaluate(result)[0] == [
-            "repair rounds without vector corruption"]
+    alter(result)
+    assert scenarios.evaluate(result)[0] == [failure]
 
 
 def test_adhoc_run_with_fault_flags(capsys):

@@ -148,7 +148,7 @@ def test_valid_sw_accepts_committed_token():
 
 
 def test_valid_sw_shamir_share_commitment():
-    scheme = pow_scheme("shamir", q=2**61 - 1)
+    scheme = pow_scheme("shamir")
     poly, shares = scheme.mint(random.Random(5), t=2, s=7)
     hist = {Timestamp(1).key(): codec.Store(Timestamp(1), b"fr", (b"c",),
                                             shares[3])}

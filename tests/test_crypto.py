@@ -276,7 +276,7 @@ def test_hash_pow_mint_and_verify():
 
 
 def test_shamir_pow_mint_and_verify():
-    scheme = pow_scheme("shamir", q=101)
+    scheme = crypto.ShamirPow(101)
     token, commits = scheme.mint(random.Random(14), t=1, s=4)
     assert len(commits) == 4
     assert all(scheme.verify(token, c) for c in commits)

@@ -239,14 +239,23 @@ def test_crashed_writer_leaves_one_pending_operation():
     assert res.metrics["completed_writes"] == 2
     pend = [r for r in res.history if r.res_seq is None]
     assert [r.kind for r in pend] == ["write"]
-    assert res.healthy  # a crashed writer is not a liveness violation
+    # a crashed writer is not a liveness violation
+    assert scenarios.evaluate(res)[0] == []
 
 
 def test_too_many_mute_servers_deadlock_the_run():
     res = run(small(faults=("byz_server:1:mute", "byz_server:2:mute")))
-    assert not res.healthy
-    assert res.deadlock["reason"] == "no events left"
+    assert scenarios.evaluate(res)[0] == ["deadlock: no events left"]
     assert res.deadlock["pending"]
+
+
+def test_a_livelocked_run_exhausts_the_tick_budget():
+    # the reverting server's timer keeps the event heap from ever emptying
+    res = run(small(faults=("byz_server:1:mute", "byz_server:2:mute",
+                            "byz_server:3:revert_state")))
+    assert scenarios.evaluate(res)[0] == ["deadlock: tick budget exhausted"]
+    assert res.deadlock["pending"]
+    assert res.metrics["ticks"] <= simnet.MAX_TICKS
 
 
 def test_every_sent_message_is_delivered():
@@ -257,7 +266,7 @@ def test_every_sent_message_is_delivered():
 
 def test_garbage_traffic_is_dropped_not_crashed():
     res = run(small(readers=2, faults=("byz_reader:202:garbage_filter_sets",)))
-    assert res.healthy
+    assert scenarios.evaluate(res)[0] == []
     assert res.metrics["dropped_malformed"] > 0
 
 
