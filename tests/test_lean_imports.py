@@ -1,5 +1,6 @@
 """The pipeline imports only what a jobs=1 run uses: no numpy (the erasure
-coder works on bytes) and no process pool (only jobs > 1 needs one)."""
+coder works on bytes), no process pool (only jobs > 1 needs one) and no
+dataclasses (every record is a tuple or a slotted class)."""
 
 import os
 import subprocess
@@ -18,7 +19,8 @@ import powerstore.scenarios
 import powerstore.simnet
 
 print(" ".join(sorted(m for m in sys.modules
-                      if m in ("numpy", "concurrent.futures.process"))))
+                      if m in ("numpy", "concurrent.futures.process",
+                               "dataclasses"))))
 """
 
 
