@@ -15,8 +15,8 @@ forward zones overlap, and no backward zone lies inside a forward one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple
 
 from .crypto import pow_scheme
 
@@ -25,8 +25,9 @@ class HistoryMalformed(Exception):
     """The history breaks the rules the checker relies on."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """A check's outcome: false when it failed, as a bare tuple is not."""
+
     ok: bool
     detail: str = ""
 

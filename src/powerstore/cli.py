@@ -11,7 +11,6 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import replace
 
 from . import scenarios
 from .simnet import (MAX_T, format_config, make_delay_fn, parse_config, run,
@@ -77,7 +76,7 @@ def _runs(args, seeds):
             base = parse_config(fh.read())
         shim = scenarios.Scenario(name=os.path.basename(args.config),
                                   summary="config file", mode=base.mode)
-        return [(shim, replace(base, seed=seed, **over)) for seed in seeds]
+        return [(shim, base._replace(seed=seed, **over)) for seed in seeds]
     if args.scenario:
         return [scenarios.pair_for(args.scenario, seed, **over)
                 for seed in seeds]
@@ -205,7 +204,7 @@ def cmd_bench(args):
         for size in sizes:
             ops, wl, rl, data, msgs = [], [], [], 0, 0
             for seed in range(args.seeds):
-                res = run(replace(base, seed=seed, t=t, value_size=size))
+                res = run(base._replace(seed=seed, t=t, value_size=size))
                 for rec in res.history:
                     if rec.res_tick is None:
                         continue

@@ -13,7 +13,6 @@ predicates, kept for the tests and the benchmark's tracer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .crypto import HASH_POW, Polynomial, digest, verify_vec_entry
@@ -174,18 +173,25 @@ def highcand(candidate: Candidate, candidates) -> bool:
 # Operation records (the checker's input)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OperationRecord:
-    """One client operation as the harness observed it. res_seq/res_tick stay
-    None for operations pending at the end of a run (crashed writers)."""
+    """One client operation as the harness observed it, filled in when it
+    responds. res_seq/res_tick stay None for operations pending at the end
+    of a run (crashed writers); ts is a write's timestamp."""
 
-    client: int
-    kind: str  # "write" | "read"
-    value: Optional[bytes]
-    inv_seq: int
-    inv_tick: int
-    res_seq: Optional[int] = None
-    res_tick: Optional[int] = None
-    rounds: Optional[int] = None
-    repair_sent: bool = False
-    ts: Optional[Timestamp] = None  # the write's timestamp, set on completion
+    __slots__ = ("client", "kind", "value", "inv_seq", "inv_tick", "res_seq",
+                 "res_tick", "rounds", "repair_sent", "ts")
+
+    def __init__(self, client: int, kind: str, value: Optional[bytes],
+                 inv_seq: int, inv_tick: int, res_seq: Optional[int] = None,
+                 res_tick: Optional[int] = None, rounds: Optional[int] = None,
+                 repair_sent: bool = False, ts: Optional[Timestamp] = None):
+        self.client = client
+        self.kind = kind  # "write" | "read"
+        self.value = value
+        self.inv_seq = inv_seq
+        self.inv_tick = inv_tick
+        self.res_seq = res_seq
+        self.res_tick = res_tick
+        self.rounds = rounds
+        self.repair_sent = repair_sent
+        self.ts = ts

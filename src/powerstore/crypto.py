@@ -14,8 +14,7 @@ import functools
 import hashlib
 import hmac as _hmac
 import random
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 LAMBDA_BITS = 256
 NONCE_BYTES = LAMBDA_BITS // 8
@@ -73,8 +72,7 @@ def make_nonce(rng: random.Random) -> bytes:
 # Shamir polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """P(x) = sum coeffs[j] * x^j over Z_q; coeffs[0] is the free term."""
 
     coeffs: tuple  # t+1 field elements, low degree first
@@ -92,8 +90,7 @@ class Polynomial:
         return b"".join(parts)
 
 
-@dataclass(frozen=True)
-class ShamirShare:
+class ShamirShare(NamedTuple):
     """One evaluation point (x, P(x)) of a split polynomial over Z_q."""
 
     x: int
@@ -132,8 +129,7 @@ def shamir_verify(share: ShamirShare, poly: Polynomial) -> bool:
 # Keys
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyRing:
+class KeyRing(NamedTuple):
     """Per-server group keys k_1..k_S plus the shared writer key k_W.
 
     k_W = H(k_1 || k_2 || ... || k_S). Servers hold only their own k_i;

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .crypto import digest
 
@@ -88,8 +87,7 @@ def _generator_row(row: int, k: int) -> tuple:
     return tuple(_gf_inv(row ^ col) for col in range(k))
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """One server's coded share of a value (1-based index)."""
 
     index: int

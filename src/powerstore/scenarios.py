@@ -9,7 +9,7 @@ sweep member is reproducible from its seed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import checker
 from .behaviors import FAB_NUM_FLOOR
@@ -17,8 +17,7 @@ from .crypto import digest
 from .simnet import SimConfig, run
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """What a catalog entry pins; config() adds the workload and the seed."""
 
     name: str

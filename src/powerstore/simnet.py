@@ -22,14 +22,13 @@ correct server under the proof-sharing scheme.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import heapq
 import math
 import operator
 import random
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from . import behaviors, codec, mutants
 from .client import ProtocolInvariantError
@@ -45,8 +44,7 @@ MAX_WRITERS = READER_ID_BASE - WRITER_ID_BASE
 MAX_TICKS = 1_000_000  # livelock guard: a run still going then is a deadlock
 
 
-@dataclass
-class SimConfig:
+class SimConfig(NamedTuple):
     """One run's knobs; parse_config/format_config round-trip the file form.
     The deployment follows from t alone: s = 3t+1 servers, k = t+1 fragments."""
 
@@ -66,9 +64,9 @@ class SimConfig:
     mutant: str = ""
 
 
-# file key -> SimConfig field; a field's default gives its key's kind
-_FIELDS = {{"pow_name": "pow", "faults": "fault"}.get(f.name, f.name): f
-           for f in dataclasses.fields(SimConfig)}
+# file key -> (SimConfig field, its default); the default gives the key's kind
+_FIELDS = {{"pow_name": "pow", "faults": "fault"}.get(name, name):
+           (name, SimConfig._field_defaults[name]) for name in SimConfig._fields}
 
 
 def parse_config(text: str) -> SimConfig:
@@ -86,8 +84,8 @@ def parse_config(text: str) -> SimConfig:
         key, value = key.strip(), value.strip()
         if key not in _FIELDS:
             raise ValueError("line %d: unknown key %r" % (lineno, key))
-        f = _FIELDS[key]
-        kind = type(f.default)
+        name, default = _FIELDS[key]
+        kind = type(default)
         if key == "fault":
             faults.append(value)
             continue
@@ -98,10 +96,10 @@ def parse_config(text: str) -> SimConfig:
         if kind is bool:
             if value not in ("true", "false"):
                 raise ValueError("line %d: %s wants true/false" % (lineno, key))
-            kwargs[f.name] = value == "true"
+            kwargs[name] = value == "true"
         else:
             try:
-                kwargs[f.name] = kind(value)
+                kwargs[name] = kind(value)
             except ValueError as exc:
                 raise ValueError("line %d: %s: %s" % (lineno, key, exc)) from None
     if faults:
@@ -111,9 +109,9 @@ def parse_config(text: str) -> SimConfig:
 
 def format_config(cfg: SimConfig) -> str:
     lines = []
-    for key, f in _FIELDS.items():
-        value = getattr(cfg, f.name)
-        if value == f.default:
+    for key, (name, default) in _FIELDS.items():
+        value = getattr(cfg, name)
+        if value == default:
             continue
         if key == "fault":
             lines.extend("fault=%s" % d for d in value)
@@ -305,8 +303,7 @@ def event_to_json(ev) -> str:
     return form % tuple(map(_call, converters, values(ev)))
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     config: SimConfig
     history: list  # OperationRecord, in invocation order
     events: list

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -249,16 +248,23 @@ def test_adhoc_vector_corruption_repairs_and_passes(capsys):
 def _slow_first_write(result):
     next(rec for rec in result.history
          if rec.kind == "write" and rec.res_seq is not None).rounds = 3
+    return result
 
 
 def _repeat_first_value(result):
     first, second = [rec for rec in result.history if rec.kind == "write"][:2]
     second.value = first.value
+    return result
+
+
+def _three_candidates_at_a_server(result):
+    result.metrics.update(lc_set_peak=3)
+    return result
 
 
 def _faults(*faults):
     def alter(result):
-        result.config = replace(result.config, faults=faults)
+        return result._replace(config=result.config._replace(faults=faults))
     return alter
 
 
@@ -270,8 +276,7 @@ _BIGMAC = scenarios.pair_for("mw-bigmac", 8)[1]
      "rounds: write by 101 took 3 rounds, wanted 2"),
     (SimConfig(), _repeat_first_value,
      "malformed history: duplicate write values break the oracle"),
-    (SimConfig(mode="mw", writers=2),
-     lambda result: result.metrics.update(lc_set_peak=3),
+    (SimConfig(mode="mw", writers=2), _three_candidates_at_a_server,
      "multi-writer server accumulated 3 candidates"),
     (_BIGMAC, _faults(), "repair rounds without vector corruption"),
     (_BIGMAC, _faults("byz_server:1:stale_lc"),
@@ -283,8 +288,7 @@ def test_each_rule_of_evaluate_goes_red_alone(config, alter, failure):
     The other rules go red in the mutant kill test and the deadlock tests."""
     result = run(config)
     assert scenarios.evaluate(result)[0] == []
-    alter(result)
-    assert scenarios.evaluate(result)[0] == [failure]
+    assert scenarios.evaluate(alter(result))[0] == [failure]
 
 
 def test_adhoc_run_with_fault_flags(capsys):

@@ -4,7 +4,6 @@ order, plus the restore helpers' failure modes."""
 import itertools
 import random
 from collections import deque
-from dataclasses import replace
 
 import pytest
 
@@ -258,7 +257,7 @@ def test_restore_value_requires_a_checksum_witness():
 def test_restore_value_drops_fragments_failing_their_slot():
     ts = Timestamp(1, 0, b"")
     replies = _replies_for(b"payload", ts)
-    bad_fr = replace(replies[1].fr, payload=b"\x00" * len(replies[1].fr.payload))
+    bad_fr = replies[1].fr._replace(payload=b"\x00" * len(replies[1].fr.payload))
     replies[1] = checked_reply(1, replies[1]._replace(fr=bad_fr))
     witness = safe_witness(Candidate(ts), replies, T)
     assert witness[0] == (2, 3)

@@ -1,6 +1,5 @@
 """Wire codec: round trips, strictness, and a randomized corpus."""
 
-import dataclasses
 import operator
 import random
 
@@ -260,10 +259,7 @@ def _samples():
 
 
 def _leaves(obj):
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _leaves(getattr(obj, f.name))
-    elif isinstance(obj, tuple):
+    if isinstance(obj, tuple):
         for item in obj:
             yield from _leaves(item)
     else:
