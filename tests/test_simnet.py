@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from powerstore import codec, mutants, scenarios, simnet
+from powerstore import checker, codec, mutants, scenarios, simnet
 from powerstore.core import Candidate, Timestamp
 from powerstore.crypto import Polynomial, ShamirShare
 from powerstore.erasure import Fragment
@@ -56,6 +56,21 @@ def test_config_text_round_trips():
                 delay="pareto:20,4", log_wire=True, adversary_budget=7,
                 mutant="lc_non_monotone")
     assert parse_config(format_config(cfg)) == cfg
+
+
+def test_run_descriptions_are_values():
+    """A config made twice is one dict key; its file form rebuilds it."""
+    table = {}
+    for sweep, seeds in SWEEPS.items():
+        for seed in seeds:
+            config = scenarios.pair_for(sweep, seed)[1]
+            table.setdefault(config, []).append((sweep, seed))
+            table[scenarios.pair_for(sweep, seed)[1]].append((sweep, seed))
+            assert parse_config(format_config(config)) == config
+    assert sorted(table.values()) == sorted(
+        [(sweep, seed)] * 2 for sweep, seeds in SWEEPS.items()
+        for seed in seeds)
+    assert bool(checker.Verdict(False, "x")) is False
 
 
 def test_config_parser_accepts_comments_and_blank_lines():
