@@ -414,16 +414,18 @@ def export_pass():
     """One run of each _every_event_shape config, with fresh layouts. A run
     is dropped once summarised: the first event whose export differs from
     the reference, counts, the event types and the value-type census, and
-    a wire-tapped run's pins. The layouts made end the summary."""
+    a wire-tapped run's pins, made from the lines already exported. The
+    layouts made end the summary."""
     summary = dict(mismatch=None, events=0, types=set(), top=set(),
                    nested=set(), pins={})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simnet, "_LAYOUTS", {})
         for key, config in _every_event_shape():
             res = run(config)
-            for ev in res.events:
+            lines = list(map(event_to_json, res.events))
+            for ev, line in zip(res.events, lines):
                 if (summary["mismatch"] is None and
-                        event_to_json(ev) != _reference_event_to_json(ev)):
+                        line != _reference_event_to_json(ev)):
                     summary["mismatch"] = ev
                 summary["types"].add(ev["type"])
                 for v in ev.values():
@@ -431,7 +433,7 @@ def export_pass():
                     _nested_types(v, summary["nested"])
             summary["events"] += len(res.events)
             if key is not None:
-                summary["pins"][key] = pin(res)
+                summary["pins"][key] = pin(res, lines)
         summary["layouts"] = len(simnet._LAYOUTS)
     return summary
 

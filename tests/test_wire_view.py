@@ -40,12 +40,10 @@ def pinned_configs():
     return configs
 
 
-def _log_digest(result):
-    lines = []
-    for ev in result.events:
-        if ev["type"] == "send":
-            ev = {k: v for k, v in ev.items() if k not in VIEW_FIELDS}
-        lines.append(event_to_json(ev))
+def _log_digest(result, lines):
+    lines = [event_to_json({k: v for k, v in ev.items() if k not in VIEW_FIELDS})
+             if ev["type"] == "send" else line
+             for ev, line in zip(result.events, lines)]
     return digest(("\n".join(lines) + "\n").encode()).hex()
 
 
@@ -55,8 +53,9 @@ def wire_view(result):
             if ev["type"] == "send" and ev["src"] > WRITER_ID_BASE]
 
 
-def pin(result):
-    return {"log_digest": _log_digest(result),
+def pin(result, lines):
+    """The run's two digests; lines holds each event's export, in order."""
+    return {"log_digest": _log_digest(result, lines),
             "wire_view": digest(event_to_json(wire_view(result)).encode()).hex()}
 
 
@@ -81,8 +80,10 @@ def test_pinned_runs_reproduce_their_wire_view(prefix, event_log_pass):
 
 
 if __name__ == "__main__":
-    pins = {key: pin(run(config))
-            for key, config in sorted(pinned_configs().items())}
+    pins = {}
+    for key, config in sorted(pinned_configs().items()):
+        result = run(config)
+        pins[key] = pin(result, map(event_to_json, result.events))
     with open(PINS_PATH, "w") as fh:
         json.dump(pins, fh, indent=1, sort_keys=True)
         fh.write("\n")
