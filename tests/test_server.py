@@ -1,14 +1,16 @@
 """Replica handler semantics, one message at a time."""
 
+import hashlib
 import random
 
 import pytest
 
-from powerstore import codec
+from powerstore import codec, scenarios, simnet
 from powerstore.core import C0, Candidate, TS0, Timestamp
 from powerstore.crypto import KeyRing, digest, make_vec, pow_scheme, tag_timestamp
 from powerstore.erasure import cross_checksum, encode
 from powerstore.mutants import classes_for
+from powerstore.server import ServerBase
 
 S, T = 4, 1
 
@@ -252,3 +254,94 @@ def test_sw_collect_sorts_only_what_changed(monkeypatch):
     calls.clear()
     again = srv.handle(codec.Collect(5), "reader")
     assert calls == [] and again.cands == ack.cands
+
+
+# ---------------------------------------------------------------------------
+# mw write-back choice. The log's accept event omits the vector, so the
+# candidate each filter write-back adopts is pinned here, vector included.
+# ---------------------------------------------------------------------------
+
+def garble(vec, slots=None):
+    """vec with the entries at the 1-based slots (all if None) garbled."""
+    return tuple(digest(b"x" + e) if slots is None or i in slots else e
+                 for i, e in enumerate(vec, 1))
+
+
+def filter_wb(srv, cands):
+    """The candidate srv adopts from a FILTER of cands, or None."""
+    before = srv.lc
+    srv.handle(codec.Filter(1, cands), "reader")
+    return None if srv.lc is before else srv.lc
+
+
+def test_mw_write_back_prefers_the_stored_vector_among_variants():
+    ring = keyring()
+    ts, token, vec = store_at(mw_server(ring), build_write(
+        pow_scheme("hash"), 3, pid=101, ring=ring))
+    genuine, garbled = Candidate(ts, token, vec), Candidate(ts, token,
+                                                            garble(vec))
+    for cands in ((garbled, genuine), (genuine, garbled)):
+        srv = mw_server(ring)
+        store_at(srv, build_write(srv.scheme, 3, pid=101, ring=ring))
+        assert filter_wb(srv, cands) == genuine
+
+
+def test_mw_write_back_prefers_a_variant_carrying_its_own_entry():
+    ring = keyring()
+    for sid in (1, 3):
+        srv = mw_server(ring, sid=sid)
+        ts, token, vec = store_at(srv, build_write(srv.scheme, 3, pid=101,
+                                                   ring=ring))
+        others = set(range(1, S + 1)) - {sid}
+        own = Candidate(ts, token, garble(vec, others))  # only sid's entry
+        none = Candidate(ts, token, garble(vec))
+        for cands in ((none, own), (own, none)):
+            srv.lc = C0
+            assert filter_wb(srv, cands) == own
+
+
+def test_mw_write_back_takes_a_lone_top_candidate_as_sent():
+    ring = keyring()
+    srv = mw_server(ring)
+    low = build_write(srv.scheme, 2, pid=101, ring=ring)
+    lts, ltoken, lvec = store_at(srv, low)
+    ts, token, vec = store_at(srv, build_write(srv.scheme, 4, pid=102,
+                                               ring=ring, seed=6))
+    top = Candidate(ts, token, garble(vec))  # history-valid, vector garbled
+    rivals = (Candidate(lts, ltoken, lvec), Candidate(lts, ltoken,
+                                                       garble(lvec)))
+    assert filter_wb(srv, rivals + (top,)) == top
+
+
+def filter_write_backs(configs, monkeypatch):
+    """(count, digest) of every filter write-back the runs make: the server
+    and the whole candidate adopted, vector included, in run order."""
+    h, n = hashlib.sha256(), 0
+    real = ServerBase._accept
+
+    def accept(self, cand, via):
+        nonlocal n
+        if via == "filter_wb":
+            n += 1
+            h.update(codec.encode(codec.Repair(self.sid, cand)))
+        return real(self, cand, via)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ServerBase, "_accept", accept)
+        for config in configs:
+            simnet.run(config)
+    return n, h.hexdigest()
+
+
+def write_back_configs():
+    for seed in range(300):
+        yield scenarios.pair_for("mw-catalog", seed)[1]
+    for name in ("mw-bigmac", "mw-byz-fabricate"):  # corrupt_vec, fabricate
+        for t in (2, 3):
+            for seed in range(10):
+                yield scenarios.pair_for(name, seed, t=t)[1]
+
+
+def test_mw_filter_write_backs_are_pinned(monkeypatch):
+    assert filter_write_backs(write_back_configs(), monkeypatch) == (
+        176, "7b208af04dd1ce7b7c8e07b8978094e951a98704a39e2d4af4421938d7a8055f")
