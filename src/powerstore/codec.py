@@ -34,12 +34,14 @@ REPAIR, REPAIR_ACK = 11, 12
 # ---------------------------------------------------------------------------
 # Field codecs
 #
-# Each field type is an (encode, decode) pair. Encoders append wire pieces to
-# a list that encode() joins once; decoders take (data, pos) and return
-# (value, pos), and the candidate-list decoder also takes decode()'s records
-# table. Decoders never check lengths: struct raises on a short read,
-# indexing raises IndexError, and a blob slice that runs past the end leaves
-# pos beyond len(data), which decode() rejects after the last field.
+# Each field type is an (encode, decode) pair. Encoders take (out, value,
+# lists) and append wire pieces to the list out that encode() joins once;
+# decoders take (data, pos, records, lists) and return (value, pos). The two
+# tables are the caller's (see encode and decode): only the optional-list
+# and candidate codecs read them. Decoders never check lengths: struct
+# raises on a short read, indexing raises IndexError, and a blob slice that
+# runs past the end leaves pos beyond len(data), which decode() rejects
+# after the last field.
 # ---------------------------------------------------------------------------
 
 _U16 = struct.Struct(">H")
@@ -54,19 +56,19 @@ _REC = struct.Struct(">QQHBH32sB")
 _SHARE = struct.Struct(">BQQQ")  # kind 2, x, y, q
 
 
-def _enc_u64(out, v):
+def _enc_u64(out, v, lists):
     out.append(_U64.pack(v))
 
 
-def _dec_u64(data, pos):
+def _dec_u64(data, pos, records, lists):
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
-def _enc_ts(out, ts: Timestamp):
+def _enc_ts(out, ts: Timestamp, lists):
     out += (_TS.pack(ts.num, ts.pid, len(ts.tag)), ts.tag)
 
 
-def _dec_ts(data, pos):
+def _dec_ts(data, pos, records, lists):
     num, pid, n = _TS.unpack_from(data, pos)
     pos += 18  # _TS.size
     return tuple.__new__(Timestamp, (num, pid, data[pos:pos + n])), pos + n
@@ -77,7 +79,7 @@ def _dec_blob16(data, pos):
     return data[pos + 2:end], end
 
 
-def _enc_token(out, token):
+def _enc_token(out, token, lists):
     if token is None:
         out.append(b"\x00")
     elif isinstance(token, Polynomial):
@@ -87,7 +89,7 @@ def _enc_token(out, token):
         out += (_FLAG_U16.pack(1, len(token)), token)
 
 
-def _dec_token(data, pos):
+def _dec_token(data, pos, records, lists):
     kind = data[pos]
     if kind == 0:
         return None, pos + 1
@@ -102,7 +104,7 @@ def _dec_token(data, pos):
     raise MalformedMessage("bad token kind %d" % kind)
 
 
-def _enc_commitment(out, com):
+def _enc_commitment(out, com, lists):
     if com is None:
         out.append(b"\x00")
     elif isinstance(com, ShamirShare):
@@ -111,7 +113,7 @@ def _enc_commitment(out, com):
         out += (_FLAG_U16.pack(1, len(com)), com)
 
 
-def _dec_commitment(data, pos):
+def _dec_commitment(data, pos, records, lists):
     kind = data[pos]
     if kind == 0:
         return None, pos + 1
@@ -132,28 +134,47 @@ def _present(data, pos) -> bool:
     return flag == 1
 
 
-def _enc_opt_list(out, entries: Optional[tuple]):
+# Cross-checksums and MAC vectors repeat from message to message, so the
+# list codecs keep each list they meet in `lists`: a list's tuple maps to
+# its wire piece, and the wire bytes of a non-empty list to its tuple. The
+# decoder looks up the bytes the list spans if every entry is as wide as
+# the first. A hit is exact whatever the widths: decoding reads only the
+# bytes it consumes, and a stored list consumed exactly its key.
+def _enc_opt_list(out, entries: Optional[tuple], lists):
     if entries is None:
         out.append(b"\x00")
         return
-    out.append(_FLAG_U16.pack(1, len(entries)))
-    for e in entries:
-        out += (_U16.pack(len(e)), e)
+    piece = lists.get(entries)
+    if piece is None:
+        parts = [_FLAG_U16.pack(1, len(entries))]
+        for e in entries:
+            parts += (_U16.pack(len(e)), e)
+        piece = lists[entries] = b"".join(parts)
+    out.append(piece)
 
 
-def _dec_opt_list(data, pos):
+def _dec_opt_list(data, pos, records, lists):
     if not _present(data, pos):
         return None, pos + 1
-    count = _U16.unpack_from(data, pos + 1)[0]
+    start, count = pos, _U16.unpack_from(data, pos + 1)[0]
     pos += 3
+    if not count:
+        return (), pos
+    key = data[start:pos + count * (2 + _U16.unpack_from(data, pos)[0])]
+    entries = lists.get(key)
+    if entries is not None:
+        return entries, start + len(key)
     out = []
     for _ in range(count):
         entry, pos = _dec_blob16(data, pos)
         out.append(entry)
-    return tuple(out), pos
+    entries = tuple(out)
+    if pos <= len(data):  # a list cut short by the end of data is no key
+        lists[data[start:pos]] = entries
+    return entries, pos
 
 
-def _enc_fragment(out, fr: Optional[Fragment]):
+def _enc_fragment(out, fr: Optional[Fragment], lists):
     if fr is None:
         out.append(b"\x00")
         return
@@ -161,7 +182,7 @@ def _enc_fragment(out, fr: Optional[Fragment]):
     out += (_FLAG_U32.pack(1, len(body)), body)
 
 
-def _dec_fragment(data, pos):
+def _dec_fragment(data, pos, records, lists):
     if not _present(data, pos):
         return None, pos + 1
     end = _U32.unpack_from(data, pos + 1)[0] + pos + 5
@@ -171,16 +192,16 @@ def _dec_fragment(data, pos):
         raise MalformedMessage(str(exc)) from exc
 
 
-def _enc_cand(out, c: Candidate):
-    _enc_ts(out, c.ts)
-    _enc_token(out, c.token)
-    _enc_opt_list(out, c.vec)
+def _enc_cand(out, c: Candidate, lists):
+    _enc_ts(out, c.ts, lists)
+    _enc_token(out, c.token, lists)
+    _enc_opt_list(out, c.vec, lists)
 
 
-def _dec_cand(data, pos):
-    ts, pos = _dec_ts(data, pos)
-    token, pos = _dec_token(data, pos)
-    vec, pos = _dec_opt_list(data, pos)
+def _dec_cand(data, pos, records, lists):
+    ts, pos = _dec_ts(data, pos, records, lists)
+    token, pos = _dec_token(data, pos, records, lists)
+    vec, pos = _dec_opt_list(data, pos, records, lists)
     return tuple.__new__(Candidate, (ts, token, vec)), pos
 
 
@@ -188,9 +209,9 @@ def _dec_cand(data, pos):
 # tag, 32-byte bytes token, no vector) is one _REC call each way, inlined in
 # both list loops; any other shape takes _enc_cand/_dec_cand. The decoder
 # keeps each common record's 54 bytes in `records` with the Candidate first
-# decoded from them, so a repeat of the record reuses that object: a run
-# passes one table for all its messages, and any other caller a fresh one.
-def _enc_cands(out, cands: tuple):
+# decoded from them, so a repeat of the record reuses that object. That
+# table is apart from `lists`, so list bytes never decode as a Candidate.
+def _enc_cands(out, cands: tuple, lists):
     out.append(_U16.pack(len(cands)))
     rec_pack = _REC.pack
     for c in cands:
@@ -199,10 +220,10 @@ def _enc_cands(out, cands: tuple):
                 and len(token) == 32):
             out.append(rec_pack(num, pid, 0, 1, 32, token, 0))
         else:
-            _enc_cand(out, c)
+            _enc_cand(out, c, lists)
 
 
-def _dec_cands(data, pos, records):
+def _dec_cands(data, pos, records, lists):
     count = _U16.unpack_from(data, pos)[0]
     pos += 2
     out = []
@@ -221,7 +242,7 @@ def _dec_cands(data, pos, records):
                 pos += 54
                 out.append(cand)
                 continue
-        cand, pos = _dec_cand(data, pos)
+        cand, pos = _dec_cand(data, pos, records, lists)
         out.append(cand)
     return tuple(out), pos
 
@@ -275,28 +296,38 @@ Repair = _message(REPAIR, "REPAIR", tsr=_u64, cand=_cand)
 RepairAck = _message(REPAIR_ACK, "REPAIR_ACK", tsr=_u64)
 
 
-def encode(msg) -> bytes:
+def encode(msg, lists: Optional[dict] = None) -> bytes:
     """The wire bytes of msg; a field too wide for its wire width (a negative
     or over-wide integer, or a list, count or blob past its length prefix)
-    raises MalformedMessage."""
+    raises MalformedMessage. lists is the optional-list table decode takes
+    too: a run passes one to every call, so each distinct list is encoded
+    once, and None gives this call a table of its own."""
     k = msg.kind
     if k not in _LAYOUT:
         raise MalformedMessage("unknown message kind %r" % (k,))
+    if lists is None:
+        lists = {}
     out = [bytes((k,))]
     try:
         # the kind byte trails the fields, so zip stops before it
         for (enc, _), value in zip(_LAYOUT[k][1], msg):
-            enc(out, value)
+            enc(out, value, lists)
     except struct.error as exc:
         raise MalformedMessage("field does not fit the wire: %s" % exc) from None
     return b"".join(out)
 
 
-def decode(data: bytes, records: Optional[dict] = None):
+def decode(data: bytes, records: Optional[dict] = None,
+           lists: Optional[dict] = None):
     """The message data encodes; bytes that do not parse as one raise
     MalformedMessage. records maps a common sw candidate record's bytes to
-    its decoded Candidate; a run passes one table to every call so repeats
-    share one object, and None gives this call a table of its own."""
+    its decoded Candidate, and lists an optional list's wire bytes to its
+    tuple; a run passes one of each to every call so repeats share one
+    object, and None gives this call a table of its own."""
+    if records is None:
+        records = {}
+    if lists is None:
+        lists = {}
     try:
         k = data[0]
         if k not in _LAYOUT:
@@ -304,10 +335,7 @@ def decode(data: bytes, records: Optional[dict] = None):
         cls, fields = _LAYOUT[k]
         values, pos = [], 1
         for _, dec in fields:
-            if dec is _dec_cands:
-                value, pos = dec(data, pos, {} if records is None else records)
-            else:
-                value, pos = dec(data, pos)
+            value, pos = dec(data, pos, records, lists)
             values.append(value)
     except (struct.error, IndexError):
         raise MalformedMessage("truncated message") from None

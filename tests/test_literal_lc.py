@@ -80,8 +80,8 @@ def outputs(config, monkeypatch):
     acks = hashlib.sha256()
     real = codec.encode
 
-    def encode(msg):
-        wire = real(msg)
+    def encode(msg, *rest):
+        wire = real(msg, *rest)
         if msg.kind == codec.COLLECT_ACK:
             acks.update(wire)
         return wire

@@ -149,8 +149,8 @@ def outputs(config, monkeypatch):
     repairs = hashlib.sha256()
     real = codec.encode
 
-    def encode(msg):
-        wire = real(msg)
+    def encode(msg, *rest):
+        wire = real(msg, *rest)
         if msg.kind == codec.REPAIR:
             repairs.update(wire)
         return wire

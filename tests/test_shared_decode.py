@@ -37,8 +37,8 @@ def counting_encode(monkeypatch):
     """Patch codec.encode to count the messages it encodes by kind."""
     kinds = Counter()
     real = codec.encode
-    monkeypatch.setattr(codec, "encode",
-                        lambda m: kinds.update((m.kind,)) or real(m))
+    monkeypatch.setattr(codec, "encode", lambda m, *rest: kinds.update(
+        (m.kind,)) or real(m, *rest))
     return kinds
 
 

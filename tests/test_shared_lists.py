@@ -3,7 +3,12 @@ and MAC vectors of multi-writer STORE, COMPLETE, FILTER_ACK and REPAIR
 messages and of every mw candidate. Every such wire a run decodes, hostile
 ones included, must get the verdict the byte-at-a-time reference codec
 gives, and an accepted one the exact types a constructed message has: a
-tuple list of bytes entries."""
+tuple list of bytes entries.
+
+A run encodes and decodes through one table of lists, so a list met before
+reuses its wire piece or its decoded tuple. The table must never change a
+verdict or an output, must never be confused with the table of sw candidate
+records, and lives exactly as long as its run."""
 
 import pytest
 
@@ -13,6 +18,7 @@ from powerstore.core import Candidate, Timestamp
 from test_codec import (
     _filter_wire, _list_messages, _mutation_corpus, _ref_enc_opt_list,
     _ref_enc_ts, _reference_decode, _verdict)
+from test_shared_decode import _Forgetful
 from test_shared_records import record_of
 
 LIST_KINDS = frozenset((codec.STORE, codec.COMPLETE, codec.FILTER_ACK,
@@ -58,6 +64,24 @@ def assert_constructed_lists(msg):
         assert all(type(e) is bytes for e in entries or ())
 
 
+def complete_wire(list_bytes):
+    """A COMPLETE whose vector field, its last, is list_bytes."""
+    return (bytes((codec.COMPLETE,)) + _ref_enc_ts(Timestamp(1))
+            + b"\x01\x00\x20" + b"\x42" * 32 + list_bytes)
+
+
+def assert_table_is_sound(lists):
+    """Every tuple key maps to its wire piece, and every bytes key is the
+    wire of a non-empty list and maps to the tuple it decodes to."""
+    for key, value in lists.items():
+        if type(key) is tuple:
+            assert value == _ref_enc_opt_list(key)
+        else:
+            assert type(key) is bytes and type(value) is tuple and value
+            assert _reference_decode(complete_wire(key)).vec == value
+            assert all(type(e) is bytes for e in value)
+
+
 @pytest.mark.parametrize("seed", GUARD_SEEDS)
 def test_run_lists_decode_as_the_reference_decodes_them(seed, monkeypatch):
     wires = list_wires(seed, monkeypatch)
@@ -69,12 +93,15 @@ def test_run_lists_decode_as_the_reference_decodes_them(seed, monkeypatch):
         assert got == want, wire
         if got is not MalformedMessage:
             assert_constructed_lists(got)
-
-
-def complete_wire(list_bytes):
-    """A COMPLETE whose vector field, its last, is list_bytes."""
-    return (bytes((codec.COMPLETE,)) + _ref_enc_ts(Timestamp(1))
-            + b"\x01\x00\x20" + b"\x42" * 32 + list_bytes)
+    # a run decodes its wires in order through one table of each kind
+    records, lists = {}, {}
+    for wire in wires:
+        got = _verdict(lambda w: codec.decode(w, records, lists), wire)
+        assert got == _verdict(_reference_decode, wire), wire
+        if got is not MalformedMessage:
+            assert_constructed_lists(got)
+    assert sum(type(key) is bytes for key in lists) > 0
+    assert_table_is_sound(lists)
 
 
 def _widths_and_counts_flipped():
@@ -99,15 +126,21 @@ def test_damaged_lists_get_the_reference_verdict():
     for lst in _widths_and_counts_flipped():
         blobs += [complete_wire(lst), complete_wire(lst + b"\x00"),
                   complete_wire(lst[:-1])]
-    accepted = 0
+    accepted, lists = 0, {}
+
+    def shared(blob):
+        return codec.decode(blob, None, lists)
+
     for blob in blobs:
         want = _verdict(_reference_decode, blob)
-        got = _verdict(codec.decode, blob)
-        assert got == want, blob
-        accepted += got is not MalformedMessage
-        if got is not MalformedMessage:
-            assert_constructed_lists(got)
+        for decode in (codec.decode, shared, shared):  # the last one hits
+            got = _verdict(decode, blob)
+            assert got == want, blob
+            if got is not MalformedMessage:
+                assert_constructed_lists(got)
+        accepted += want is not MalformedMessage
     assert 0 < accepted < len(blobs)
+    assert_table_is_sound(lists)
 
 
 # a common sw record whose num begins with a one-entry list's flag, count
@@ -117,11 +150,72 @@ SHAPED = record_of(Candidate(
     b"\x42" * 32))
 
 
-def test_a_list_shaped_like_a_record_decodes_as_a_list():
-    records = {}
-    first = codec.decode(_filter_wire(SHAPED), records)
-    assert SHAPED in records and first.cands == (records[SHAPED],)
-    msg = codec.decode(complete_wire(SHAPED), records)
-    assert msg == _reference_decode(complete_wire(SHAPED))
-    assert msg.vec == (SHAPED[5:],) and type(msg.vec[0]) is bytes
-    assert codec.decode(_filter_wire(SHAPED), records) == first
+@pytest.mark.parametrize("list_first", [False, True])
+def test_a_list_shaped_like_a_record_decodes_as_a_list(list_first):
+    records, lists = {}, {}
+    wires = [_filter_wire(SHAPED), complete_wire(SHAPED)]
+    for wire in wires[::-1] if list_first else wires:
+        codec.decode(wire, records, lists)
+    assert SHAPED in records and SHAPED in lists
+    for _ in range(2):
+        record = codec.decode(_filter_wire(SHAPED), records, lists)
+        assert record == _reference_decode(_filter_wire(SHAPED))
+        assert record.cands == (records[SHAPED],)
+        msg = codec.decode(complete_wire(SHAPED), records, lists)
+        assert msg == _reference_decode(complete_wire(SHAPED))
+        assert msg.vec == (SHAPED[5:],) and type(msg.vec[0]) is bytes
+
+
+def test_a_shared_table_shares_each_list_and_no_table_keeps_nothing():
+    vec, cc = (b"v" * 32,) * 4, (b"c" * 32, b"d" * 32)
+    ts, token = Timestamp(2, 101, b"tag"), b"n" * 32
+    first = codec.FilterAck(1, ts, None, cc, vec)
+    second = codec.Repair(2, Candidate(ts, token, vec))
+    lists = {}
+    wires = [codec.encode(m, lists) for m in (first, second)]
+    assert wires == [codec.encode(m) for m in (first, second)]
+    assert set(lists) == {vec, cc}
+    one, two = (codec.decode(w, None, lists) for w in wires)
+    assert (one, two) == (first, second)
+    assert one.vec is two.cand.vec
+    assert sum(type(key) is bytes for key in lists) == 2  # vec's and cc's
+    assert_table_is_sound(lists)
+    one, two = (codec.decode(w) for w in wires)
+    assert one.vec == two.cand.vec and one.vec is not two.cand.vec
+
+
+@pytest.mark.parametrize("msg", [
+    codec.Complete(Timestamp(1), b"n", (b"x" * 0x10000,)),
+    codec.Complete(Timestamp(1), b"n", (b"x",) * 0x10000),
+], ids=["65536-byte-entry", "65536-entries"])
+def test_a_list_too_wide_for_the_wire_raises_and_is_not_kept(msg):
+    lists = {}
+    for _ in range(2):
+        with pytest.raises(MalformedMessage):
+            codec.encode(msg, lists)
+        assert lists == {}
+
+
+def outputs(config, lists=None):
+    sim = simnet.Simulation(config)
+    assert sim._lists == {}
+    if lists is not None:
+        sim._lists = lists
+    res = sim.run()
+    return res.log_digest(), res.history_signature(), dict(res.metrics)
+
+
+@pytest.mark.parametrize("seed", GUARD_SEEDS)
+def test_the_table_gives_the_outputs_of_coding_every_list(seed):
+    config = scenarios.pair_for("mw-catalog", seed)[1]
+    assert outputs(config, _Forgetful()) == outputs(config)
+
+
+def test_the_table_lives_for_one_run():
+    config = scenarios.pair_for("mw-catalog", 2)[1]
+    sim = simnet.Simulation(config)
+    sim.run()
+    assert {type(key) for key in sim._lists} == {tuple, bytes}
+    assert_table_is_sound(sim._lists)
+    assert all(type(cand) is Candidate for cand in sim._records.values())
+    assert simnet.Simulation(config)._lists == {}

@@ -38,8 +38,8 @@ def list_wires(config, monkeypatch):
     wires = []
     real = codec.encode
 
-    def recording(msg):
-        wire = real(msg)
+    def recording(msg, *rest):
+        wire = real(msg, *rest)
         if msg.kind in LIST_KINDS:
             wires.append(wire)
         return wire

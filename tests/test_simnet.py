@@ -536,8 +536,8 @@ def test_run_result_meta_names_the_correct_processes():
 def test_a_broadcast_is_encoded_once(monkeypatch):
     encoded = []
     real_encode = codec.encode
-    monkeypatch.setattr(codec, "encode",
-                        lambda msg: encoded.append(msg) or real_encode(msg))
+    monkeypatch.setattr(codec, "encode", lambda msg, *rest: encoded.append(
+        msg) or real_encode(msg, *rest))
     cands = (Candidate(Timestamp(2), b"n" * 32), Candidate(Timestamp(1), b"m"))
     shared = codec.Filter(1, cands)
 
