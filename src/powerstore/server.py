@@ -162,7 +162,10 @@ class SwServer(ServerBase):
 class MwServer(ServerBase):
     """Multi-writer replica: candidates carry MAC vectors, collect serves lc
     alone, filter splits the written-back and the returned candidate, and a
-    repair round can re-certify a candidate whose vector was garbled."""
+    repair round can re-certify a candidate whose vector was garbled. A
+    write-back weighs vector evidence only between same-timestamp variants:
+    a lone highest valid candidate is written back with no MAC check of its
+    vector."""
 
     mode = "mw"
     kinds = (codec.STORE, codec.COMPLETE, codec.CLOCK, codec.COLLECT,
@@ -183,18 +186,23 @@ class MwServer(ServerBase):
         return codec.CollectAck(msg.tsr, (self.lc,))
 
     def _wb_rank(self, cand):
-        # same-timestamp variants tie on raw bytes, so rank by evidence: the
-        # vector this server stored itself, then its own verifiable entry; a
-        # history-valid variant with a garbled vector must not shadow the
-        # genuine one
+        # ranks same-timestamp variants, which tie on raw bytes, by
+        # evidence: the vector this server stored itself, then its own
+        # verifiable entry; a history-valid variant with a garbled vector
+        # must not shadow the genuine one
         entry = self.hist.get(cand.ts.key())
-        return (cand.ts.key(), entry is not None and entry.vec == cand.vec,
+        return (entry is not None and entry.vec == cand.vec,
                 self._vec_certified(cand))
 
     def _on_filter(self, msg):
         valids = [c for c in msg.cands if self._valid(c)]
         if valids:
-            c_wb = max(valids, key=self._wb_rank)
+            top = max(c.ts.key() for c in valids)
+            variants = [c for c in valids if c.ts.key() == top]
+            # max keeps the first of equal ranks, as one max over
+            # (ts.key(), rank) would
+            c_wb = (max(variants, key=self._wb_rank) if len(variants) > 1
+                    else variants[0])
             if c_wb.ts > self.lc.ts:
                 self._accept(c_wb, "filter_wb")
         return self._filter_ack(msg, [

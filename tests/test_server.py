@@ -10,7 +10,7 @@ from powerstore.core import C0, Candidate, TS0, Timestamp
 from powerstore.crypto import KeyRing, digest, make_vec, pow_scheme, tag_timestamp
 from powerstore.erasure import cross_checksum, encode
 from powerstore.mutants import classes_for
-from powerstore.server import ServerBase
+from powerstore.server import MwServer, ServerBase
 
 S, T = 4, 1
 
@@ -300,7 +300,7 @@ def test_mw_write_back_prefers_a_variant_carrying_its_own_entry():
             assert filter_wb(srv, cands) == own
 
 
-def test_mw_write_back_takes_a_lone_top_candidate_as_sent():
+def test_mw_write_back_takes_a_lone_top_candidate_as_sent(monkeypatch):
     ring = keyring()
     srv = mw_server(ring)
     low = build_write(srv.scheme, 2, pid=101, ring=ring)
@@ -310,7 +310,12 @@ def test_mw_write_back_takes_a_lone_top_candidate_as_sent():
     top = Candidate(ts, token, garble(vec))  # history-valid, vector garbled
     rivals = (Candidate(lts, ltoken, lvec), Candidate(lts, ltoken,
                                                        garble(lvec)))
+    certified = []
+    real = MwServer._vec_certified
+    monkeypatch.setattr(MwServer, "_vec_certified",
+                        lambda self, c: certified.append(c) or real(self, c))
     assert filter_wb(srv, rivals + (top,)) == top
+    assert certified == []  # no MAC is checked with no variant to weigh
 
 
 def filter_write_backs(configs, monkeypatch):
