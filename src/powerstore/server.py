@@ -199,8 +199,7 @@ class MwServer(ServerBase):
         if valids:
             top = max(c.ts.key() for c in valids)
             variants = [c for c in valids if c.ts.key() == top]
-            # max keeps the first of equal ranks, as one max over
-            # (ts.key(), rank) would
+            # max keeps the first of equal ranks: msg.cands' order breaks ties
             c_wb = (max(variants, key=self._wb_rank) if len(variants) > 1
                     else variants[0])
             if c_wb.ts > self.lc.ts:

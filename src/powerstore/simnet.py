@@ -10,10 +10,10 @@ bytes) equal to one still in flight reuses its wire and its decode, so
 copies share one immutable message; a common sw candidate record seen
 earlier in the run reuses the Candidate first decoded from it; and an
 optional list (a cross-checksum or MAC vector) met earlier in the run
-reuses its wire piece or its decoded tuple. An event is
-a function and its arguments, called when its tick comes. A party with an
-arm(sim) method schedules its own first event when the run starts. One
-delivery step hands each copy to its client, or to its server to answer.
+reuses its wire piece or its decoded tuple. An event is a function and its
+arguments, called when its tick comes. A party with an arm(sim) method
+schedules its own first event when the run starts. One delivery step hands
+each copy to its client, or to its server to answer.
 
 The fault table maps each party id to its one fault; server, writer and
 reader ids never meet, so a party is correct iff it is absent. With log_wire
