@@ -35,13 +35,13 @@ REPAIR, REPAIR_ACK = 11, 12
 # Field codecs
 #
 # Each field type is an (encode, decode) pair. Encoders take (out, value,
-# lists) and append wire pieces to the list out that encode() joins once;
-# decoders take (data, pos, records, lists) and return (value, pos). The two
-# tables are the caller's (see encode and decode): only the optional-list
-# and candidate codecs read them. Decoders never check lengths: struct
-# raises on a short read, indexing raises IndexError, and a blob slice that
-# runs past the end leaves pos beyond len(data), which decode() rejects
-# after the last field.
+# table) and append wire pieces to the list out that encode() joins once;
+# decoders take (data, pos, table) and return (value, pos). The table is
+# the caller's (see encode and decode): only the optional-list and
+# candidate codecs read it. Decoders never check lengths: struct raises on
+# a short read, indexing raises IndexError, and a blob slice that runs past
+# the end leaves pos beyond len(data), which decode() rejects after the
+# last field.
 # ---------------------------------------------------------------------------
 
 _U16 = struct.Struct(">H")
@@ -56,19 +56,19 @@ _REC = struct.Struct(">QQHBH32sB")
 _SHARE = struct.Struct(">BQQQ")  # kind 2, x, y, q
 
 
-def _enc_u64(out, v, lists):
+def _enc_u64(out, v, table):
     out.append(_U64.pack(v))
 
 
-def _dec_u64(data, pos, records, lists):
+def _dec_u64(data, pos, table):
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
-def _enc_ts(out, ts: Timestamp, lists):
+def _enc_ts(out, ts: Timestamp, table):
     out += (_TS.pack(ts.num, ts.pid, len(ts.tag)), ts.tag)
 
 
-def _dec_ts(data, pos, records, lists):
+def _dec_ts(data, pos, table):
     num, pid, n = _TS.unpack_from(data, pos)
     pos += 18  # _TS.size
     return tuple.__new__(Timestamp, (num, pid, data[pos:pos + n])), pos + n
@@ -79,7 +79,7 @@ def _dec_blob16(data, pos):
     return data[pos + 2:end], end
 
 
-def _enc_token(out, token, lists):
+def _enc_token(out, token, table):
     if token is None:
         out.append(b"\x00")
     elif isinstance(token, Polynomial):
@@ -89,7 +89,7 @@ def _enc_token(out, token, lists):
         out += (_FLAG_U16.pack(1, len(token)), token)
 
 
-def _dec_token(data, pos, records, lists):
+def _dec_token(data, pos, table):
     kind = data[pos]
     if kind == 0:
         return None, pos + 1
@@ -104,7 +104,7 @@ def _dec_token(data, pos, records, lists):
     raise MalformedMessage("bad token kind %d" % kind)
 
 
-def _enc_commitment(out, com, lists):
+def _enc_commitment(out, com, table):
     if com is None:
         out.append(b"\x00")
     elif isinstance(com, ShamirShare):
@@ -113,7 +113,7 @@ def _enc_commitment(out, com, lists):
         out += (_FLAG_U16.pack(1, len(com)), com)
 
 
-def _dec_commitment(data, pos, records, lists):
+def _dec_commitment(data, pos, table):
     kind = data[pos]
     if kind == 0:
         return None, pos + 1
@@ -135,25 +135,27 @@ def _present(data, pos) -> bool:
 
 
 # Cross-checksums and MAC vectors repeat from message to message, so the
-# list codecs keep each list they meet in `lists`: a list's tuple maps to
+# list codecs keep each list they meet in the table: a list's tuple maps to
 # its wire piece, and the wire bytes of a non-empty list to its tuple. The
 # decoder looks up the bytes the list spans if every entry is as wide as
-# the first. A hit is exact whatever the widths: decoding reads only the
-# bytes it consumes, and a stored list consumed exactly its key.
-def _enc_opt_list(out, entries: Optional[tuple], lists):
+# the first. The table also maps candidate bytes to Candidates, so only a
+# tuple counts as a hit. Such a hit is exact whatever the widths: decoding
+# reads only the bytes it consumes, and a stored list consumed exactly its
+# key as a list.
+def _enc_opt_list(out, entries: Optional[tuple], table):
     if entries is None:
         out.append(b"\x00")
         return
-    piece = lists.get(entries)
+    piece = table.get(entries)
     if piece is None:
         parts = [_FLAG_U16.pack(1, len(entries))]
         for e in entries:
             parts += (_U16.pack(len(e)), e)
-        piece = lists[entries] = b"".join(parts)
+        piece = table[entries] = b"".join(parts)
     out.append(piece)
 
 
-def _dec_opt_list(data, pos, records, lists):
+def _dec_opt_list(data, pos, table):
     if not _present(data, pos):
         return None, pos + 1
     start, count = pos, _U16.unpack_from(data, pos + 1)[0]
@@ -161,8 +163,8 @@ def _dec_opt_list(data, pos, records, lists):
     if not count:
         return (), pos
     key = data[start:pos + count * (2 + _U16.unpack_from(data, pos)[0])]
-    entries = lists.get(key)
-    if entries is not None:
+    entries = table.get(key)
+    if type(entries) is tuple:
         return entries, start + len(key)
     out = []
     for _ in range(count):
@@ -170,11 +172,11 @@ def _dec_opt_list(data, pos, records, lists):
         out.append(entry)
     entries = tuple(out)
     if pos <= len(data):  # a list cut short by the end of data is no key
-        lists[data[start:pos]] = entries
+        table[data[start:pos]] = entries
     return entries, pos
 
 
-def _enc_fragment(out, fr: Optional[Fragment], lists):
+def _enc_fragment(out, fr: Optional[Fragment], table):
     if fr is None:
         out.append(b"\x00")
         return
@@ -182,7 +184,7 @@ def _enc_fragment(out, fr: Optional[Fragment], lists):
     out += (_FLAG_U32.pack(1, len(body)), body)
 
 
-def _dec_fragment(data, pos, records, lists):
+def _dec_fragment(data, pos, table):
     if not _present(data, pos):
         return None, pos + 1
     end = _U32.unpack_from(data, pos + 1)[0] + pos + 5
@@ -192,26 +194,27 @@ def _dec_fragment(data, pos, records, lists):
         raise MalformedMessage(str(exc)) from exc
 
 
-def _enc_cand(out, c: Candidate, lists):
-    _enc_ts(out, c.ts, lists)
-    _enc_token(out, c.token, lists)
-    _enc_opt_list(out, c.vec, lists)
+def _enc_cand(out, c: Candidate, table):
+    _enc_ts(out, c.ts, table)
+    _enc_token(out, c.token, table)
+    _enc_opt_list(out, c.vec, table)
 
 
-def _dec_cand(data, pos, records, lists):
-    ts, pos = _dec_ts(data, pos, records, lists)
-    token, pos = _dec_token(data, pos, records, lists)
-    vec, pos = _dec_opt_list(data, pos, records, lists)
+def _dec_cand(data, pos, table):
+    ts, pos = _dec_ts(data, pos, table)
+    token, pos = _dec_token(data, pos, table)
+    vec, pos = _dec_opt_list(data, pos, table)
     return tuple.__new__(Candidate, (ts, token, vec)), pos
 
 
-# Candidate lists are the longest wire field. The common sw record (empty
-# tag, 32-byte bytes token, no vector) is one _REC call each way, inlined in
-# both list loops; any other shape takes _enc_cand/_dec_cand. The decoder
-# keeps each common record's 54 bytes in `records` with the Candidate first
-# decoded from them, so a repeat of the record reuses that object. That
-# table is apart from `lists`, so list bytes never decode as a Candidate.
-def _enc_cands(out, cands: tuple, lists):
+# Candidate lists are the longest wire field. The encoder packs the common
+# sw record (empty tag, 32-byte bytes token, no vector) in one _REC call;
+# any other shape takes _enc_cand. The decoder shares candidates as the
+# list codec shares lists: it looks up the 54 bytes (_REC.size) at each
+# candidate, and keeps the bytes of a candidate that took exactly 54 with
+# the Candidate first decoded from them, so a repeat reuses that object.
+# Only a Candidate counts as a hit, so list bytes never decode as one.
+def _enc_cands(out, cands: tuple, table):
     out.append(_U16.pack(len(cands)))
     rec_pack = _REC.pack
     for c in cands:
@@ -220,29 +223,24 @@ def _enc_cands(out, cands: tuple, lists):
                 and len(token) == 32):
             out.append(rec_pack(num, pid, 0, 1, 32, token, 0))
         else:
-            _enc_cand(out, c, lists)
+            _enc_cand(out, c, table)
 
 
-def _dec_cands(data, pos, records, lists):
+def _dec_cands(data, pos, table):
     count = _U16.unpack_from(data, pos)[0]
     pos += 2
     out = []
-    new, rec_unpack, known = tuple.__new__, _REC.unpack, records.get
-    last_rec = len(data) - _REC.size  # the last position a whole _REC fits
+    known, cand_type = table.get, Candidate
     for _ in range(count):
-        if pos <= last_rec:
-            rec = data[pos:pos + 54]  # _REC.size
-            cand = known(rec)
-            if cand is None:
-                num, pid, n, kind, size, token, flag = rec_unpack(rec)
-                if n == 0 and kind == 1 and size == 32 and flag == 0:
-                    cand = records[rec] = new(Candidate, (
-                        new(Timestamp, (num, pid, b"")), token, None))
-            if cand is not None:
-                pos += 54
-                out.append(cand)
-                continue
-        cand, pos = _dec_cand(data, pos, records, lists)
+        rec = data[pos:pos + 54]  # _REC.size
+        cand = known(rec)
+        if type(cand) is cand_type:
+            pos += 54
+        else:
+            end = pos + 54
+            cand, pos = _dec_cand(data, pos, table)
+            if pos == end <= len(data):
+                table[rec] = cand
         out.append(cand)
     return tuple(out), pos
 
@@ -296,38 +294,35 @@ Repair = _message(REPAIR, "REPAIR", tsr=_u64, cand=_cand)
 RepairAck = _message(REPAIR_ACK, "REPAIR_ACK", tsr=_u64)
 
 
-def encode(msg, lists: Optional[dict] = None) -> bytes:
+def encode(msg, table: Optional[dict] = None) -> bytes:
     """The wire bytes of msg; a field too wide for its wire width (a negative
     or over-wide integer, or a list, count or blob past its length prefix)
-    raises MalformedMessage. lists is the optional-list table decode takes
-    too: a run passes one to every call, so each distinct list is encoded
-    once, and None gives this call a table of its own."""
+    raises MalformedMessage. table is the one decode takes too: a run passes
+    one to every call, so each distinct list is encoded once, and None gives
+    this call a table of its own."""
     k = msg.kind
     if k not in _LAYOUT:
         raise MalformedMessage("unknown message kind %r" % (k,))
-    if lists is None:
-        lists = {}
+    if table is None:
+        table = {}
     out = [bytes((k,))]
     try:
         # the kind byte trails the fields, so zip stops before it
         for (enc, _), value in zip(_LAYOUT[k][1], msg):
-            enc(out, value, lists)
+            enc(out, value, table)
     except struct.error as exc:
         raise MalformedMessage("field does not fit the wire: %s" % exc) from None
     return b"".join(out)
 
 
-def decode(data: bytes, records: Optional[dict] = None,
-           lists: Optional[dict] = None):
+def decode(data: bytes, table: Optional[dict] = None):
     """The message data encodes; bytes that do not parse as one raise
-    MalformedMessage. records maps a common sw candidate record's bytes to
-    its decoded Candidate, and lists an optional list's wire bytes to its
-    tuple; a run passes one of each to every call so repeats share one
-    object, and None gives this call a table of its own."""
-    if records is None:
-        records = {}
-    if lists is None:
-        lists = {}
+    MalformedMessage. table is the one encode takes too: it maps the exact
+    wire bytes of an optional list or a candidate to the value first decoded
+    from them. A run passes one to every call so repeats share one object,
+    and None gives this call a table of its own."""
+    if table is None:
+        table = {}
     try:
         k = data[0]
         if k not in _LAYOUT:
@@ -335,7 +330,7 @@ def decode(data: bytes, records: Optional[dict] = None,
         cls, fields = _LAYOUT[k]
         values, pos = [], 1
         for _, dec in fields:
-            value, pos = dec(data, pos, records, lists)
+            value, pos = dec(data, pos, table)
             values.append(value)
     except (struct.error, IndexError):
         raise MalformedMessage("truncated message") from None

@@ -5,12 +5,12 @@ operation starts, adversary pumps, and state-reset timers. Four independent
 RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
 Every message crosses the wire as encoded bytes and is decoded on delivery.
-Three rules share that work: a payload (a message, or an adversary's raw
+Two rules share that work: a payload (a message, or an adversary's raw
 bytes) equal to one still in flight reuses its wire and its decode, so
-copies share one immutable message; a common sw candidate record seen
-earlier in the run reuses the Candidate first decoded from it; and an
-optional list (a cross-checksum or MAC vector) met earlier in the run
-reuses its wire piece or its decoded tuple. An event is a function and its
+copies share one immutable message; and in the run's one codec table an
+optional list (a cross-checksum or MAC vector) encoded earlier reuses its
+wire piece, and the exact bytes of a list or a candidate decoded earlier
+reuse the value first decoded from them. An event is a function and its
 arguments, called when its tick comes. A party with an arm(sim) method
 schedules its own first event when the run starts. One delivery step hands
 each copy to its client, or to its server to answer.
@@ -374,10 +374,9 @@ class Simulation:
         self.deadlock = None
         # payload -> [copies in flight, wire, decoded message or None]
         self._in_flight = {}
-        # a common sw candidate record's wire bytes -> its decoded Candidate
-        self._records = {}
-        # an optional list -> its wire piece, and its wire bytes -> the list
-        self._lists = {}
+        # the codec's table: an optional list -> its wire piece, and the
+        # wire bytes of a list or a candidate -> the value decoded from them
+        self._table = {}
 
         self.faults = parse_faults(config.faults, self.s,
                                    config.writers, config.readers)
@@ -440,7 +439,7 @@ class Simulation:
         entry = self._in_flight.get(payload)
         if entry is None:
             wire = (payload if isinstance(payload, bytes)
-                    else codec.encode(payload, self._lists))
+                    else codec.encode(payload, self._table))
             entry = self._in_flight[payload] = [0, wire, None]
         entry[0] += 1
         wire = entry[1]
@@ -467,8 +466,8 @@ class Simulation:
     def _receive(self, src, dst, payload, entry):
         """One copy arrives: its message, decoded for the first copy and
         shared with the rest, or None for malformed bytes, which are
-        decoded and dropped on every copy. Decoding shares the run's tables
-        of candidate records and of lists."""
+        decoded and dropped on every copy. Decoding shares the run's codec
+        table."""
         metrics = self.metrics
         metrics["msgs_delivered"] += 1
         entry[0] -= 1
@@ -477,8 +476,7 @@ class Simulation:
         msg = entry[2]
         if msg is None:
             try:
-                msg = entry[2] = codec.decode(entry[1], self._records,
-                                              self._lists)
+                msg = entry[2] = codec.decode(entry[1], self._table)
             except MalformedMessage:
                 metrics["dropped_malformed"] += 1
                 return None

@@ -5,10 +5,10 @@ ones included, must get the verdict the byte-at-a-time reference codec
 gives, and an accepted one the exact types a constructed message has: a
 tuple list of bytes entries.
 
-A run encodes and decodes through one table of lists, so a list met before
-reuses its wire piece or its decoded tuple. The table must never change a
-verdict or an output, must never be confused with the table of sw candidate
-records, and lives exactly as long as its run."""
+A run encodes and decodes through one table, so a list met before reuses
+its wire piece or its decoded tuple. The table must never change a verdict
+or an output, must never return a list's bytes as a candidate or a
+candidate's as a list, and lives exactly as long as its run."""
 
 import pytest
 
@@ -17,9 +17,10 @@ from powerstore.codec import MalformedMessage
 from powerstore.core import Candidate, Timestamp
 from test_codec import (
     _filter_wire, _list_messages, _mutation_corpus, _ref_enc_opt_list,
-    _ref_enc_ts, _reference_decode, _verdict)
+    _reference_decode, _verdict)
 from test_shared_decode import _Forgetful
 from test_shared_records import record_of
+from test_shared_table import assert_same, assert_table_is_sound, complete_wire
 
 LIST_KINDS = frozenset((codec.STORE, codec.COMPLETE, codec.FILTER_ACK,
                         codec.REPAIR, codec.COLLECT_ACK, codec.FILTER))
@@ -64,24 +65,6 @@ def assert_constructed_lists(msg):
         assert all(type(e) is bytes for e in entries or ())
 
 
-def complete_wire(list_bytes):
-    """A COMPLETE whose vector field, its last, is list_bytes."""
-    return (bytes((codec.COMPLETE,)) + _ref_enc_ts(Timestamp(1))
-            + b"\x01\x00\x20" + b"\x42" * 32 + list_bytes)
-
-
-def assert_table_is_sound(lists):
-    """Every tuple key maps to its wire piece, and every bytes key is the
-    wire of a non-empty list and maps to the tuple it decodes to."""
-    for key, value in lists.items():
-        if type(key) is tuple:
-            assert value == _ref_enc_opt_list(key)
-        else:
-            assert type(key) is bytes and type(value) is tuple and value
-            assert _reference_decode(complete_wire(key)).vec == value
-            assert all(type(e) is bytes for e in value)
-
-
 @pytest.mark.parametrize("seed", GUARD_SEEDS)
 def test_run_lists_decode_as_the_reference_decodes_them(seed, monkeypatch):
     wires = list_wires(seed, monkeypatch)
@@ -93,15 +76,15 @@ def test_run_lists_decode_as_the_reference_decodes_them(seed, monkeypatch):
         assert got == want, wire
         if got is not MalformedMessage:
             assert_constructed_lists(got)
-    # a run decodes its wires in order through one table of each kind
-    records, lists = {}, {}
+    # a run decodes its wires in order through one table
+    table = {}
     for wire in wires:
-        got = _verdict(lambda w: codec.decode(w, records, lists), wire)
+        got = _verdict(lambda w: codec.decode(w, table), wire)
         assert got == _verdict(_reference_decode, wire), wire
         if got is not MalformedMessage:
             assert_constructed_lists(got)
-    assert sum(type(key) is bytes for key in lists) > 0
-    assert_table_is_sound(lists)
+    assert sum(type(key) is bytes for key in table) > 0
+    assert_table_is_sound(table)
 
 
 def _widths_and_counts_flipped():
@@ -129,7 +112,7 @@ def test_damaged_lists_get_the_reference_verdict():
     accepted, lists = 0, {}
 
     def shared(blob):
-        return codec.decode(blob, None, lists)
+        return codec.decode(blob, lists)
 
     for blob in blobs:
         want = _verdict(_reference_decode, blob)
@@ -152,17 +135,15 @@ SHAPED = record_of(Candidate(
 
 @pytest.mark.parametrize("list_first", [False, True])
 def test_a_list_shaped_like_a_record_decodes_as_a_list(list_first):
-    records, lists = {}, {}
+    table = {}
     wires = [_filter_wire(SHAPED), complete_wire(SHAPED)]
     for wire in wires[::-1] if list_first else wires:
-        codec.decode(wire, records, lists)
-    assert SHAPED in records and SHAPED in lists
+        codec.decode(wire, table)
     for _ in range(2):
-        record = codec.decode(_filter_wire(SHAPED), records, lists)
-        assert record == _reference_decode(_filter_wire(SHAPED))
-        assert record.cands == (records[SHAPED],)
-        msg = codec.decode(complete_wire(SHAPED), records, lists)
-        assert msg == _reference_decode(complete_wire(SHAPED))
+        record = codec.decode(_filter_wire(SHAPED), table)
+        assert_same(record, _reference_decode(_filter_wire(SHAPED)))
+        msg = codec.decode(complete_wire(SHAPED), table)
+        assert_same(msg, _reference_decode(complete_wire(SHAPED)))
         assert msg.vec == (SHAPED[5:],) and type(msg.vec[0]) is bytes
 
 
@@ -175,7 +156,7 @@ def test_a_shared_table_shares_each_list_and_no_table_keeps_nothing():
     wires = [codec.encode(m, lists) for m in (first, second)]
     assert wires == [codec.encode(m) for m in (first, second)]
     assert set(lists) == {vec, cc}
-    one, two = (codec.decode(w, None, lists) for w in wires)
+    one, two = (codec.decode(w, lists) for w in wires)
     assert (one, two) == (first, second)
     assert one.vec is two.cand.vec
     assert sum(type(key) is bytes for key in lists) == 2  # vec's and cc's
@@ -198,9 +179,9 @@ def test_a_list_too_wide_for_the_wire_raises_and_is_not_kept(msg):
 
 def outputs(config, lists=None):
     sim = simnet.Simulation(config)
-    assert sim._lists == {}
+    assert sim._table == {}
     if lists is not None:
-        sim._lists = lists
+        sim._table = lists
     res = sim.run()
     return res.log_digest(), res.history_signature(), dict(res.metrics)
 
@@ -215,7 +196,6 @@ def test_the_table_lives_for_one_run():
     config = scenarios.pair_for("mw-catalog", 2)[1]
     sim = simnet.Simulation(config)
     sim.run()
-    assert {type(key) for key in sim._lists} == {tuple, bytes}
-    assert_table_is_sound(sim._lists)
-    assert all(type(cand) is Candidate for cand in sim._records.values())
-    assert simnet.Simulation(config)._lists == {}
+    assert {type(key) for key in sim._table} == {tuple, bytes}
+    assert_table_is_sound(sim._table)
+    assert simnet.Simulation(config)._table == {}

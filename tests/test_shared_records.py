@@ -4,8 +4,8 @@ a flood run and of four sw-catalog runs with 100-200 distinct records must
 decode to what the byte-at-a-time reference codec decodes, with the exact
 types a constructed message has.
 
-A run decodes through one table of common sw candidate records (empty tag,
-32-byte bytes token, no vector), so a record seen before reuses its decoded
+A run decodes through one table that keeps the exact bytes of every
+candidate 54 bytes wide, so a record seen before reuses its decoded
 Candidate. The table must never change a verdict or an output, and it lives
 exactly as long as its run."""
 
@@ -21,6 +21,7 @@ from test_codec import (
     _verdict)
 from test_literal_lc import FLOOD
 from test_shared_decode import _Forgetful, equivalence_configs
+from test_shared_table import assert_table_is_sound
 
 LIST_KINDS = (codec.COLLECT_ACK, codec.FILTER)
 
@@ -78,23 +79,13 @@ def test_run_lists_decode_as_the_reference_decodes_them(key, monkeypatch):
     assert 0 < len(shared) <= len(records)
 
 
-def common(cand):
-    """Whether cand is a common sw record, the shape the table keeps."""
-    (_, _, tag), token, vec = cand
-    return (vec is None and tag == b"" and type(token) is bytes
-            and len(token) == 32)
-
-
 def record_of(cand):
     return codec.encode(Filter(0, (cand,)))[11:]  # kind, tsr, count: 11 bytes
 
 
-def assert_table_is_sound(records):
-    """Every entry is a common record's bytes and the Candidate they encode."""
-    for rec, cand in records.items():
-        assert type(rec) is bytes and len(rec) == codec._REC.size
-        assert common(cand) and record_of(cand) == rec
-        assert _reference_decode(_filter_wire(rec)).cands == (cand,)
+def common(cand):
+    """Whether cand is 54 bytes wide, the width the table keeps."""
+    return len(record_of(cand)) == codec._REC.size
 
 
 RECORD = record_of(Candidate(Timestamp(7, 0), b"\x42" * 32))
@@ -155,9 +146,9 @@ def test_a_shared_table_shares_each_record_and_no_table_keeps_nothing():
 
 def outputs(config, records=None):
     sim = simnet.Simulation(config)
-    assert sim._records == {}
+    assert sim._table == {}
     if records is not None:
-        sim._records = records
+        sim._table = records
     res = sim.run()
     return res.log_digest(), res.history_signature(), dict(res.metrics)
 
@@ -175,7 +166,8 @@ def test_the_table_lives_for_one_run_and_holds_its_common_records(
                 for cand in _reference_decode(wire).cands if common(cand)}
     sim = simnet.Simulation(config)
     sim.run()
-    assert 0 < len(sim._records) <= len(distinct)
-    assert set(sim._records.values()) <= distinct
-    assert_table_is_sound(sim._records)
-    assert simnet.Simulation(config)._records == {}
+    cands = [v for v in sim._table.values() if type(v) is Candidate]
+    assert 0 < len(cands) <= len(distinct)
+    assert set(cands) <= distinct
+    assert_table_is_sound(sim._table)
+    assert simnet.Simulation(config)._table == {}

@@ -13,8 +13,10 @@ import pytest
 
 from powerstore import codec, scenarios, simnet
 from powerstore.codec import MalformedMessage
+from powerstore.core import Candidate, Timestamp
 from powerstore.crypto import Polynomial
-from test_codec import _reference_decode, _verdict
+from test_codec import (
+    _filter_wire, _ref_enc_opt_list, _ref_enc_ts, _reference_decode, _verdict)
 from test_literal_lc import FLOOD
 
 CONFIGS = {
@@ -35,6 +37,30 @@ def assert_same(got, want):
             assert_same(g, w)
     else:
         assert got == want
+
+
+def complete_wire(list_bytes):
+    """A COMPLETE whose vector field, its last, is list_bytes."""
+    return (bytes((codec.COMPLETE,)) + _ref_enc_ts(Timestamp(1))
+            + b"\x01\x00\x20" + b"\x42" * 32 + list_bytes)
+
+
+def assert_table_is_sound(table):
+    """Judge each entry by its type: a tuple key is a list and maps to its
+    wire piece; a bytes key decodes, as a field of its value's type, to
+    exactly that value: a 54-byte candidate to its Candidate, the wire of a
+    non-empty list to its tuple of bytes."""
+    for key, value in table.items():
+        if type(key) is tuple:
+            assert type(value) is bytes and value == _ref_enc_opt_list(key)
+            continue
+        assert type(key) is bytes
+        if type(value) is Candidate:
+            assert len(key) == codec._REC.size
+            assert_same(_reference_decode(_filter_wire(key)).cands, (value,))
+        else:
+            assert value
+            assert_same(_reference_decode(complete_wire(key)).vec, value)
 
 
 def tokens_of(msg):
@@ -72,3 +98,28 @@ def test_every_decode_of_a_run_is_the_reference_decode(key, monkeypatch):
     polys = sum(type(token) is Polynomial
                 for msg in decoded for token in tokens_of(msg))
     assert (polys > 0) == key.startswith("sw-catalog")
+    assert_table_is_sound(sim._table)
+
+
+def test_polynomial_token_candidates_share_by_their_bytes():
+    sim = simnet.Simulation(CONFIGS["sw-catalog/69"])
+    sim.run()
+    assert any(len(key) == codec._REC.size and type(value) is Candidate
+               and type(value.token) is Polynomial
+               for key, value in sim._table.items())
+
+
+def test_a_candidate_cut_short_by_the_end_of_data_is_not_kept():
+    # a 54-byte candidate ending in a vector entry: cut inside that entry,
+    # its slice runs past the end of data instead of raising at once
+    rec = codec.encode(codec.Filter(0, (Candidate(
+        Timestamp(1), None, (b"v" * 30,)),)))[11:]
+    assert len(rec) == codec._REC.size
+    table = {}
+    for cut in range(len(rec)):
+        with pytest.raises(MalformedMessage):
+            codec.decode(_filter_wire(rec[:cut]), table)
+    assert table == {}
+    assert_same(codec.decode(_filter_wire(rec), table),
+                _reference_decode(_filter_wire(rec)))
+    assert [type(value) for value in table.values()] == [tuple, Candidate]
