@@ -7,7 +7,11 @@ Polynomial token stays a Polynomial, and a list a tuple of bytes.
 The runs cover both candidate shapes that repeat: sw-catalog seeds 69 and
 139 (proof sharing at t=2, 54-byte polynomial-token candidates), the flood
 run's long lists of common sw records, and mw-catalog seeds 2 and 3
-(garbled MAC vectors, fabricated candidates)."""
+(garbled MAC vectors, fabricated candidates).
+
+Every distinct wire a run encodes must also decode, with no table, to the
+message it was encoded from, with exact types: the catalog sweeps under
+both proof schemes and one seed of the flood and contended workloads."""
 
 import pytest
 
@@ -26,6 +30,21 @@ CONFIGS = {
     "mw-catalog/2": scenarios.pair_for("mw-catalog", 2)[1],
     "mw-catalog/3": scenarios.pair_for("mw-catalog", 3)[1],
 }
+# the benchmark's contended workload: mw-pareto with eight of each client
+CONTENDED = dict(writers=8, readers=8, writes=4, reads=4)
+ROUND_TRIP_GROUPS = ("sw-catalog/hash", "mw-catalog/hash", "sw-catalog/shamir",
+                     "mw-catalog/shamir", "flood", "contended")
+
+
+def round_trip_configs(group):
+    if group == "flood":
+        return [scenarios.pair_for("sw-flood", 0, **FLOOD)[1]]
+    if group == "contended":
+        return [scenarios.pair_for("mw-pareto", 0, **CONTENDED)[1]]
+    sweep, pow_name = group.split("/")
+    seeds = 10 if pow_name == "shamir" else 28 if sweep == "sw-catalog" else 24
+    return [scenarios.pair_for(sweep, seed, pow_name=pow_name)[1]
+            for seed in range(seeds)]
 
 
 def assert_same(got, want):
@@ -123,3 +142,20 @@ def test_a_candidate_cut_short_by_the_end_of_data_is_not_kept():
     assert_same(codec.decode(_filter_wire(rec), table),
                 _reference_decode(_filter_wire(rec)))
     assert [type(value) for value in table.values()] == [tuple, Candidate]
+
+
+@pytest.mark.parametrize("group", ROUND_TRIP_GROUPS)
+def test_every_wire_a_run_encodes_decodes_to_its_message(group, monkeypatch):
+    real, checked = codec.encode, set()
+
+    def checking(msg, *rest):
+        wire = real(msg, *rest)
+        if wire not in checked:
+            checked.add(wire)
+            assert_same(codec.decode(wire), msg)
+        return wire
+
+    monkeypatch.setattr(codec, "encode", checking)
+    for config in round_trip_configs(group):
+        simnet.run(config)
+    assert checked
