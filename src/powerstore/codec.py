@@ -37,11 +37,11 @@ REPAIR, REPAIR_ACK = 11, 12
 # Each field type is an (encode, decode) pair. Encoders take (out, value,
 # table) and append wire pieces to the list out that encode() joins once;
 # decoders take (data, pos, table) and return (value, pos). The table is
-# the caller's (see encode and decode): only the optional-list and
-# candidate codecs read it. Decoders never check lengths: struct raises on
-# a short read, indexing raises IndexError, and a blob slice that runs past
-# the end leaves pos beyond len(data), which decode() rejects after the
-# last field.
+# the caller's (see encode and decode): of the field codecs, only the
+# optional-list pair reads it. Decoders never check lengths: struct raises
+# on a short read, indexing raises IndexError, and a blob slice that runs
+# past the end leaves pos beyond len(data), which decode() rejects after
+# the last field.
 # ---------------------------------------------------------------------------
 
 _U16 = struct.Struct(">H")
@@ -134,14 +134,15 @@ def _present(data, pos) -> bool:
     return flag == 1
 
 
-# Cross-checksums and MAC vectors repeat from message to message, so the
+# Cross-checksums and MAC vectors repeat from message to message, even
+# inside STOREs, which encode() and decode() do not share whole, so the
 # list codecs keep each list they meet in the table: a list's tuple maps to
 # its wire piece, and the wire bytes of a non-empty list to its tuple. The
 # decoder looks up the bytes the list spans if every entry is as wide as
-# the first. The table also maps candidate bytes to Candidates, so only a
-# tuple counts as a hit. Such a hit is exact whatever the widths: decoding
-# reads only the bytes it consumes, and a stored list consumed exactly its
-# key as a list.
+# the first. The table also maps whole wires to messages, so only a tuple
+# counts as a hit. Such a hit is exact whatever the widths: decoding reads
+# only the bytes it consumes, and a stored list consumed exactly its key as
+# a list.
 def _enc_opt_list(out, entries: Optional[tuple], table):
     if entries is None:
         out.append(b"\x00")
@@ -209,11 +210,9 @@ def _dec_cand(data, pos, table):
 
 # Candidate lists are the longest wire field. The encoder packs the common
 # sw record (empty tag, 32-byte bytes token, no vector) in one _REC call;
-# any other shape takes _enc_cand. The decoder shares candidates as the
-# list codec shares lists: it looks up the 54 bytes (_REC.size) at each
-# candidate, and keeps the bytes of a candidate that took exactly 54 with
-# the Candidate first decoded from them, so a repeat reuses that object.
-# Only a Candidate counts as a hit, so list bytes never decode as one.
+# any other shape takes _enc_cand. A run decodes candidate lists only from
+# wires it did not encode itself (see decode), so the decoder is a plain
+# loop over _dec_cand.
 def _enc_cands(out, cands: tuple, table):
     out.append(_U16.pack(len(cands)))
     rec_pack = _REC.pack
@@ -230,17 +229,8 @@ def _dec_cands(data, pos, table):
     count = _U16.unpack_from(data, pos)[0]
     pos += 2
     out = []
-    known, cand_type = table.get, Candidate
     for _ in range(count):
-        rec = data[pos:pos + 54]  # _REC.size
-        cand = known(rec)
-        if type(cand) is cand_type:
-            pos += 54
-        else:
-            end = pos + 54
-            cand, pos = _dec_cand(data, pos, table)
-            if pos == end <= len(data):
-                table[rec] = cand
+        cand, pos = _dec_cand(data, pos, table)
         out.append(cand)
     return tuple(out), pos
 
@@ -292,19 +282,26 @@ Clock = _message(CLOCK, "CLOCK", ts=_ts)
 ClockAck = _message(CLOCK_ACK, "CLOCK_ACK", echo=_ts, ts=_ts)
 Repair = _message(REPAIR, "REPAIR", tsr=_u64, cand=_cand)
 RepairAck = _message(REPAIR_ACK, "REPAIR_ACK", tsr=_u64)
+_CLASSES = frozenset(cls for cls, _ in _LAYOUT.values())
 
 
 def encode(msg, table: Optional[dict] = None) -> bytes:
     """The wire bytes of msg; a field too wide for its wire width (a negative
     or over-wide integer, or a list, count or blob past its length prefix)
     raises MalformedMessage. table is the one decode takes too: a run passes
-    one to every call, so each distinct list is encoded once, and None gives
-    this call a table of its own."""
+    one to every call, so each distinct message is encoded once and its wire
+    kept both ways, message to wire and wire to message. A STORE is built
+    for one server alone, so only its lists are kept. None gives this call a
+    table of its own."""
     k = msg.kind
     if k not in _LAYOUT:
         raise MalformedMessage("unknown message kind %r" % (k,))
     if table is None:
         table = {}
+    elif k != STORE:
+        wire = table.get(msg)
+        if wire is not None:
+            return wire
     out = [bytes((k,))]
     try:
         # the kind byte trails the fields, so zip stops before it
@@ -312,17 +309,28 @@ def encode(msg, table: Optional[dict] = None) -> bytes:
             enc(out, value, table)
     except struct.error as exc:
         raise MalformedMessage("field does not fit the wire: %s" % exc) from None
-    return b"".join(out)
+    wire = b"".join(out)
+    if k != STORE:
+        table[msg] = wire
+        table[wire] = msg
+    return wire
 
 
 def decode(data: bytes, table: Optional[dict] = None):
     """The message data encodes; bytes that do not parse as one raise
-    MalformedMessage. table is the one encode takes too: it maps the exact
-    wire bytes of an optional list or a candidate to the value first decoded
-    from them. A run passes one to every call so repeats share one object,
-    and None gives this call a table of its own."""
+    MalformedMessage. table is the one encode takes too: a wire encoded
+    through it decodes to the message it was encoded from, which parsing
+    would give too, since every message the program builds round-trips with
+    exact types. Any other bytes, STOREs and an adversary's raw bytes, are
+    parsed strictly, their optional lists shared by exact wire bytes with
+    the tuple first decoded from them. None gives this call a table of its
+    own."""
     if table is None:
         table = {}
+    else:
+        msg = table.get(data)
+        if type(msg) in _CLASSES:  # the table also maps list bytes to tuples
+            return msg
     try:
         k = data[0]
         if k not in _LAYOUT:

@@ -4,16 +4,12 @@ One heap of (tick, seq) events drives everything: message deliveries, client
 operation starts, adversary pumps, and state-reset timers. Four independent
 RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
-Every message crosses the wire as encoded bytes and is decoded on delivery.
-Two rules share that work: a payload (a message, or an adversary's raw
-bytes) equal to one still in flight reuses its wire and its decode, so
-copies share one immutable message; and in the run's one codec table an
-optional list (a cross-checksum or MAC vector) encoded earlier reuses its
-wire piece, and the exact bytes of a list or a candidate decoded earlier
-reuse the value first decoded from them. An event is a function and its
-arguments, called when its tick comes. A party with an arm(sim) method
-schedules its own first event when the run starts. One delivery step hands
-each copy to its client, or to its server to answer.
+Every copy of a message is encoded when sent and decoded when delivered,
+through the run's one codec table, which decides what is shared. An event
+is a function and its arguments, called when its tick comes. A party with
+an arm(sim) method schedules its own first event when the run starts. One
+delivery step decodes each copy and hands it to its client, or to its
+server to answer.
 
 The fault table maps each party id to its one fault; server, writer and
 reader ids never meet, so a party is correct iff it is absent. With log_wire
@@ -372,10 +368,8 @@ class Simulation:
         self.monitor = None
         self.crash_reason = None
         self.deadlock = None
-        # payload -> [copies in flight, wire, decoded message or None]
-        self._in_flight = {}
-        # the codec's table: an optional list -> its wire piece, and the
-        # wire bytes of a list or a candidate -> the value decoded from them
+        # the codec's table: each message encoded and each optional list met,
+        # both ways between the value and its wire bytes
         self._table = {}
 
         self.faults = parse_faults(config.faults, self.s,
@@ -432,17 +426,10 @@ class Simulation:
         heapq.heappush(self.heap, (self.now + delay, self._seq, fn, args))
 
     def send(self, src, dst, payload):
-        """Send one copy of payload, a message or an adversary's raw bytes.
-        A payload equal to one in flight reuses its wire and its decode; the
-        first send creates the entry and the last arriving copy removes it.
-        A STORE differs per server, so it never finds an equal entry."""
-        entry = self._in_flight.get(payload)
-        if entry is None:
-            wire = (payload if isinstance(payload, bytes)
-                    else codec.encode(payload, self._table))
-            entry = self._in_flight[payload] = [0, wire, None]
-        entry[0] += 1
-        wire = entry[1]
+        """Send one copy of payload, a message or an adversary's raw bytes,
+        as its wire bytes."""
+        wire = (payload if isinstance(payload, bytes)
+                else codec.encode(payload, self._table))
         metrics = self.metrics
         metrics["msgs_sent"] += 1
         metrics["bytes_sent"] += len(wire)
@@ -459,36 +446,22 @@ class Simulation:
                                       else payload.commitment)
             self.trace("send", src=src, dst=dst, kind=kind, nbytes=len(wire),
                        **view)
-        self.schedule(self._delay(), self._deliver, src, dst, payload, entry)
+        self.schedule(self._delay(), self._deliver, src, dst, wire)
 
     # -- deliveries --------------------------------------------------------
 
-    def _receive(self, src, dst, payload, entry):
-        """One copy arrives: its message, decoded for the first copy and
-        shared with the rest, or None for malformed bytes, which are
-        decoded and dropped on every copy. Decoding shares the run's codec
-        table."""
+    def _deliver(self, src, dst, wire):
+        """One copy reaches dst and is decoded: malformed bytes are dropped,
+        a client takes a message, a server answers it."""
         metrics = self.metrics
         metrics["msgs_delivered"] += 1
-        entry[0] -= 1
-        if entry[0] == 0:
-            del self._in_flight[payload]
-        msg = entry[2]
-        if msg is None:
-            try:
-                msg = entry[2] = codec.decode(entry[1], self._table)
-            except MalformedMessage:
-                metrics["dropped_malformed"] += 1
-                return None
+        try:
+            msg = codec.decode(wire, self._table)
+        except MalformedMessage:
+            metrics["dropped_malformed"] += 1
+            return
         if self.cfg.log_wire:
             self.trace("deliver", src=src, dst=dst, kind=msg.kind)
-        return msg
-
-    def _deliver(self, src, dst, payload, entry):
-        """One copy reaches dst: a client takes it, a server answers it."""
-        msg = self._receive(src, dst, payload, entry)
-        if msg is None:
-            return
         if dst in self.clients:
             self.clients[dst].on_message(src, msg)
             return

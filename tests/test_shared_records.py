@@ -4,10 +4,10 @@ a flood run and of four sw-catalog runs with 100-200 distinct records must
 decode to what the byte-at-a-time reference codec decodes, with the exact
 types a constructed message has.
 
-A run decodes through one table that keeps the exact bytes of every
-candidate 54 bytes wide, so a record seen before reuses its decoded
-Candidate. The table must never change a verdict or an output, and it lives
-exactly as long as its run."""
+A run shares candidate lists inside whole messages: its one table keeps
+each message it encodes, so a wire it sent decodes to that message, and
+decoding any other bytes keeps no candidate. The table must never change a
+verdict or an output, and it lives exactly as long as its run."""
 
 import random
 
@@ -70,22 +70,17 @@ def test_run_lists_decode_as_the_reference_decodes_them(key, monkeypatch):
         assert_constructed_types(msg)
         records.update(msg.cands)
     assert 100 <= len(records) <= 205
-    # a run decodes its lists in send order through one table
+    # decoded in send order through one table, as hostile bytes would be
     shared = {}
     for wire in wires:
         msg = codec.decode(wire, shared)
         assert msg == _reference_decode(wire)
         assert_constructed_types(msg)
-    assert 0 < len(shared) <= len(records)
+    assert shared == {}  # decoding keeps only lists, and sw candidates have none
 
 
 def record_of(cand):
     return codec.encode(Filter(0, (cand,)))[11:]  # kind, tsr, count: 11 bytes
-
-
-def common(cand):
-    """Whether cand is 54 bytes wide, the width the table keeps."""
-    return len(record_of(cand)) == codec._REC.size
 
 
 RECORD = record_of(Candidate(Timestamp(7, 0), b"\x42" * 32))
@@ -105,12 +100,10 @@ def _marks_flipped():
 
 def test_the_table_never_changes_a_verdict():
     records = {}
-    blobs = [codec.encode(msg) for msg in _list_messages()]
+    blobs = [codec.encode(msg, records) for msg in _list_messages()]
     rng = random.Random(0x7AB1E)
     blobs += [_mutate(rng, blob) for blob in blobs for _ in range(40)]
     blobs += _mutation_corpus(0x5EED, 5000)
-    codec.decode(_filter_wire(RECORD), records)
-    assert RECORD in records
     tail = record_of(Candidate(Timestamp(8)))  # a 20-byte record, no token
     for rec in _marks_flipped():
         blobs += [_filter_wire(rec), _filter_wire(RECORD, rec),
@@ -132,15 +125,14 @@ def test_a_shared_table_shares_each_record_and_no_table_keeps_nothing():
     odd = Candidate(Timestamp(3, 0, b"tag"), b"\x03" * 32)  # not common
     first, second = CollectAck(4, (a, odd, b)), Filter(5, (b, odd, a))
     records = {}
-    one = codec.decode(codec.encode(first), records)
-    two = codec.decode(codec.encode(second), records)
-    assert one == first and two == second
+    wires = [codec.encode(msg, records) for msg in (first, second)]
+    one, two = (codec.decode(wire, records) for wire in wires)
+    assert one is first and two is second
     assert one.cands[0] is two.cands[2] and one.cands[2] is two.cands[0]
-    assert one.cands[1] is not two.cands[1]
-    assert set(records.values()) == {a, b}
+    assert not any(type(value) is Candidate for value in records.values())
     assert_table_is_sound(records)
-    one = codec.decode(codec.encode(first))
-    two = codec.decode(codec.encode(second))
+    one, two = (codec.decode(wire) for wire in wires)
+    assert one == first and two == second
     assert one.cands[0] == two.cands[2] and one.cands[0] is not two.cands[2]
 
 
@@ -161,13 +153,13 @@ def test_the_table_gives_the_outputs_of_decoding_every_record(key):
 
 def test_the_table_lives_for_one_run_and_holds_its_common_records(
         monkeypatch):
+    # each distinct candidate list the run sends, inside its message
     config = equivalence_configs()["flood/0"]
-    distinct = {cand for wire in list_wires(config, monkeypatch)
-                for cand in _reference_decode(wire).cands if common(cand)}
+    distinct = set(map(_reference_decode, list_wires(config, monkeypatch)))
     sim = simnet.Simulation(config)
     sim.run()
-    cands = [v for v in sim._table.values() if type(v) is Candidate]
-    assert 0 < len(cands) <= len(distinct)
-    assert set(cands) <= distinct
+    assert distinct
+    assert {key for key in sim._table
+            if type(key) in (CollectAck, Filter)} == distinct
     assert_table_is_sound(sim._table)
     assert simnet.Simulation(config)._table == {}

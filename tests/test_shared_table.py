@@ -20,7 +20,8 @@ from powerstore.codec import MalformedMessage
 from powerstore.core import Candidate, Timestamp
 from powerstore.crypto import Polynomial
 from test_codec import (
-    _filter_wire, _ref_enc_opt_list, _ref_enc_ts, _reference_decode, _verdict)
+    _filter_wire, _ref_enc_opt_list, _ref_enc_ts, _reference_decode,
+    _reference_encode, _verdict)
 from test_literal_lc import FLOOD
 
 CONFIGS = {
@@ -65,21 +66,24 @@ def complete_wire(list_bytes):
 
 
 def assert_table_is_sound(table):
-    """Judge each entry by its type: a tuple key is a list and maps to its
-    wire piece; a bytes key decodes, as a field of its value's type, to
-    exactly that value: a 54-byte candidate to its Candidate, the wire of a
-    non-empty list to its tuple of bytes."""
+    """Judge each entry by its type: a message key maps to its wire, and
+    that wire back to the message; a tuple key is a list and maps to its
+    wire piece; a bytes key decodes, as a whole message or as a list field,
+    to exactly its value: a wire to its message, the wire of a non-empty
+    list to its tuple of bytes."""
     for key, value in table.items():
-        if type(key) is tuple:
+        if type(key) in codec._CLASSES:
+            assert type(value) is bytes and value == _reference_encode(key)
+            assert table[value] is key
+        elif type(key) is tuple:
             assert type(value) is bytes and value == _ref_enc_opt_list(key)
-            continue
-        assert type(key) is bytes
-        if type(value) is Candidate:
-            assert len(key) == codec._REC.size
-            assert_same(_reference_decode(_filter_wire(key)).cands, (value,))
         else:
-            assert value
-            assert_same(_reference_decode(complete_wire(key)).vec, value)
+            assert type(key) is bytes
+            if type(value) in codec._CLASSES:
+                assert_same(_reference_decode(key), value)
+            else:
+                assert type(value) is tuple and value
+                assert_same(_reference_decode(complete_wire(key)).vec, value)
 
 
 def tokens_of(msg):
@@ -121,11 +125,12 @@ def test_every_decode_of_a_run_is_the_reference_decode(key, monkeypatch):
 
 
 def test_polynomial_token_candidates_share_by_their_bytes():
+    # they share inside whole messages, by the message's wire bytes
     sim = simnet.Simulation(CONFIGS["sw-catalog/69"])
     sim.run()
-    assert any(len(key) == codec._REC.size and type(value) is Candidate
-               and type(value.token) is Polynomial
-               for key, value in sim._table.items())
+    assert any(type(value) in codec._CLASSES
+               and any(type(token) is Polynomial for token in tokens_of(value))
+               for key, value in sim._table.items() if type(key) is bytes)
 
 
 def test_a_candidate_cut_short_by_the_end_of_data_is_not_kept():
@@ -141,7 +146,7 @@ def test_a_candidate_cut_short_by_the_end_of_data_is_not_kept():
     assert table == {}
     assert_same(codec.decode(_filter_wire(rec), table),
                 _reference_decode(_filter_wire(rec)))
-    assert [type(value) for value in table.values()] == [tuple, Candidate]
+    assert [type(value) for value in table.values()] == [tuple]
 
 
 @pytest.mark.parametrize("group", ROUND_TRIP_GROUPS)

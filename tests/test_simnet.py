@@ -17,6 +17,7 @@ from powerstore.simnet import (
     parse_config, parse_faults, run)
 from test_golden import _mutant_config, deadlock_configs
 from test_perfbench_smoke import _import_tracing
+from test_shared_decode import _deliver_all
 from test_wire_view import SWEEPS, pin, pinned_configs
 
 
@@ -534,10 +535,15 @@ def test_run_result_meta_names_the_correct_processes():
 
 
 def test_a_broadcast_is_encoded_once(monkeypatch):
-    encoded = []
+    encoded = []  # the messages the run's table misses: the real encodes
     real_encode = codec.encode
-    monkeypatch.setattr(codec, "encode", lambda msg, *rest: encoded.append(
-        msg) or real_encode(msg, *rest))
+
+    def encode(msg, table):
+        if msg not in table:
+            encoded.append(msg)
+        return real_encode(msg, table)
+
+    monkeypatch.setattr(codec, "encode", encode)
     cands = (Candidate(Timestamp(2), b"n" * 32), Candidate(Timestamp(1), b"m"))
     shared = codec.Filter(1, cands)
 
@@ -569,8 +575,9 @@ def test_replies_of_different_kinds_never_share_a_wire():
         sim.send(sid, simnet.WRITER_ID_BASE + 1, msg)
     store_ack, complete_ack = codec.encode(replies[0]), codec.encode(replies[1])
     assert store_ack != complete_ack
-    assert sim._in_flight == {replies[0]: [2, store_ack, None],
-                              replies[1]: [1, complete_ack, None]}
+    assert (sim._table[replies[0]], sim._table[replies[1]]) == (store_ack,
+                                                                 complete_ack)
     arrivals = sorted(sim.heap, key=lambda event: event[1])  # in send order
-    assert [sim._receive(*args) for *_, args in arrivals] == list(replies)
-    assert sim._in_flight == {}
+    assert [args[2] for *_, args in arrivals] == [store_ack, complete_ack,
+                                                  store_ack]
+    assert _deliver_all(sim) == list(replies)
