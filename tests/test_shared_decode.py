@@ -214,7 +214,8 @@ def test_equal_requests_from_two_readers_share_one_wire_and_one_decode(
     _broadcast(sim, 201, first)
     _broadcast(sim, 202, codec.Collect(1))  # equal, not the same object
     assert kinds == {codec.COLLECT: 1}
-    assert [args[2] for *_, args in sim.heap] == [wire] * 8
+    sent = [args[2] for *_, args in sim.heap]
+    assert sent == [wire] * 8 and all(w is sent[0] for w in sent)
     got = _deliver_all(sim)
     assert wires == []  # every copy decodes to the message first sent
     assert len(got) == 8 and all(m is first for m in got)

@@ -148,6 +148,18 @@ def test_a_list_shaped_like_a_record_decodes_as_a_list(list_first):
         assert msg.vec == (SHAPED[5:],) and type(msg.vec[0]) is bytes
 
 
+def test_a_list_kept_by_its_bytes_never_decodes_as_a_message():
+    # a list's bytes begin with its presence flag, the STORE kind byte
+    table = {}
+    for entries in [(b"x",), (b"a" * 32, b"b" * 32)]:
+        lst = _ref_enc_opt_list(entries)
+        assert codec.decode(complete_wire(lst), table).vec == entries
+        assert table[lst] == entries
+        for _ in range(2):
+            assert _verdict(lambda w: codec.decode(w, table), lst) is (
+                _verdict(_reference_decode, lst)) is MalformedMessage
+
+
 def test_a_shared_table_shares_each_list_and_no_table_keeps_nothing():
     vec, cc = (b"v" * 32,) * 4, (b"c" * 32, b"d" * 32)
     ts, token = Timestamp(2, 101, b"tag"), b"n" * 32
