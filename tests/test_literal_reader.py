@@ -142,19 +142,35 @@ def differential_configs():
     return configs
 
 
-@pytest.mark.parametrize("key", sorted(differential_configs()))
-def test_runs_match_the_literal_reader_rules(key, monkeypatch, outputs):
-    config = differential_configs()[key]
-    got = outputs(config, digest_kinds=DIGESTED)
+CONFIGS = differential_configs()
+
+
+@pytest.fixture(scope="module")
+def unpatched(outputs):
+    """unpatched(key) is the outputs of CONFIGS[key] run with the program's
+    own classes, made once for every test of this module."""
+    made = {}
+
+    def get(key):
+        if key not in made:
+            made[key] = outputs(CONFIGS[key], digest_kinds=DIGESTED)
+        return made[key]
+
+    return get
+
+
+@pytest.mark.parametrize("key", sorted(CONFIGS))
+def test_runs_match_the_literal_reader_rules(key, monkeypatch, outputs,
+                                             unpatched):
+    config, want = CONFIGS[key], unpatched(key)
     monkeypatch.setitem(mutants.CLASSES[config.mode], "reader",
                         LITERAL[config.mode])
     sim = simnet.Simulation(config)
     assert any(isinstance(c, _LiteralRules) for c in sim.clients.values())
-    assert outputs(config, digest_kinds=DIGESTED) == got
+    assert outputs(config, digest_kinds=DIGESTED) == want
 
 
-def test_the_differential_reaches_the_repair_round(outputs):
-    configs = differential_configs()
-    repairing = [key for key in sorted(configs) if key.startswith("mw-bigmac/")
-                 and outputs(configs[key])[2]["repairs"]]
+def test_the_differential_reaches_the_repair_round(unpatched):
+    repairing = [key for key in sorted(CONFIGS) if key.startswith("mw-bigmac/")
+                 and unpatched(key)[2]["repairs"]]
     assert len(repairing) >= 8, repairing

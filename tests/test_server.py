@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -277,6 +278,64 @@ def test_sw_collect_sorts_only_what_changed(monkeypatch):
     calls.clear()
     again = srv.handle(codec.Collect(5), "reader")
     assert calls == [] and again.cands == ack.cands
+
+
+# ---------------------------------------------------------------------------
+# A server's verdict on a candidate stands only while the history entry it
+# read does: a reset, the candidate's STORE arriving late and another STORE
+# at its key each change the verdict a FILTER gets.
+# ---------------------------------------------------------------------------
+
+def server_of(mode, behavior=None):
+    ring = keyring() if mode == "mw" else None
+    cls = classes_for(mode)["server"]
+    if behavior is not None:
+        cls = layer(behaviors.SERVERS[behavior], cls)
+    return cls(1, S, T, scheme=pow_scheme("hash"), keyring=ring), ring
+
+
+def write_for(srv, ring, seed=5):
+    return build_write(srv.scheme, 3, pid=101 if ring else 0, ring=ring,
+                       seed=seed)
+
+
+def served(srv, cand):
+    """The timestamp srv's FILTER_ACK serves for a lone candidate."""
+    return srv.handle(codec.Filter(1, (cand,)), "reader").ts
+
+
+@pytest.mark.parametrize("mode", ["sw", "mw"])
+def test_a_reverted_server_judges_its_candidates_again(mode):
+    srv, ring = server_of(mode, "revert_state")
+    cand = Candidate(*store_at(srv, write_for(srv, ring)))
+    assert served(srv, cand) == cand.ts
+    srv.on_timer(SimpleNamespace(ops_pending=lambda: False))
+    assert not srv.hist
+    assert served(srv, cand) == TS0
+    store_at(srv, write_for(srv, ring))
+    assert served(srv, cand) == cand.ts
+
+
+@pytest.mark.parametrize("mode", ["sw", "mw"])
+def test_a_candidate_judged_before_its_store_is_judged_again(mode):
+    srv, ring = server_of(mode)
+    parts = write_for(srv, ring)
+    ts, token, *_, vec = parts
+    cand = Candidate(ts, token, vec)
+    assert served(srv, cand) == TS0
+    store_at(srv, parts)
+    assert served(srv, cand) == ts
+
+
+@pytest.mark.parametrize("mode", ["sw", "mw"])
+def test_a_second_store_at_a_held_key_is_judged_by_its_commitment(mode):
+    srv, ring = server_of(mode)
+    first, second = write_for(srv, ring), write_for(srv, ring, seed=6)
+    assert first[0] == second[0] and first[4] != second[4]
+    old = Candidate(*store_at(srv, first))
+    assert served(srv, old) == old.ts
+    new = Candidate(*store_at(srv, second))
+    assert served(srv, old) == TS0 and served(srv, new) == new.ts
 
 
 # ---------------------------------------------------------------------------

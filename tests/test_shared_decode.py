@@ -127,18 +127,27 @@ def assert_table_is_sound(table):
 class Tap:
     """What a run's codec work did: by kind, the messages sent, the distinct
     ones (every STORE counts) and the ones the table missed; the raw sends,
-    the wires parsed and the delivered (wire, message) pairs. With check,
-    every decode is checked as the module docstring says."""
+    the wires parsed, the delivered (wire, message) pairs, each wire encoded
+    with the message it was first encoded from, and the run's Simulation.
+    With check, every decode is checked as the module docstring says."""
 
     def __init__(self, monkeypatch, check=False):
         self.sends, self.distinct = Counter(), Counter()
         self.misses, self.raw = Counter(), 0
         self.parses, self.delivered = [], []
         self.parsed = {}  # the table only decoding feeds
+        self.encoded, self.sim = {}, None
         self.sent, reference = set(), {}
         real_send, real_decode = simnet.Simulation.send, codec.decode
+        real_encode = codec.encode
+
+        def encode(msg, *rest):
+            wire = real_encode(msg, *rest)
+            self.encoded.setdefault(wire, msg)
+            return wire
 
         def send(sim, src, dst, payload):
+            self.sim = sim
             if isinstance(payload, bytes):
                 self.raw += 1
             else:
@@ -169,7 +178,21 @@ class Tap:
             return got
 
         monkeypatch.setattr(simnet.Simulation, "send", send)
+        monkeypatch.setattr(codec, "encode", encode)
         monkeypatch.setattr(codec, "decode", decode)
+
+    def check_in_flight(self):
+        """The copies still in the heap when the run ended were never
+        decoded: each wire the run encoded must decode, with no table, to
+        the message it came from, and the table may keep a STORE's wire
+        only while a copy of it is in the heap."""
+        sim = self.sim
+        flying = [args[2] for *_, fn, args in sim.heap if fn == sim._deliver]
+        for wire in flying:
+            if wire in self.encoded:
+                assert_same(codec.decode(wire), self.encoded[wire])
+        assert {wire for wire, msg in sim._table.items()
+                if type(msg) is codec.Store} <= set(flying)
 
 
 def tokens_of(msg):
@@ -187,6 +210,7 @@ def runs(request, outputs):
     with pytest.MonkeyPatch.context() as patch:
         run = Tap(patch, check=True)
         shared = outputs(config, table)
+    run.check_in_flight()
     with pytest.MonkeyPatch.context() as patch:
         every = Tap(patch)
         reference = outputs(config, _Forgetful())
