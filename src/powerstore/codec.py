@@ -135,11 +135,11 @@ def _present(data, pos) -> bool:
 
 
 # Cross-checksums and MAC vectors repeat from message to message, even
-# inside STOREs, which encode() and decode() do not share whole, so the
-# list codecs keep each list they meet in the table: a list's tuple maps to
-# its wire piece, and the wire bytes of a non-empty list to its tuple. The
-# decoder looks up the bytes the list spans if every entry is as wide as
-# the first. The table also maps whole wires to messages, so only a tuple
+# inside STOREs, which the table keeps only until their one delivery, so
+# the list codecs keep each list they meet in the table: a list's tuple
+# maps to its wire piece, and the wire bytes of a non-empty list to its
+# tuple. The decoder looks up the bytes the list spans if every entry is as
+# wide as the first. The table also maps whole wires to messages, so only a tuple
 # counts as a hit. Such a hit is exact whatever the widths: decoding reads
 # only the bytes it consumes, and a stored list consumed exactly its key as
 # a list.
@@ -291,8 +291,10 @@ def encode(msg, table: Optional[dict] = None) -> bytes:
     raises MalformedMessage. table is the one decode takes too: a run passes
     one to every call, so each distinct message is encoded once and its wire
     kept both ways, message to wire and wire to message. A STORE is built
-    for one server alone, so only its lists are kept. None gives this call a
-    table of its own."""
+    for one server and delivered once, so only its wire to it is kept, for
+    decode to take back, and only if it has a fragment and a cross-checksum:
+    one without must still parse and be dropped as malformed. None gives
+    this call a table of its own."""
     k = msg.kind
     if k not in _LAYOUT:
         raise MalformedMessage("unknown message kind %r" % (k,))
@@ -313,6 +315,8 @@ def encode(msg, table: Optional[dict] = None) -> bytes:
     if k != STORE:
         table[msg] = wire
         table[wire] = msg
+    elif msg.fr is not None and msg.cc is not None:
+        table[wire] = msg
     return wire
 
 
@@ -321,7 +325,8 @@ def decode(data: bytes, table: Optional[dict] = None):
     MalformedMessage. table is the one encode takes too: a wire encoded
     through it decodes to the message it was encoded from, which parsing
     would give too, since every message the program builds round-trips with
-    exact types. Any other bytes, STOREs and an adversary's raw bytes, are
+    exact types. A STORE's entry is taken out as it is used. Any other
+    bytes, such as an adversary's raw bytes or a STORE sent again, are
     parsed strictly, their optional lists shared by exact wire bytes with
     the tuple first decoded from them. None gives this call a table of its
     own."""
@@ -329,7 +334,10 @@ def decode(data: bytes, table: Optional[dict] = None):
         table = {}
     else:
         msg = table.get(data)
-        if type(msg) in _CLASSES:  # the table also maps list bytes to tuples
+        cls = type(msg)
+        if cls in _CLASSES:  # the table also maps list bytes to tuples
+            if cls is Store:
+                del table[data]
             return msg
     try:
         k = data[0]

@@ -44,6 +44,7 @@ class ServerBase:
         self.lc = C0
         self.lc_set = set()  # LC, sw only: SwServer's handlers alone change it
         self.hist = {}  # ts.key() -> the STORE that wrote it
+        self._verdicts = {}  # candidate -> valid_by_hist, once its key is held
 
     def trace(self, etype, **fields):
         if self.tracer is not None:
@@ -60,8 +61,23 @@ class ServerBase:
         self.lc = cand
         self.trace("accept", via=via, ts=cand.ts, token=cand.token)
 
+    def _hist_valid(self, cand):
+        """valid_by_hist against this server's history, judged once per
+        candidate. A verdict is kept only once the candidate's key is held,
+        since until then its STORE can still arrive; a STORE that replaces
+        a held entry drops every verdict kept."""
+        verdict = self._verdicts.get(cand)
+        if verdict is None:
+            verdict = valid_by_hist(cand, self.hist, self.scheme)
+            if cand.ts.key() in self.hist:
+                self._verdicts[cand] = verdict
+        return verdict
+
     def _on_store(self, msg):
-        self.hist[msg.ts.key()] = msg
+        key = msg.ts.key()
+        if key in self.hist:
+            self._verdicts = {}
+        self.hist[key] = msg
         self.trace("store", ts=msg.ts, commitment=msg.commitment)
         return codec.StoreAck(msg.ts)
 
@@ -92,7 +108,8 @@ class ServerBase:
 
 class SwServer(ServerBase):
     """Single-writer replica: collect serves LC united with lc, filter serves
-    the highest history-valid candidate of the submitted set.
+    the highest history-valid candidate of the submitted set, each judged
+    once however many filters and collects meet it (_hist_valid).
 
     A collect sorts and scans only what changed since the last one. Beside
     lc_set, LC's members are kept as sorted (sort_key, cand) pairs. Sort keys
@@ -111,7 +128,7 @@ class SwServer(ServerBase):
         self._new_keys = set()  # stored keys that gained a member or entry
 
     def _valid(self, cand):
-        return valid_by_hist(cand, self.hist, self.scheme)
+        return self._hist_valid(cand)
 
     def _valids(self, cands):
         # no hist entry, no valid_by_hist: most of a flooded LC was never stored
@@ -165,19 +182,27 @@ class MwServer(ServerBase):
     repair round can re-certify a candidate whose vector was garbled. A
     write-back weighs vector evidence only between same-timestamp variants:
     a lone highest valid candidate is written back with no MAC check of its
-    vector."""
+    vector. Each candidate is judged once: _hist_valid keeps its history
+    verdict, which the filter's reply reads again, and _vec_certified its
+    MAC verdict, which reads only the candidate and this server's key."""
 
     mode = "mw"
     kinds = (codec.STORE, codec.COMPLETE, codec.CLOCK, codec.COLLECT,
              codec.FILTER, codec.REPAIR)
 
+    def reset(self):
+        super().reset()
+        self._certified = {}  # candidate -> its MAC-branch verdict
+
     def _valid(self, cand):
-        return valid_mw(cand, self.hist, self.sid,
-                        self.keyring.key_for(self.sid), self.scheme)
+        return self._hist_valid(cand) or self._vec_certified(cand)
 
     def _vec_certified(self, cand):
-        return valid_mw(cand, {}, self.sid, self.keyring.key_for(self.sid),
-                        self.scheme)
+        verdict = self._certified.get(cand)
+        if verdict is None:
+            verdict = self._certified[cand] = valid_mw(
+                cand, {}, self.sid, self.keyring.key_for(self.sid), self.scheme)
+        return verdict
 
     def _on_clock(self, msg):
         return codec.ClockAck(msg.ts, self.lc.ts)
@@ -205,7 +230,7 @@ class MwServer(ServerBase):
             if c_wb.ts > self.lc.ts:
                 self._accept(c_wb, "filter_wb")
         return self._filter_ack(msg, [
-            c for c in msg.cands if valid_by_hist(c, self.hist, self.scheme)])
+            c for c in msg.cands if self._hist_valid(c)])
 
     def _on_repair(self, msg):
         cand = msg.cand

@@ -5,11 +5,12 @@ operation starts, adversary pumps, and state-reset timers. Four independent
 RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
 Every copy of a message is encoded when sent and decoded when delivered,
-through the run's one codec table, which decides what is shared. An event
-is a function and its arguments, called when its tick comes. A party with
-an arm(sim) method schedules its own first event when the run starts. One
-delivery step decodes each copy and hands it to its client, or to its
-server to answer.
+through the run's one codec table, which decides what is shared: a wire the
+run encoded decodes to the message it came from, a STORE's only at its one
+delivery. An event is a function and its arguments, called when its tick
+comes. A party with an arm(sim) method schedules its own first event when
+the run starts. One delivery step decodes each copy and hands it to its
+client, or to its server to answer.
 
 The fault table maps each party id to its one fault; server, writer and
 reader ids never meet, so a party is correct iff it is absent. With log_wire
@@ -369,7 +370,8 @@ class Simulation:
         self.crash_reason = None
         self.deadlock = None
         # the codec's table: each message encoded and each optional list met,
-        # both ways between the value and its wire bytes
+        # both ways between the value and its wire bytes; a STORE's wire to
+        # it, until its delivery
         self._table = {}
 
         self.faults = parse_faults(config.faults, self.s,

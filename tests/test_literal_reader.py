@@ -22,6 +22,7 @@ from powerstore.simnet import SimConfig
 from test_acceptance import KILL_PLANS
 from test_golden import partial_reveal_configs
 from test_literal_lc import DIGESTED, FLOOD
+from test_server import recompute_verdicts
 
 CONTENDED = dict(writers=8, readers=8, writes=4, reads=4)
 BUSY_BIGMAC = dict(writers=3, readers=4, reads=10)  # more reads, more repairs
@@ -168,6 +169,14 @@ def test_runs_match_the_literal_reader_rules(key, monkeypatch, outputs,
     sim = simnet.Simulation(config)
     assert any(isinstance(c, _LiteralRules) for c in sim.clients.values())
     assert outputs(config, digest_kinds=DIGESTED) == want
+
+
+@pytest.mark.parametrize("key", sorted(CONFIGS))
+def test_runs_match_without_verdict_memos(key, monkeypatch, outputs,
+                                          unpatched):
+    want = unpatched(key)
+    recompute_verdicts(monkeypatch)
+    assert outputs(CONFIGS[key], digest_kinds=DIGESTED) == want
 
 
 def test_the_differential_reaches_the_repair_round(unpatched):

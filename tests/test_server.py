@@ -2,12 +2,14 @@
 
 import hashlib
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from powerstore import behaviors, codec, scenarios, simnet
-from powerstore.core import C0, Candidate, TS0, Timestamp
+from powerstore import behaviors, codec, scenarios, server, simnet
+from powerstore.core import (
+    C0, Candidate, TS0, Timestamp, valid_by_hist, valid_mw)
 from powerstore.crypto import KeyRing, digest, make_vec, pow_scheme, tag_timestamp
 from powerstore.erasure import cross_checksum, encode
 from powerstore.mutants import classes_for, layer
@@ -281,9 +283,9 @@ def test_sw_collect_sorts_only_what_changed(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# A server's verdict on a candidate stands only while the history entry it
-# read does: a reset, the candidate's STORE arriving late and another STORE
-# at its key each change the verdict a FILTER gets.
+# A server judges each candidate once, and its verdict stands only while
+# the history entry it read does: a reset, the candidate's STORE arriving
+# late and another STORE at its key each change the verdict a FILTER gets.
 # ---------------------------------------------------------------------------
 
 def server_of(mode, behavior=None):
@@ -336,6 +338,58 @@ def test_a_second_store_at_a_held_key_is_judged_by_its_commitment(mode):
     assert served(srv, old) == old.ts
     new = Candidate(*store_at(srv, second))
     assert served(srv, old) == TS0 and served(srv, new) == new.ts
+
+
+def recompute_verdicts(patch):
+    """Make every server judge each candidate afresh on every call: the
+    reference that the servers' verdict memos must match."""
+    patch.setattr(ServerBase, "_hist_valid",
+                  lambda self, c: valid_by_hist(c, self.hist, self.scheme))
+    patch.setattr(MwServer, "_vec_certified", lambda self, c: valid_mw(
+        c, {}, self.sid, self.keyring.key_for(self.sid), self.scheme))
+
+
+def count_verdicts(patch):
+    """Counters of the history and MAC verdicts servers compute, by
+    candidate."""
+    hist, macs = Counter(), Counter()
+    real_hist, real_mw = server.valid_by_hist, server.valid_mw
+    patch.setattr(server, "valid_by_hist",
+                  lambda c, *rest: hist.update([c]) or real_hist(c, *rest))
+    patch.setattr(server, "valid_mw",
+                  lambda c, *rest: macs.update([c]) or real_mw(c, *rest))
+    return hist, macs
+
+
+def test_an_mw_server_judges_each_candidate_once(monkeypatch):
+    ring = keyring()
+    srv = mw_server(ring)
+    ts, token, vec = store_at(srv, build_write(srv.scheme, 3, pid=101,
+                                               ring=ring))
+    genuine, garbled = Candidate(ts, token, vec), Candidate(ts, token,
+                                                            garble(vec))
+    forged = Candidate(Timestamp(9, 103, b"tag"), digest(b"t"), vec)
+    hist, macs = count_verdicts(monkeypatch)
+    for tsr in (1, 2):
+        ack = srv.handle(codec.Filter(tsr, (garbled, forged, genuine)),
+                         "reader")
+        assert ack.ts == ts and srv.lc == genuine
+    # an unheld key's verdict is cheap and not kept: its STORE may come
+    assert hist == {genuine: 1, garbled: 1, forged: 4}
+    assert macs == {genuine: 1, garbled: 1, forged: 1}
+
+
+def test_an_sw_server_judges_each_candidate_once(monkeypatch):
+    srv = sw_server()
+    ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
+    good = Candidate(ts, token, None)
+    fake = Candidate(ts, digest(b"fake"), None)
+    hist, _ = count_verdicts(monkeypatch)
+    for tsr in (1, 2):
+        srv.handle(codec.Filter(tsr, (fake, good)), "reader")
+        srv.handle(codec.Collect(tsr), "reader")
+    assert srv.lc == good
+    assert hist == {good: 1, fake: 1}
 
 
 # ---------------------------------------------------------------------------

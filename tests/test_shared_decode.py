@@ -2,19 +2,22 @@
 a run and kept both ways, so a message sent again reuses its wire and a
 wire the run encoded decodes to the message it came from. Optional lists
 (cross-checksums and MAC vectors) are kept both ways too, by their exact
-wire bytes. A STORE, built for one server, and an adversary's raw bytes are
-parsed on every copy. The table must change no verdict, no decoded value or
-type and no output, and lives exactly as long as its run.
+wire bytes. A STORE, built for one server, is encoded on every copy; its
+wire maps to it from its send to its one delivery. An adversary's raw
+bytes are parsed on every copy. The table must change no verdict, no
+decoded value or type and no output, and lives exactly as long as its run.
 
 One checked run per config taps the codec. It counts the messages the table
 misses, by kind, and the wires it parses. It checks every decode, with exact
 types, against a decode with no table, a decode through a table that only
 decoding feeds (the table hostile bytes meet) and the byte-at-a-time
-reference codec. It keeps the delivered (wire, message) pairs. The same
-config then runs against _Forgetful, which encodes every send and parses
-every copy, and must give the same outputs. The `runs` fixture makes both
-runs once per config, and four tests judge them: decoding, encoding, the
-table's contents and the delivered messages."""
+reference codec. It keeps the delivered (wire, message) pairs, and checks
+every copy left in flight when the run ends. The same config then runs
+against _Forgetful, which encodes every send and parses every copy, and
+must give the same outputs. The `runs` fixture makes both runs once per
+config, and five tests judge them: decoding, encoding, the table's
+contents, the delivered messages, and the outputs of servers that keep no
+verdict memo."""
 
 import random
 from collections import Counter
@@ -32,7 +35,8 @@ from powerstore.simnet import SimConfig
 from test_codec import (
     _filter_wire, _list_messages, _mutate, _mutation_corpus, _ref_enc_opt_list,
     _ref_enc_ts, _reference_decode, _reference_encode, _verdict)
-from test_literal_lc import FLOOD
+from test_literal_lc import DIGESTED, FLOOD
+from test_server import recompute_verdicts
 
 GARBAGE = ("byz_reader:202:garbage_filter_sets",)  # sends raw bytes
 # mw-catalog members: 2, 14, 158 and 194 garble vectors (corrupt_vec; 14
@@ -204,16 +208,17 @@ def tokens_of(msg):
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
 def runs(request, outputs):
-    """The config's checked run through a fresh table, and its run against
-    _Forgetful: each one's Tap and outputs."""
+    """The config's checked run through a fresh table, with the copies it
+    left in flight checked, and its run against _Forgetful: each one's Tap
+    and outputs, DIGESTED wires included."""
     config, table = CONFIGS[request.param], {}
     with pytest.MonkeyPatch.context() as patch:
         run = Tap(patch, check=True)
-        shared = outputs(config, table)
+        shared = outputs(config, table, DIGESTED)
     run.check_in_flight()
     with pytest.MonkeyPatch.context() as patch:
         every = Tap(patch)
-        reference = outputs(config, _Forgetful())
+        reference = outputs(config, _Forgetful(), DIGESTED)
     return SimpleNamespace(key=request.param, config=config, table=table,
                            run=run, shared=shared, every=every,
                            reference=reference)
@@ -267,6 +272,11 @@ def test_each_distinct_message_is_encoded_once_a_run(runs):
         assert any(type(token) is Polynomial for k, value in table.items()
                    if type(k) is bytes and type(value) in codec._CLASSES
                    for token in tokens_of(value))
+
+
+def test_runs_match_without_verdict_memos(runs, monkeypatch, outputs):
+    recompute_verdicts(monkeypatch)
+    assert outputs(runs.config, digest_kinds=DIGESTED) == runs.shared
 
 
 def test_no_handler_changes_a_delivered_message(runs):
@@ -462,19 +472,40 @@ def test_equal_requests_from_two_readers_share_one_wire_and_one_decode(
 
 
 def test_each_store_is_its_own_entry(monkeypatch):
+    """A STORE's wire maps to it from its send to its one delivery, which
+    returns the very STORE sent, and no STORE maps to its wire. A copy sent
+    again finds no entry and parses; a STORE with no fragment is never kept
+    and is dropped as malformed."""
     tap = Tap(monkeypatch)
     sim = simnet.Simulation(small())
     stores = [codec.Store(Timestamp(1), Fragment(sid, 3, b"abc"), (), b"d" * 32)
               for sid in range(1, sim.s + 1)]
+    bad = stores[1]._replace(fr=None)
+    wires = [codec.encode(msg) for msg in stores + [bad]]
+    writer = simnet.WRITER_ID_BASE + 1
     for sid, store in enumerate(stores, 1):
-        sim.send(simnet.WRITER_ID_BASE + 1, sid, store)
-    sim.send(simnet.WRITER_ID_BASE + 1, 1, stores[0])  # the same STORE again
-    assert tap.misses == {codec.STORE: 5}
+        sim.send(writer, sid, store)
+    sim.send(writer, 1, stores[0])  # the same STORE again
+    sim.send(writer, 2, bad)
+
+    def kept():
+        return {w: m for w, m in sim._table.items() if type(m) is codec.Store}
+
+    assert tap.misses == {codec.STORE: 6}
     assert not any(type(key) is codec.Store for key in sim._table)
-    got = _deliver_all(sim)
-    assert got == stores + stores[:1]
-    assert not any(m is store for m, store in zip(got, stores + stores[:1]))
-    assert len(tap.parses) == 5
+    assert list(kept().items()) == list(zip(wires, stores))
+    assert all(kept()[w] is store for w, store in zip(wires, stores))
+    got, held = [], []
+    for server in sim.servers.values():
+        server.handle = lambda msg, role: got.append(msg)
+    for *_, deliver, args in sorted(sim.heap, key=lambda event: event[1]):
+        deliver(*args)
+        held.append(set(kept()))
+    assert held == [set(wires[i:4]) for i in range(1, 5)] + [set()] * 2
+    assert [m is store for m, store in zip(got, stores)] == [True] * 4
+    assert len(got) == 5 and got[4] == stores[0] and got[4] is not stores[0]
+    assert tap.parses == [wires[0], wires[4]]
+    assert sim.metrics["dropped_malformed"] == 1
 
 
 def test_store_fragments_are_counted_for_correct_clients_only():
@@ -528,18 +559,22 @@ def test_replies_of_different_kinds_never_share_a_wire():
 # the benchmark's contended workload: mw-pareto with eight of each client
 CONTENDED = dict(writers=8, readers=8, writes=4, reads=4)
 ROUND_TRIP_GROUPS = ("sw-catalog/hash", "mw-catalog/hash", "sw-catalog/shamir",
-                     "mw-catalog/shamir", "flood", "contended")
+                     "mw-catalog/shamir", "contended")
 
 
 def round_trip_configs(group):
-    if group == "flood":
-        return [CONFIGS["flood/0"]]
+    """The group's configs but those in CONFIGS, whose checked run already
+    decodes each wire it encodes, delivered or left in the heap, with no
+    table and checks it against the message it came from."""
     if group == "contended":
-        return [scenarios.pair_for("mw-pareto", 0, **CONTENDED)[1]]
-    sweep, pow_name = group.split("/")
-    seeds = 10 if pow_name == "shamir" else 28 if sweep == "sw-catalog" else 24
-    return [scenarios.pair_for(sweep, seed, pow_name=pow_name)[1]
-            for seed in range(seeds)]
+        configs = [scenarios.pair_for("mw-pareto", 0, **CONTENDED)[1]]
+    else:
+        sweep, pow_name = group.split("/")
+        seeds = (10 if pow_name == "shamir" else 28 if sweep == "sw-catalog"
+                 else 24)
+        configs = [scenarios.pair_for(sweep, seed, pow_name=pow_name)[1]
+                   for seed in range(seeds)]
+    return [config for config in configs if config not in CONFIGS.values()]
 
 
 @pytest.mark.parametrize("group", ROUND_TRIP_GROUPS)
