@@ -214,11 +214,11 @@ def runs(request, outputs):
     config, table = CONFIGS[request.param], {}
     with pytest.MonkeyPatch.context() as patch:
         run = Tap(patch, check=True)
-        shared = outputs(config, table, DIGESTED)
+        shared = outputs(config, table, digest_kinds=DIGESTED)
     run.check_in_flight()
     with pytest.MonkeyPatch.context() as patch:
         every = Tap(patch)
-        reference = outputs(config, _Forgetful(), DIGESTED)
+        reference = outputs(config, _Forgetful(), digest_kinds=DIGESTED)
     return SimpleNamespace(key=request.param, config=config, table=table,
                            run=run, shared=shared, every=every,
                            reference=reference)
