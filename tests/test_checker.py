@@ -466,6 +466,31 @@ def test_select_audited_on_store_count_not_token():
     assert not check_pow_soundness(events, _meta()).ok
 
 
+def test_accepts_at_one_ts_are_each_judged_by_their_own_token_and_stores():
+    """Two accepts at one timestamp with different tokens, against stores
+    with different commitments: only the one whose token the stores commit
+    to is sound, so no verdict may be reused across tokens or timestamps."""
+    ts = Timestamp(1, 0, b"")
+    good, other = b"N" * 32, b"M" * 32
+    events = _store_events(ts, good, (1, 2))
+    events += _store_events(ts, other, (3,), start_seq=3)
+    for seq, server, token in ((7, 1, good), (8, 2, other), (9, 3, good)):
+        events.append({"seq": seq, "type": "accept", "server": server,
+                       "via": "complete", "ts": ts, "token": token})
+    v = check_pow_soundness(events, _meta())
+    assert v.detail == "server 2 adopted ts (1, 0) via complete on 1 proofs"
+    # the same tokens at a second timestamp, whose stores commit to other
+    later = Timestamp(2, 0, b"")
+    events += _store_events(later, other, (1, 2), start_seq=10)
+    events.append({"seq": 20, "type": "accept", "server": 1, "via": "gc",
+                   "ts": later, "token": good})
+    events.append({"seq": 21, "type": "accept", "server": 3, "via": "gc",
+                   "ts": later, "token": other})
+    v = check_pow_soundness(events, _meta())
+    assert v.detail == ("server 2 adopted ts (1, 0) via complete on 1 proofs; "
+                        "server 1 adopted ts (2, 0) via gc on 0 proofs")
+
+
 def test_byzantine_reader_selects_ignored():
     events = [{"seq": 1, "type": "select", "client": 999,
                "ts": Timestamp(5, 0, b""), "token": b"x"}]

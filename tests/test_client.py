@@ -4,6 +4,7 @@ order, plus the restore helpers' failure modes."""
 import itertools
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -290,3 +291,41 @@ def test_mw_repair_carries_the_witnesses_vector():
     for sid in (1, 2, 3):
         reader.on_message(sid, codec.RepairAck(reader.tsr))
     assert out["value"] == b"payload" and out["repaired"]
+
+
+HANDLED = {  # (mode, role) -> the kinds its client class has a handler for
+    ("sw", "writer"): {codec.STORE_ACK, codec.COMPLETE_ACK},
+    ("mw", "writer"): {codec.STORE_ACK, codec.COMPLETE_ACK, codec.CLOCK_ACK},
+    ("sw", "reader"): {codec.COLLECT_ACK, codec.FILTER_ACK},
+    ("mw", "reader"): {codec.COLLECT_ACK, codec.FILTER_ACK, codec.REPAIR_ACK},
+}
+
+
+@pytest.mark.parametrize("mode,role", sorted(HANDLED))
+def test_each_kind_reaches_exactly_its_client_handler(mode, role):
+    """A busy client hands each kind to its own _on_<kind> and ignores a
+    kind it has no handler for; an idle or crashed one ignores every kind."""
+    base = classes_for(mode)[role]
+    got = []
+    names = {kind: name for kind, name in codec.HANDLER_NAMES.items()
+             if hasattr(base, name)}
+    assert set(names) == HANDLED[mode, role]
+    recording = type("Recording" + base.__name__, (base,), {
+        name: (lambda self, sid, msg, name=name: got.append((name, sid, msg)))
+        for name in names.values()})
+    cl = recording(101, s=S, t=T)
+    msgs = [SimpleNamespace(kind=kind) for kind in codec.HANDLER_NAMES]
+
+    def deliver_all():
+        got.clear()
+        for sid, msg in enumerate(msgs, 1):
+            cl.on_message(sid, msg)
+        return got[:]
+
+    assert deliver_all() == []  # idle
+    cl._begin(lambda **kw: None)
+    assert deliver_all() == [(names[msg.kind], sid, msg)
+                             for sid, msg in enumerate(msgs, 1)
+                             if msg.kind in names]
+    cl.crashed = True
+    assert deliver_all() == []

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from powerstore import behaviors, codec, scenarios, server, simnet
+from powerstore import behaviors, codec, mutants, scenarios, server, simnet
 from powerstore.core import (
     C0, Candidate, TS0, Timestamp, valid_by_hist, valid_mw)
 from powerstore.crypto import KeyRing, digest, make_vec, pow_scheme, tag_timestamp
@@ -486,3 +486,76 @@ def write_back_configs():
 def test_mw_filter_write_backs_are_pinned(monkeypatch):
     assert filter_write_backs(write_back_configs(), monkeypatch) == (
         176, "7b208af04dd1ce7b7c8e07b8978094e951a98704a39e2d4af4421938d7a8055f")
+
+
+# ---------------------------------------------------------------------------
+# dispatch: which handler each (kind, role) reaches
+# ---------------------------------------------------------------------------
+
+SERVED = {"sw": {codec.STORE, codec.COMPLETE, codec.COLLECT, codec.FILTER},
+          "mw": set(server.ROLE_FOR_KIND)}
+ROLES = ("writer", "reader")
+# every handler a message kind names, each answering with its own name
+Recording = type("Recording", (), {
+    name: (lambda self, msg, name=name: name)
+    for name in codec.HANDLER_NAMES.values()})
+
+
+def answers(srv):
+    """(kind, role) -> what srv.handle answers a message of kind from role."""
+    return {(kind, role): srv.handle(SimpleNamespace(kind=kind), role)
+            for kind in codec.HANDLER_NAMES for role in ROLES}
+
+
+def dispatch_of(mode):
+    """What answers() must give for a Recording replica of mode: a kind the
+    mode serves reaches its handler from the role ROLE_FOR_KIND gives it,
+    and nothing else reaches any handler."""
+    return {(kind, role): codec.HANDLER_NAMES[kind]
+            if kind in SERVED[mode] and server.ROLE_FOR_KIND[kind] == role
+            else None
+            for kind in codec.HANDLER_NAMES for role in ROLES}
+
+
+def recording_server(mode, *mixins):
+    cls = layer(Recording, classes_for(mode)["server"])
+    for mixin in mixins:
+        cls = layer(mixin, cls)
+    return cls(1, S, T, keyring=keyring() if mode == "mw" else None)
+
+
+@pytest.mark.parametrize("mode", ["sw", "mw"])
+def test_a_server_answers_only_its_modes_kinds_and_only_from_their_role(mode):
+    assert answers(recording_server(mode)) == dispatch_of(mode)
+
+
+@pytest.mark.parametrize("mode", ["sw", "mw"])
+def test_a_behavior_layered_server_dispatches_as_its_replica_does(mode):
+    """RevertState adds a timer and keeps handle: it dispatches as the
+    replica under it, also after a reset. Mute's handle answers nothing."""
+    srv = recording_server(mode, behaviors.RevertState)
+    assert answers(srv) == dispatch_of(mode)
+    srv.reset()
+    assert answers(srv) == dispatch_of(mode)
+    mute = recording_server(mode, behaviors.Mute)
+    assert set(answers(mute).values()) == {None}
+
+
+@pytest.mark.parametrize("behavior", [None, "revert_state", "stale_lc"])
+@pytest.mark.parametrize("mode", ["sw", "mw"])
+def test_a_mutants_handler_is_the_one_dispatched(mode, behavior):
+    """lc_non_monotone's _on_complete adopts a lower timestamp, which the
+    replica's never does; a behavior layered over it, as a run layers a
+    faulty server's, still reaches it."""
+    cls = mutants.classes_for(mode, "lc_non_monotone")["server"]
+    if behavior is not None:
+        cls = layer(behaviors.SERVERS[behavior], cls)
+    srv = cls(1, S, T, keyring=keyring() if mode == "mw" else None)
+    for num in (5, 2):
+        ack = srv.handle(codec.Complete(Timestamp(num), b"n" * 32), "writer")
+        assert ack == codec.CompleteAck(Timestamp(num))
+    assert srv.lc.ts == Timestamp(2)
+    replica = server_for(mode, 1, keyring=srv.keyring)
+    for num in (5, 2):
+        replica.handle(codec.Complete(Timestamp(num), b"n" * 32), "writer")
+    assert replica.lc.ts == Timestamp(5)

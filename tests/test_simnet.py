@@ -266,8 +266,7 @@ def test_too_many_mute_servers_deadlock_the_run():
 
 def test_a_livelocked_run_exhausts_the_tick_budget():
     # the reverting server's timer keeps the event heap from ever emptying
-    res = run(small(faults=("byz_server:1:mute", "byz_server:2:mute",
-                            "byz_server:3:revert_state")))
+    res = run(small(faults=_LIVELOCK))
     assert scenarios.evaluate(res)[0] == ["deadlock: tick budget exhausted"]
     assert res.deadlock["pending"]
     assert res.metrics["ticks"] <= simnet.MAX_TICKS
@@ -300,6 +299,50 @@ def test_data_bytes_match_the_fragment_layout():
             per_write = s * (10 + math.ceil(size / (t + 1)))
             assert res.metrics["completed_writes"] == completed
             assert res.metrics["data_bytes"] == per_write * completed
+
+
+_LIVELOCK = ("byz_server:1:mute", "byz_server:2:mute",
+             "byz_server:3:revert_state")
+# how a run ends -> (its config, its crash and deadlock reasons, its whole
+# metrics dict as recorded before the counters became int attributes)
+METRICS_PINS = {
+    "clean": (lambda: scenarios.pair_for("sw-catalog", 0)[1], (None, None), {
+        "msgs_sent": 144, "msgs_delivered": 144, "bytes_sent": 9744,
+        "dropped_malformed": 0, "data_bytes": 264, "completed_writes": 3,
+        "completed_reads": 6, "repairs": 0, "lc_set_peak": 1, "ticks": 86,
+        "accepts": 12}),
+    "client_crash": (
+        lambda: _mutant_config("safe_quorum_minus_one"),
+        ("ProtocolInvariantError: restore without a cross-checksum witness",
+         None), {
+            "msgs_sent": 45, "msgs_delivered": 38, "bytes_sent": 2619,
+            "dropped_malformed": 0, "data_bytes": 0, "completed_writes": 0,
+            "completed_reads": 0, "repairs": 0, "lc_set_peak": 1,
+            "ticks": 23, "accepts": 1}),
+    "overrun": (lambda: small(faults=_LIVELOCK),
+                (None, "tick budget exhausted"), {
+        "msgs_sent": 18, "msgs_delivered": 18, "bytes_sent": 1166,
+        "dropped_malformed": 0, "data_bytes": 0, "completed_writes": 0,
+        "completed_reads": 0, "repairs": 0, "lc_set_peak": 0,
+        "ticks": 999972, "accepts": 0}),
+    "malformed_drops": (
+        lambda: small(faults=("byz_reader:202:garbage_filter_sets",)),
+        (None, None), {
+            "msgs_sent": 348, "msgs_delivered": 348, "bytes_sent": 48504,
+            "dropped_malformed": 36, "data_bytes": 408, "completed_writes": 3,
+            "completed_reads": 3, "repairs": 0, "lc_set_peak": 47,
+            "ticks": 100, "accepts": 12}),
+}
+
+
+@pytest.mark.parametrize("end", sorted(METRICS_PINS))
+def test_the_whole_metrics_dict_is_pinned_for_each_way_a_run_ends(end):
+    config, (crash, deadlock), pinned = METRICS_PINS[end]
+    res = run(config())
+    assert res.crash_reason == crash
+    assert (res.deadlock and res.deadlock["reason"]) == deadlock
+    assert res.metrics == pinned
+    assert list(res.metrics) == list(pinned)  # in the same key order
 
 
 def _wire_view(res):
