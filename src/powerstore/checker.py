@@ -107,8 +107,19 @@ def check_pow_soundness(events, meta) -> Verdict:
     distinct correct servers. A reader selection only fixes the timestamp
     (two candidates at one timestamp may differ in token bytes and either
     may win the tiebreak), so it is audited on store count alone.
+
+    Each distinct (token, commitment) pair is verified once per call.
     """
     scheme = pow_scheme(meta["pow"])
+    verdicts = {}  # (token, commitment) -> scheme.verify's verdict
+
+    def proves(token, commitment):
+        pair = token, commitment
+        verdict = verdicts.get(pair)
+        if verdict is None:
+            verdict = verdicts[pair] = scheme.verify(*pair)
+        return verdict
+
     correct_servers = set(meta["correct_servers"])
     correct_readers = set(meta["correct_readers"])
     t = meta["t"]
@@ -121,7 +132,7 @@ def check_pow_soundness(events, meta) -> Verdict:
                 (ev["seq"], ev["server"], ev["commitment"]))
         elif etype == "accept" and ev.get("server") in correct_servers:
             vouchers = {srv for seq, srv, com in stores.get(ev["ts"].key(), ())
-                        if seq < ev["seq"] and scheme.verify(ev["token"], com)}
+                        if seq < ev["seq"] and proves(ev["token"], com)}
             if len(vouchers) < t + 1:
                 bad.append("server %d adopted ts %r via %s on %d proofs"
                            % (ev["server"], ev["ts"].key(), ev["via"],

@@ -71,6 +71,10 @@ class ClientBase:
         self.crash_plan = None  # (phase, k): crash after k sends of that phase
         self._acks = set()
         self._done = None
+        # kind -> its handler, for each kind this class has one for
+        self._handlers = {kind: getattr(self, name)
+                          for kind, name in codec.HANDLER_NAMES.items()
+                          if hasattr(self, name)}
 
     @property
     def busy(self):
@@ -115,9 +119,13 @@ class ClientBase:
             cb(**stats)
 
     def on_message(self, sid, msg):
-        if self.crashed or not self.busy:
+        """Hand one ack to its handler through the table built at
+        construction. A crashed or idle client, or one with no handler for
+        the kind, ignores it. Byzantine readers replace this method, so it
+        stays the one entry point."""
+        if self.crashed or self._done is None:
             return
-        handler = getattr(self, codec.HANDLER_NAMES[msg.kind], None)
+        handler = self._handlers.get(msg.kind)
         if handler is not None:
             handler(sid, msg)
 

@@ -36,16 +36,16 @@ class Timestamp(NamedTuple):
         return self[:2]
 
     def __lt__(self, other):
-        return self.key() < other.key()
+        return self[:2] < other[:2]
 
     def __le__(self, other):
-        return self.key() <= other.key()
+        return self[:2] <= other[:2]
 
     def __gt__(self, other):
-        return self.key() > other.key()
+        return self[:2] > other[:2]
 
     def __ge__(self, other):
-        return self.key() >= other.key()
+        return self[:2] >= other[:2]
 
 
 TS0 = Timestamp(0, 0, b"")

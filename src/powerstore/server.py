@@ -28,7 +28,7 @@ class ServerBase:
     """State and the store/complete handlers shared by both modes."""
 
     mode = None
-    kinds = ()
+    kinds = ()  # the request kinds this mode serves
 
     def __init__(self, sid, s, t, scheme=HASH_POW, keyring=None, tracer=None):
         self.sid = sid
@@ -37,6 +37,11 @@ class ServerBase:
         self.scheme = scheme
         self.keyring = keyring
         self.tracer = tracer
+        # kind -> (the role it must come from, its handler), bound here so a
+        # mutant's handler, layered over this class, is the one dispatched
+        self._handlers = {kind: (ROLE_FOR_KIND[kind],
+                                 getattr(self, codec.HANDLER_NAMES[kind]))
+                          for kind in self.kinds}
         self.reset()
 
     def reset(self):
@@ -51,11 +56,15 @@ class ServerBase:
             self.tracer(etype, server=self.sid, **fields)
 
     def handle(self, msg, role):
-        """Dispatch one request; None means the message was dropped."""
-        kind = getattr(msg, "kind", None)
-        if kind not in self.kinds or ROLE_FOR_KIND.get(kind) != role:
+        """Answer one request through the handler table built at
+        construction; None means the message was dropped, being of a kind
+        this mode does not serve or from a role its kind does not come from.
+        Byzantine behaviors override this method, so it stays the one entry
+        point."""
+        entry = self._handlers.get(msg.kind)
+        if entry is None or entry[0] != role:
             return None
-        return getattr(self, codec.HANDLER_NAMES[kind])(msg)
+        return entry[1](msg)
 
     def _accept(self, cand, via):
         self.lc = cand

@@ -306,7 +306,7 @@ class RunResult(NamedTuple):
     config: SimConfig
     history: list  # OperationRecord, in invocation order
     events: list
-    metrics: dict
+    metrics: dict  # the run's counts, built once by Simulation.run
     monitor: object
     crash_reason: object
     deadlock: object
@@ -329,8 +329,13 @@ class RunResult(NamedTuple):
 
 
 class Simulation:
+    """One run. Its counts live in int attributes while it goes (msgs_sent,
+    bytes_sent, msgs_delivered, dropped_malformed, data_bytes, lc_set_peak),
+    and run() gathers them into RunResult.metrics once, when it ends."""
+
     def __init__(self, config: SimConfig):
         self.cfg = config
+        self.log_wire = config.log_wire
         self.t = config.t
         for name in ("t", "writers", "readers", "writes", "reads", "value_size",
                      "adversary_budget"):
@@ -359,12 +364,8 @@ class Simulation:
         self._seq = 0
         self.heap = []
         self.events = []
-        self.metrics = {
-            "msgs_sent": 0, "msgs_delivered": 0, "bytes_sent": 0,
-            "dropped_malformed": 0, "data_bytes": 0, "completed_writes": 0,
-            "completed_reads": 0, "repairs": 0, "lc_set_peak": 0,
-            "ticks": 0, "accepts": 0,
-        }
+        self.msgs_sent = self.bytes_sent = self.msgs_delivered = 0
+        self.dropped_malformed = self.data_bytes = self.lc_set_peak = 0
         self.history = []
         self.monitor = None
         self.crash_reason = None
@@ -432,10 +433,9 @@ class Simulation:
         as its wire bytes."""
         wire = (payload if isinstance(payload, bytes)
                 else codec.encode(payload, self._table))
-        metrics = self.metrics
-        metrics["msgs_sent"] += 1
-        metrics["bytes_sent"] += len(wire)
-        if self.cfg.log_wire:  # the send event is the adversary's view
+        self.msgs_sent += 1
+        self.bytes_sent += len(wire)
+        if self.log_wire:  # the send event is the adversary's view
             kind = int.from_bytes(wire[:1], "big")
             view = {}
             if isinstance(payload, bytes):
@@ -455,31 +455,32 @@ class Simulation:
     def _deliver(self, src, dst, wire):
         """One copy reaches dst and is decoded: malformed bytes are dropped,
         a client takes a message, a server answers it."""
-        metrics = self.metrics
-        metrics["msgs_delivered"] += 1
+        self.msgs_delivered += 1
         try:
             msg = codec.decode(wire, self._table)
         except MalformedMessage:
-            metrics["dropped_malformed"] += 1
+            self.dropped_malformed += 1
             return
-        if self.cfg.log_wire:
+        if self.log_wire:
             self.trace("deliver", src=src, dst=dst, kind=msg.kind)
-        if dst in self.clients:
-            self.clients[dst].on_message(src, msg)
+        client = self.clients.get(dst)
+        if client is not None:
+            client.on_message(src, msg)
             return
         server = self.servers[dst]
-        correct = dst not in self.faults
-        prev_lc = server.lc if correct else None
-        reply = server.handle(msg, self.clients[src].role)
-        if correct:
+        if dst in self.faults:  # the monitor watches correct servers only
+            reply = server.handle(msg, self.clients[src].role)
+        else:
+            prev_lc = server.lc
+            reply = server.handle(msg, self.clients[src].role)
             lc = server.lc
             if (lc is not prev_lc and lc.ts.key() < prev_lc.ts.key()
                     and self.monitor is None):
                 self.monitor = "lc regressed at server %d: %r -> %r" % (
                     dst, prev_lc.ts.key(), lc.ts.key())
                 self.trace("monitor", server=dst, detail=self.monitor)
-            if len(server.lc_set) > self.metrics["lc_set_peak"]:
-                self.metrics["lc_set_peak"] = len(server.lc_set)
+            if len(server.lc_set) > self.lc_set_peak:
+                self.lc_set_peak = len(server.lc_set)
         if reply is not None:
             self.send(dst, src, reply)
 
@@ -511,7 +512,7 @@ class Simulation:
             rec.rounds = rounds
             if writing:
                 rec.ts = client.ts
-                self.metrics["data_bytes"] += client.data_bytes
+                self.data_bytes += client.data_bytes
                 shown = {"ts": client.ts}
             else:
                 rec.value, rec.repair_sent = value, repaired
@@ -567,18 +568,23 @@ class Simulation:
                 break
 
         done = [rec for rec in self.history if rec.res_seq is not None]
-        self.metrics.update(
-            ticks=self.now,
-            accepts=sum(1 for ev in self.events if ev["type"] == "accept"),
-            completed_writes=sum(1 for rec in done if rec.kind == "write"),
-            completed_reads=sum(1 for rec in done if rec.kind == "read"),
-            repairs=sum(1 for rec in done if rec.repair_sent))
+        metrics = {
+            "msgs_sent": self.msgs_sent, "msgs_delivered": self.msgs_delivered,
+            "bytes_sent": self.bytes_sent,
+            "dropped_malformed": self.dropped_malformed,
+            "data_bytes": self.data_bytes,
+            "completed_writes": sum(1 for rec in done if rec.kind == "write"),
+            "completed_reads": sum(1 for rec in done if rec.kind == "read"),
+            "repairs": sum(1 for rec in done if rec.repair_sent),
+            "lc_set_peak": self.lc_set_peak, "ticks": self.now,
+            "accepts": sum(1 for ev in self.events if ev["type"] == "accept"),
+        }
         if self.ops_pending() and self.crash_reason is None:
             self.deadlock = self._deadlock_report(overran)
             self.trace("deadlock", detail=self.deadlock)
         return RunResult(
             config=self.cfg, history=self.history, events=self.events,
-            metrics=self.metrics, monitor=self.monitor,
+            metrics=metrics, monitor=self.monitor,
             crash_reason=self.crash_reason, deadlock=self.deadlock,
             meta={
                 "pow": self.cfg.pow_name, "t": self.t,

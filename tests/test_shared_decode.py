@@ -465,7 +465,7 @@ def test_equal_requests_from_two_readers_share_one_wire_and_one_decode(
     assert tap.misses == {codec.FILTER: 1} and tap.raw == 4
     sent = [args[2] for *_, args in sorted(sim.heap, key=lambda e: e[1])]
     assert sent == [wire] * 12 and all(w is sent[0] for w in sent[:8])
-    assert sim.metrics["bytes_sent"] == 12 * len(wire)
+    assert sim.bytes_sent == 12 * len(wire)
     got = _deliver_all(sim)
     assert tap.parses == []  # every copy decodes to the message first sent
     assert len(got) == 12 and all(msg is first for msg in got)
@@ -505,7 +505,7 @@ def test_each_store_is_its_own_entry(monkeypatch):
     assert [m is store for m, store in zip(got, stores)] == [True] * 4
     assert len(got) == 5 and got[4] == stores[0] and got[4] is not stores[0]
     assert tap.parses == [wires[0], wires[4]]
-    assert sim.metrics["dropped_malformed"] == 1
+    assert sim.dropped_malformed == 1
 
 
 def test_store_fragments_are_counted_for_correct_clients_only():
@@ -517,7 +517,7 @@ def test_store_fragments_are_counted_for_correct_clients_only():
     store = codec.Store(Timestamp(1), Fragment(1, 3, b"abc"), (), b"d" * 32)
     for cid in (simnet.WRITER_ID_BASE + 1, 201, 202):
         sim.send(cid, 1, store)
-    assert sim.metrics["data_bytes"] == 0
+    assert sim.data_bytes == 0
     res = simnet.Simulation(config).run()
     per_write = sum(FRAGMENT_HEADER_BYTES + len(fr.payload) for fr in
                     ec_encode(b"v" * config.value_size, sim.t + 1, sim.s))
@@ -533,7 +533,7 @@ def test_malformed_copies_raise_each_time_and_are_not_kept(monkeypatch):
     _broadcast(sim, 202, lambda sid: b"")  # empty: sent, logged, dropped
     assert _deliver_all(sim) == [None] * 8
     assert tap.parses == [raw] * 4 + [b""] * 4
-    assert sim.metrics["dropped_malformed"] == 8
+    assert sim.dropped_malformed == 8
     assert sim._table == {}
     assert [(ev["type"], ev["kind"], ev["nbytes"], ev["raw"])
             for ev in sim.events] == ([("send", codec.COLLECT, 2, raw)] * 4
