@@ -304,7 +304,7 @@ def test_data_bytes_match_the_fragment_layout():
 _LIVELOCK = ("byz_server:1:mute", "byz_server:2:mute",
              "byz_server:3:revert_state")
 # how a run ends -> (its config, its crash and deadlock reasons, its whole
-# metrics dict as recorded before the counters became int attributes)
+# metrics dict)
 METRICS_PINS = {
     "clean": (lambda: scenarios.pair_for("sw-catalog", 0)[1], (None, None), {
         "msgs_sent": 144, "msgs_delivered": 144, "bytes_sent": 9744,
