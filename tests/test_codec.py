@@ -556,6 +556,51 @@ def test_decoded_candidates_are_the_constructed_types():
         assert got.token is None or type(got.token) in (bytes, Polynomial)
 
 
+def _variant_cands():
+    """Each candidate shape (the common sw record, a tagged mw candidate
+    with a vector, a None token, a polynomial token, an empty vector and an
+    absent one), each beside variants at its timestamp that differ from it
+    only in vector, tag or token."""
+    nonce, vec = b"\x42" * 32, (b"m1", b"m2" * 8)
+    sw, mw = Timestamp(4), Timestamp(4, 2, b"\x10" * 16)
+    poly = Polynomial((3, 2, 7), MERSENNE_61)
+    return (
+        Candidate(sw, nonce),  # the common sw record
+        Candidate(sw, nonce, ()), Candidate(sw, nonce, vec),  # vector
+        Candidate(Timestamp(4, 0, b"\x10" * 16), nonce),  # tag
+        Candidate(sw, b"\x43" * 32), Candidate(sw, nonce[:31]),  # token
+        Candidate(sw, None), Candidate(sw, poly),
+        Candidate(sw, Polynomial((3, 2, 8), MERSENNE_61)),
+        Candidate(mw, nonce, vec),  # a tagged mw candidate with a vector
+        Candidate(mw, nonce, (b"m1", b"m3" * 8)), Candidate(mw, nonce, ()),
+        Candidate(mw, nonce), Candidate(mw, b"\x43" * 32, vec),
+        Candidate(Timestamp(4, 2, b"\x11" * 16), nonce, vec),
+        Candidate(mw, None, vec), Candidate(mw, poly, vec),
+    )
+
+
+def _variant_messages():
+    """The variants in lists of every length and order, and alone."""
+    cands = _variant_cands()
+    msgs = [CollectAck(1, cands), Filter(2, cands[::-1]),
+            Filter(3, cands[::2]), CollectAck(4, cands[1::2] * 2)]
+    for i, cand in enumerate(cands):
+        msgs += [Repair(10 + i, cand), Filter(40 + i, (cand,)),
+                 CollectAck(70 + i, cands[i:] + cands[:i]),
+                 Filter(100 + i, cands[:i + 1][::-1])]
+    return msgs
+
+
+def test_candidates_met_again_in_one_table_encode_as_the_reference():
+    msgs = _variant_messages()
+    for order in (msgs, msgs[::-1], msgs[1::2] + msgs[::2]):
+        table = {}
+        for msg in order:
+            data = encode(msg, table)
+            assert data == _reference_encode(msg) == encode(msg), msg
+            assert decode(data) == msg
+
+
 def _filter_wire(*cand_bytes):
     return (bytes([codec.FILTER]) + (1).to_bytes(8, "big")
             + len(cand_bytes).to_bytes(2, "big") + b"".join(cand_bytes))
