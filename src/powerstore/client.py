@@ -237,7 +237,8 @@ class ReaderBase(ClientBase):
         self.C.update(msg.cands)
         if self._quorum(sid):
             zero = TS0.key()
-            self.C = {c for c in self.C if c.ts.key() > zero}
+            # c.ts[:2] is c.ts.key() inlined
+            self.C = {c for c in self.C if c.ts[:2] > zero}
             filt = codec.Filter(self.tsr,
                                 tuple(sorted(self.C, key=Candidate.sort_key)))
             self._round("filter", lambda _: filt)
@@ -256,7 +257,7 @@ class ReaderBase(ClientBase):
             return
         # recomputed at every ack: a byzantine server may overwrite its R entry
         bound = invalid_bound(self.R, self.s, self.t)
-        self.C = {c for c in self.C if c.ts.key() <= bound}
+        self.C = {c for c in self.C if c.ts[:2] <= bound}  # key() inlined
         if not self.C:
             self._restored(None, None, BOTTOM)
             return

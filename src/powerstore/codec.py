@@ -38,10 +38,10 @@ REPAIR, REPAIR_ACK = 11, 12
 # table) and append wire pieces to the list out that encode() joins once;
 # decoders take (data, pos, table) and return (value, pos). The table is
 # the caller's (see encode and decode): of the field codecs, only the
-# optional-list pair reads it. Decoders never check lengths: struct raises
-# on a short read, indexing raises IndexError, and a blob slice that runs
-# past the end leaves pos beyond len(data), which decode() rejects after
-# the last field.
+# optional-list pair and the candidate-list encoder read it. Decoders never
+# check lengths: struct raises on a short read, indexing raises IndexError,
+# and a blob slice that runs past the end leaves pos beyond len(data),
+# which decode() rejects after the last field.
 # ---------------------------------------------------------------------------
 
 _U16 = struct.Struct(">H")
@@ -208,21 +208,31 @@ def _dec_cand(data, pos, table):
     return tuple.__new__(Candidate, (ts, token, vec)), pos
 
 
-# Candidate lists are the longest wire field. The encoder packs the common
-# sw record (empty tag, 32-byte bytes token, no vector) in one _REC call;
-# any other shape takes _enc_cand. A run decodes candidate lists only from
-# wires it did not encode itself (see decode), so the decoder is a plain
-# loop over _dec_cand.
+# Candidate lists are the longest wire field, and the same candidates come
+# back in list after list: LC is returned on every COLLECT and written back
+# on every FILTER. So the encoder builds each candidate's record once a
+# table and keeps it there, the whole Candidate mapping to its record
+# bytes; no bytes key maps to a record, so decode never meets one. It packs
+# the common sw record (empty tag, 32-byte bytes token, no vector) in one
+# _REC call; any other shape takes _enc_cand. A run decodes candidate lists
+# only from wires it did not encode itself (see decode), so the decoder is
+# a plain loop over _dec_cand.
 def _enc_cands(out, cands: tuple, table):
     out.append(_U16.pack(len(cands)))
-    rec_pack = _REC.pack
+    rec_pack, get = _REC.pack, table.get
     for c in cands:
-        (num, pid, tag), token, vec = c
-        if (vec is None and tag == b"" and type(token) is bytes
-                and len(token) == 32):
-            out.append(rec_pack(num, pid, 0, 1, 32, token, 0))
-        else:
-            _enc_cand(out, c, table)
+        rec = get(c)
+        if rec is None:
+            (num, pid, tag), token, vec = c
+            if (vec is None and tag == b"" and type(token) is bytes
+                    and len(token) == 32):
+                rec = rec_pack(num, pid, 0, 1, 32, token, 0)
+            else:
+                parts = []
+                _enc_cand(parts, c, table)
+                rec = b"".join(parts)
+            table[c] = rec
+        out.append(rec)
 
 
 def _dec_cands(data, pos, table):
@@ -290,11 +300,13 @@ def encode(msg, table: Optional[dict] = None) -> bytes:
     or over-wide integer, or a list, count or blob past its length prefix)
     raises MalformedMessage. table is the one decode takes too: a run passes
     one to every call, so each distinct message is encoded once and its wire
-    kept both ways, message to wire and wire to message. A STORE is built
-    for one server and delivered once, so only its wire to it is kept, for
-    decode to take back, and only if it has a fragment and a cross-checksum:
-    one without must still parse and be dropped as malformed. None gives
-    this call a table of its own."""
+    kept both ways, message to wire and wire to message. Each candidate a
+    list carries is packed once too, its record bytes kept by the Candidate,
+    so a list met in a new message costs a lookup per member. A STORE is
+    built for one server and delivered once, so only its wire to it is
+    kept, for decode to take back, and only if it has a fragment and a
+    cross-checksum: one without must still parse and be dropped as
+    malformed. None gives this call a table of its own."""
     k = msg.kind
     if k not in _LAYOUT:
         raise MalformedMessage("unknown message kind %r" % (k,))

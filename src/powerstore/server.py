@@ -140,8 +140,9 @@ class SwServer(ServerBase):
         return self._hist_valid(cand)
 
     def _valids(self, cands):
-        # no hist entry, no valid_by_hist: most of a flooded LC was never stored
-        return [c for c in cands if c.ts.key() in self.hist and self._valid(c)]
+        # no hist entry, no valid_by_hist: most of a flooded LC was never
+        # stored; c.ts[:2] is c.ts.key() inlined
+        return [c for c in cands if c.ts[:2] in self.hist and self._valid(c)]
 
     def _on_store(self, msg):
         self._new_keys.add(msg.ts.key())
@@ -180,8 +181,9 @@ class SwServer(ServerBase):
                 if c not in lc_set:
                     lc_set.add(c)
                     insort(self._pairs, (c.sort_key(), c))
-                    if c.ts.key() in hist:
-                        self._new_keys.add(c.ts.key())
+                    key = c.ts[:2]  # c.ts.key() inlined
+                    if key in hist:
+                        self._new_keys.add(key)
         return self._filter_ack(msg, self._valids(cands))
 
 

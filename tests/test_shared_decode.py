@@ -2,9 +2,10 @@
 a run and kept both ways, so a message sent again reuses its wire and a
 wire the run encoded decodes to the message it came from. Optional lists
 (cross-checksums and MAC vectors) are kept both ways too, by their exact
-wire bytes. A STORE, built for one server, is encoded on every copy; its
-wire maps to it from its send to its one delivery. An adversary's raw
-bytes are parsed on every copy. The table must change no verdict, no
+wire bytes, and each list member's record bytes by the Candidate. A STORE,
+built for one server, is encoded on every copy; its wire maps to it from
+its send to its one delivery. An adversary's raw bytes are parsed on every
+copy. The table must change no verdict, no
 decoded value or type and no output, and lives exactly as long as its run.
 
 One checked run per config taps the codec. It counts the messages the table
@@ -15,9 +16,9 @@ reference codec. It keeps the delivered (wire, message) pairs, and checks
 every copy left in flight when the run ends. The same config then runs
 against _Forgetful, which encodes every send and parses every copy, and
 must give the same outputs. The `runs` fixture makes both runs once per
-config, and five tests judge them: decoding, encoding, the table's
-contents, the delivered messages, and the outputs of servers that keep no
-verdict memo."""
+config, and six tests judge them: decoding, encoding, the table's
+contents, the candidate records built, the delivered messages, and the
+outputs of servers that keep no verdict memo."""
 
 import random
 from collections import Counter
@@ -33,8 +34,9 @@ from powerstore.erasure import FRAGMENT_HEADER_BYTES, Fragment
 from powerstore.erasure import encode as ec_encode
 from powerstore.simnet import SimConfig
 from test_codec import (
-    _filter_wire, _list_messages, _mutate, _mutation_corpus, _ref_enc_opt_list,
-    _ref_enc_ts, _reference_decode, _reference_encode, _verdict)
+    _filter_wire, _list_messages, _mutate, _mutation_corpus, _ref_enc_cand,
+    _ref_enc_opt_list, _ref_enc_ts, _reference_decode, _reference_encode,
+    _verdict)
 from test_literal_lc import DIGESTED, FLOOD
 from test_server import recompute_verdicts
 
@@ -109,14 +111,16 @@ def complete_wire(list_bytes):
 
 def assert_table_is_sound(table):
     """Judge each entry by its type: a message key maps to its wire, and
-    that wire back to the message; a tuple key is a list and maps to its
-    wire piece; a bytes key decodes, as a whole message or as a list field,
-    to exactly its value: a wire to its message, the wire of a non-empty
-    list to its tuple of bytes."""
+    that wire back to the message; a Candidate key maps to its record bytes;
+    a tuple key is a list and maps to its wire piece; a bytes key decodes,
+    as a whole message or as a list field, to exactly its value: a wire to
+    its message, the wire of a non-empty list to its tuple of bytes."""
     for key, value in table.items():
         if type(key) in codec._CLASSES:
             assert type(value) is bytes and value == _reference_encode(key)
             assert table[value] is key
+        elif type(key) is Candidate:
+            assert type(value) is bytes and value == _ref_enc_cand(key)
         elif type(key) is tuple:
             assert type(value) is bytes and value == _ref_enc_opt_list(key)
         else:
@@ -132,8 +136,10 @@ class Tap:
     """What a run's codec work did: by kind, the messages sent, the distinct
     ones (every STORE counts) and the ones the table missed; the raw sends,
     the wires parsed, the delivered (wire, message) pairs, each wire encoded
-    with the message it was first encoded from, and the run's Simulation.
-    With check, every decode is checked as the module docstring says."""
+    with the message it was first encoded from, each list member's count of
+    record builds (a _REC pack or an _enc_cand call), and the run's
+    Simulation. With check, every decode is checked as the module docstring
+    says."""
 
     def __init__(self, monkeypatch, check=False):
         self.sends, self.distinct = Counter(), Counter()
@@ -142,8 +148,18 @@ class Tap:
         self.parsed = {}  # the table only decoding feeds
         self.encoded, self.sim = {}, None
         self.sent, reference = set(), {}
+        self.built = Counter()
         real_send, real_decode = simnet.Simulation.send, codec.decode
-        real_encode = codec.encode
+        real_encode, real_rec = codec.encode, codec._REC
+        real_enc_cand = codec._enc_cand
+
+        def rec_pack(num, pid, *marks_and_token):
+            self.built[Candidate(Timestamp(num, pid), marks_and_token[3])] += 1
+            return real_rec.pack(num, pid, *marks_and_token)
+
+        def enc_cand(out, cand, table):  # a Repair's candidate is not counted
+            self.built[cand] += 1
+            real_enc_cand(out, cand, table)
 
         def encode(msg, *rest):
             wire = real_encode(msg, *rest)
@@ -184,6 +200,9 @@ class Tap:
         monkeypatch.setattr(simnet.Simulation, "send", send)
         monkeypatch.setattr(codec, "encode", encode)
         monkeypatch.setattr(codec, "decode", decode)
+        monkeypatch.setattr(codec, "_REC", SimpleNamespace(
+            pack=rec_pack, size=real_rec.size))
+        monkeypatch.setattr(codec, "_enc_cand", enc_cand)
 
     def check_in_flight(self):
         """The copies still in the heap when the run ended were never
@@ -272,6 +291,16 @@ def test_each_distinct_message_is_encoded_once_a_run(runs):
         assert any(type(token) is Polynomial for k, value in table.items()
                    if type(k) is bytes and type(value) in codec._CLASSES
                    for token in tokens_of(value))
+
+
+def test_each_distinct_candidate_record_is_built_once_a_run(runs):
+    members = {cand for msg in runs.run.sent
+               if msg.kind in (codec.COLLECT_ACK, codec.FILTER)
+               for cand in msg.cands}
+    assert runs.run.built == Counter(members)
+    if runs.key in RECORD_RICH:  # the reference builds them again and again
+        assert len(members) >= 100
+        assert sum(runs.every.built.values()) > 5 * len(members)
 
 
 def test_runs_match_without_verdict_memos(runs, monkeypatch, outputs):
@@ -414,7 +443,12 @@ def test_a_table_shares_messages_and_lists_and_no_table_keeps_nothing():
     wires = [codec.encode(msg, table) for msg in msgs]
     assert wires == [codec.encode(msg) for msg in msgs]
     assert {key for key in table if type(key) is tuple} == {vec, cc}
+    # list members keep their records, the repaired candidate does not
+    assert {key for key in table if type(key) is Candidate} == {a, b, odd}
     assert not any(type(value) is Candidate for value in table.values())
+    records = {table[c] for c in (a, b, odd)}
+    assert not any(table[key] in records for key in table
+                   if type(key) is bytes)
     assert_table_is_sound(table)
     assert all(codec.decode(w, table) is msg for w, msg in zip(wires, msgs))
     lists = {}  # as for wires the run did not encode: lists are shared
