@@ -5,8 +5,8 @@ wire the run encoded decodes to the message it came from. Optional lists
 wire bytes, and each list member's record bytes by the Candidate. A STORE,
 built for one server, is encoded on every copy; its wire maps to it from
 its send to its one delivery. An adversary's raw bytes are parsed on every
-copy. The table must change no verdict, no
-decoded value or type and no output, and lives exactly as long as its run.
+copy. The table must change no verdict, no decoded value or type and no
+output, and lives exactly as long as its run.
 
 One checked run per config taps the codec. It counts the messages the table
 misses, by kind, and the wires it parses. It checks every decode, with exact
@@ -157,7 +157,8 @@ class Tap:
             self.built[Candidate(Timestamp(num, pid), marks_and_token[3])] += 1
             return real_rec.pack(num, pid, *marks_and_token)
 
-        def enc_cand(out, cand, table):  # a Repair's candidate is not counted
+        # a Repair's field pair holds the real _enc_cand: not a list member
+        def enc_cand(out, cand, table):
             self.built[cand] += 1
             real_enc_cand(out, cand, table)
 
