@@ -134,16 +134,16 @@ def assert_table_is_sound(table):
 
 class Tap:
     """What a run's codec work did: by kind, the messages sent, the distinct
-    ones (every STORE counts) and the ones the table missed; the raw sends,
-    the wires parsed, the delivered (wire, message) pairs, each wire encoded
-    with the message it was first encoded from, each list member's count of
-    record builds (a _REC pack or an _enc_cand call), and the run's
-    Simulation. With check, every decode is checked as the module docstring
-    says."""
+    ones (every STORE counts) and the ones the table missed; the raw
+    payloads sent, the wires parsed, the delivered (wire, message) pairs,
+    each wire encoded with the message it was first encoded from, each list
+    member's count of record builds (a _REC pack or an _enc_cand call), and
+    the run's Simulation. With check, every decode is checked as the module
+    docstring says."""
 
     def __init__(self, monkeypatch, check=False):
         self.sends, self.distinct = Counter(), Counter()
-        self.misses, self.raw = Counter(), 0
+        self.misses, self.raw = Counter(), []
         self.parses, self.delivered = [], []
         self.parsed = {}  # the table only decoding feeds
         self.encoded, self.sim = {}, None
@@ -170,7 +170,7 @@ class Tap:
         def send(sim, src, dst, payload):
             self.sim = sim
             if isinstance(payload, bytes):
-                self.raw += 1
+                self.raw.append(payload)
             else:
                 kind = payload.kind
                 self.sends[kind] += 1
@@ -250,6 +250,8 @@ def test_shared_decode_gives_the_outputs_of_decoding_every_copy(runs):
     # the reference parses every copy, the table fewer
     assert len(runs.every.parses) == metrics["msgs_delivered"]
     assert run.delivered and len(run.parses) < metrics["msgs_delivered"]
+    # a run parses only the raw bytes an adversary sends
+    assert set(run.parses) <= set(run.raw)
     # decoding keeps lists only, never a message or a candidate
     assert run.parsed and all(type(v) is tuple for v in run.parsed.values())
     assert_table_is_sound(run.parsed)
@@ -272,7 +274,8 @@ def test_shared_encode_gives_the_outputs_of_encoding_every_reply(runs):
     assert runs.reference == runs.shared
     # the reference encodes every send but raw bytes
     assert every.misses == every.sends == run.sends
-    assert sum(run.sends.values()) == runs.shared[2]["msgs_sent"] - every.raw
+    assert sum(run.sends.values()) == runs.shared[2]["msgs_sent"] - len(
+        every.raw)
     # the table encodes every kind but STORE less often; the garbage run
     # never repeats a COLLECT_ACK
     unshared = {codec.STORE,
@@ -497,7 +500,7 @@ def test_equal_requests_from_two_readers_share_one_wire_and_one_decode(
     _broadcast(sim, 201, lambda sid: first)
     _broadcast(sim, 201, lambda sid: codec.Filter(1, cands))  # equal ones
     _broadcast(sim, 202, lambda sid: wire)  # the same bytes, sent raw
-    assert tap.misses == {codec.FILTER: 1} and tap.raw == 4
+    assert tap.misses == {codec.FILTER: 1} and tap.raw == [wire] * 4
     sent = [args[2] for *_, args in sorted(sim.heap, key=lambda e: e[1])]
     assert sent == [wire] * 12 and all(w is sent[0] for w in sent[:8])
     assert sim.bytes_sent == 12 * len(wire)
