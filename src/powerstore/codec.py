@@ -36,12 +36,12 @@ REPAIR, REPAIR_ACK = 11, 12
 #
 # Each field type is an (encode, decode) pair. Encoders take (out, value,
 # table) and append wire pieces to the list out that encode() joins once;
-# decoders take (data, pos, table) and return (value, pos). The table is
-# the caller's (see encode and decode): of the field codecs, only the
-# optional-list pair and the candidate-list encoder read it. Decoders never
-# check lengths: struct raises on a short read, indexing raises IndexError,
-# and a blob slice that runs past the end leaves pos beyond len(data),
-# which decode() rejects after the last field.
+# decoders take (data, pos) and return (value, pos). The table is encode's
+# (see encode): of the field codecs, only the optional-list and
+# candidate-list encoders read and fill it. Decoders never check lengths:
+# struct raises on a short read, indexing raises IndexError, and a blob
+# slice that runs past the end leaves pos beyond len(data), which decode()
+# rejects after the last field.
 # ---------------------------------------------------------------------------
 
 _U16 = struct.Struct(">H")
@@ -60,7 +60,7 @@ def _enc_u64(out, v, table):
     out.append(_U64.pack(v))
 
 
-def _dec_u64(data, pos, table):
+def _dec_u64(data, pos):
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
@@ -68,7 +68,7 @@ def _enc_ts(out, ts: Timestamp, table):
     out += (_TS.pack(ts.num, ts.pid, len(ts.tag)), ts.tag)
 
 
-def _dec_ts(data, pos, table):
+def _dec_ts(data, pos):
     num, pid, n = _TS.unpack_from(data, pos)
     pos += 18  # _TS.size
     return tuple.__new__(Timestamp, (num, pid, data[pos:pos + n])), pos + n
@@ -89,7 +89,7 @@ def _enc_token(out, token, table):
         out += (_FLAG_U16.pack(1, len(token)), token)
 
 
-def _dec_token(data, pos, table):
+def _dec_token(data, pos):
     kind = data[pos]
     if kind == 0:
         return None, pos + 1
@@ -113,7 +113,7 @@ def _enc_commitment(out, com, table):
         out += (_FLAG_U16.pack(1, len(com)), com)
 
 
-def _dec_commitment(data, pos, table):
+def _dec_commitment(data, pos):
     kind = data[pos]
     if kind == 0:
         return None, pos + 1
@@ -136,13 +136,8 @@ def _present(data, pos) -> bool:
 
 # Cross-checksums and MAC vectors repeat from message to message, even
 # inside STOREs, which the table keeps only until their one delivery, so
-# the list codecs keep each list they meet in the table: a list's tuple
-# maps to its wire piece, and the wire bytes of a non-empty list to its
-# tuple. The decoder looks up the bytes the list spans if every entry is as
-# wide as the first. The table also maps whole wires to messages, so only a tuple
-# counts as a hit. Such a hit is exact whatever the widths: decoding reads
-# only the bytes it consumes, and a stored list consumed exactly its key as
-# a list.
+# the encoder keeps each list it meets in the table, its tuple mapped to
+# its wire piece.
 def _enc_opt_list(out, entries: Optional[tuple], table):
     if entries is None:
         out.append(b"\x00")
@@ -156,25 +151,16 @@ def _enc_opt_list(out, entries: Optional[tuple], table):
     out.append(piece)
 
 
-def _dec_opt_list(data, pos, table):
+def _dec_opt_list(data, pos):
     if not _present(data, pos):
         return None, pos + 1
-    start, count = pos, _U16.unpack_from(data, pos + 1)[0]
+    count = _U16.unpack_from(data, pos + 1)[0]
     pos += 3
-    if not count:
-        return (), pos
-    key = data[start:pos + count * (2 + _U16.unpack_from(data, pos)[0])]
-    entries = table.get(key)
-    if type(entries) is tuple:
-        return entries, start + len(key)
     out = []
     for _ in range(count):
         entry, pos = _dec_blob16(data, pos)
         out.append(entry)
-    entries = tuple(out)
-    if pos <= len(data):  # a list cut short by the end of data is no key
-        table[data[start:pos]] = entries
-    return entries, pos
+    return tuple(out), pos
 
 
 def _enc_fragment(out, fr: Optional[Fragment], table):
@@ -185,7 +171,7 @@ def _enc_fragment(out, fr: Optional[Fragment], table):
     out += (_FLAG_U32.pack(1, len(body)), body)
 
 
-def _dec_fragment(data, pos, table):
+def _dec_fragment(data, pos):
     if not _present(data, pos):
         return None, pos + 1
     end = _U32.unpack_from(data, pos + 1)[0] + pos + 5
@@ -201,10 +187,10 @@ def _enc_cand(out, c: Candidate, table):
     _enc_opt_list(out, c.vec, table)
 
 
-def _dec_cand(data, pos, table):
-    ts, pos = _dec_ts(data, pos, table)
-    token, pos = _dec_token(data, pos, table)
-    vec, pos = _dec_opt_list(data, pos, table)
+def _dec_cand(data, pos):
+    ts, pos = _dec_ts(data, pos)
+    token, pos = _dec_token(data, pos)
+    vec, pos = _dec_opt_list(data, pos)
     return tuple.__new__(Candidate, (ts, token, vec)), pos
 
 
@@ -212,11 +198,10 @@ def _dec_cand(data, pos, table):
 # back in list after list: LC is returned on every COLLECT and written back
 # on every FILTER. So the encoder builds each candidate's record once a
 # table and keeps it there, the whole Candidate mapping to its record
-# bytes; no bytes key maps to a record, so decode never meets one. It packs
-# the common sw record (empty tag, 32-byte bytes token, no vector) in one
-# _REC call; any other shape takes _enc_cand. A run decodes candidate lists
-# only from wires it did not encode itself (see decode), so the decoder is
-# a plain loop over _dec_cand.
+# bytes. It packs the common sw record (empty tag, 32-byte bytes token, no
+# vector) in one _REC call; any other shape takes _enc_cand. A run parses
+# candidate lists only from an adversary's raw bytes (see decode), so the
+# decoder is a plain loop over _dec_cand.
 def _enc_cands(out, cands: tuple, table):
     out.append(_U16.pack(len(cands)))
     rec_pack, get = _REC.pack, table.get
@@ -235,12 +220,12 @@ def _enc_cands(out, cands: tuple, table):
         out.append(rec)
 
 
-def _dec_cands(data, pos, table):
+def _dec_cands(data, pos):
     count = _U16.unpack_from(data, pos)[0]
     pos += 2
     out = []
     for _ in range(count):
-        cand, pos = _dec_cand(data, pos, table)
+        cand, pos = _dec_cand(data, pos)
         out.append(cand)
     return tuple(out), pos
 
@@ -292,13 +277,12 @@ Clock = _message(CLOCK, "CLOCK", ts=_ts)
 ClockAck = _message(CLOCK_ACK, "CLOCK_ACK", echo=_ts, ts=_ts)
 Repair = _message(REPAIR, "REPAIR", tsr=_u64, cand=_cand)
 RepairAck = _message(REPAIR_ACK, "REPAIR_ACK", tsr=_u64)
-_CLASSES = frozenset(cls for cls, _ in _LAYOUT.values())
 
 
 def encode(msg, table: Optional[dict] = None) -> bytes:
     """The wire bytes of msg; a field too wide for its wire width (a negative
     or over-wide integer, or a list, count or blob past its length prefix)
-    raises MalformedMessage. table is the one decode takes too: a run passes
+    raises MalformedMessage. table is the one decode reads: a run passes
     one to every call, so each distinct message is encoded once and its wire
     kept both ways, message to wire and wire to message. Each candidate a
     list carries is packed once too, its record bytes kept by the Candidate,
@@ -334,21 +318,16 @@ def encode(msg, table: Optional[dict] = None) -> bytes:
 
 def decode(data: bytes, table: Optional[dict] = None):
     """The message data encodes; bytes that do not parse as one raise
-    MalformedMessage. table is the one encode takes too: a wire encoded
-    through it decodes to the message it was encoded from, which parsing
-    would give too, since every message the program builds round-trips with
-    exact types. A STORE's entry is taken out as it is used. Any other
-    bytes, such as an adversary's raw bytes or a STORE sent again, are
-    parsed strictly, their optional lists shared by exact wire bytes with
-    the tuple first decoded from them. None gives this call a table of its
-    own."""
-    if table is None:
-        table = {}
-    else:
-        msg = table.get(data)
-        cls = type(msg)
-        if cls in _CLASSES:  # the table also maps list bytes to tuples
-            if cls is Store:
+    MalformedMessage. table is the one encode fills, and decode adds
+    nothing to it: a wire encoded through it decodes to the message it was
+    encoded from, which parsing would give too, since every message the
+    program builds round-trips with exact types. A STORE's entry is taken
+    out as it is used. Any other bytes, such as an adversary's raw bytes or
+    a STORE sent again, are parsed strictly, as they are with no table."""
+    if table is not None:
+        msg = table.get(data)  # encode keys bytes by whole wires only
+        if msg is not None:
+            if type(msg) is Store:
                 del table[data]
             return msg
     try:
@@ -358,7 +337,7 @@ def decode(data: bytes, table: Optional[dict] = None):
         cls, fields = _LAYOUT[k]
         values, pos = [], 1
         for _, dec in fields:
-            value, pos = dec(data, pos, table)
+            value, pos = dec(data, pos)
             values.append(value)
     except (struct.error, IndexError):
         raise MalformedMessage("truncated message") from None

@@ -5,12 +5,12 @@ operation starts, adversary pumps, and state-reset timers. Four independent
 RNG streams (delays, crypto, workload, adversary) are derived from the run
 seed so that, e.g., swapping the proof scheme never perturbs the schedule.
 Every copy of a message is encoded when sent and decoded when delivered,
-through the run's one codec table, which decides what is shared: a wire the
+through the run's one codec table, which only encoding fills: a wire the
 run encoded decodes to the message it came from, a STORE's only at its one
-delivery. An event is a function and its arguments, called when its tick
-comes. A party with an arm(sim) method schedules its own first event when
-the run starts. One delivery step decodes each copy and hands it to its
-client, or to its server to answer.
+delivery, and any other bytes are parsed. An event is a function and its
+arguments, called when its tick comes. A party with an arm(sim) method
+schedules its own first event when the run starts. One delivery step
+decodes each copy and hands it to its client, or to its server to answer.
 
 The fault table maps each party id to its one fault; server, writer and
 reader ids never meet, so a party is correct iff it is absent. With log_wire

@@ -1,19 +1,21 @@
-"""The run's codec table. Each distinct message but a STORE is encoded once
-a run and kept both ways, so a message sent again reuses its wire and a
-wire the run encoded decodes to the message it came from. Optional lists
-(cross-checksums and MAC vectors) are kept both ways too, by their exact
-wire bytes, and each list member's record bytes by the Candidate. A STORE,
-built for one server, is encoded on every copy; its wire maps to it from
-its send to its one delivery. An adversary's raw bytes are parsed on every
-copy. The table must change no verdict, no decoded value or type and no
-output, and lives exactly as long as its run.
+"""The run's codec table, which encode alone fills. Each distinct message
+but a STORE is encoded once a run and kept both ways, so a message sent
+again reuses its wire and a wire the run encoded decodes to the message it
+came from. Each optional list's (cross-checksums and MAC vectors) wire
+piece is kept by its tuple, and each list member's record bytes by the
+Candidate. A STORE, built for one server, is encoded on every copy; its
+wire maps to it from its send to its one delivery. An adversary's raw
+bytes are parsed on every copy, and decoding adds nothing to the table.
+The table must change no verdict, no decoded value or type and no output,
+and lives exactly as long as its run.
 
 One checked run per config taps the codec. It counts the messages the table
-misses, by kind, and the wires it parses. It checks every decode, with exact
-types, against a decode with no table, a decode through a table that only
-decoding feeds (the table hostile bytes meet) and the byte-at-a-time
-reference codec. It keeps the delivered (wire, message) pairs, and checks
-every copy left in flight when the run ends. The same config then runs
+misses, by kind, and the wires it parses, which must all be raw bytes an
+adversary sent. It checks every decode, with exact types, against a decode
+with no table, a decode through a table that only decoding meets, which
+must stay empty, and the byte-at-a-time reference codec. It keeps the
+delivered (wire, message) pairs, and checks every copy left in flight when
+the run ends. The same config then runs
 against _Forgetful, which encodes every send and parses every copy, and
 must give the same outputs. The `runs` fixture makes both runs once per
 config, and six tests judge them: decoding, encoding, the table's
@@ -53,6 +55,9 @@ RECORD_RICH = {"flood/0"} | {"sw-catalog/%d" % seed for seed in SW_SEEDS[:4]}
 BYZANTINE = (["byz_server:1:" + name for name in sorted(behaviors.SERVERS)]
              + ["byz_reader:202:" + name
                 for name in sorted(behaviors.READERS)])
+
+
+_CLASSES = frozenset(cls for cls, _ in codec._LAYOUT.values())
 
 
 def small(**over):
@@ -112,11 +117,10 @@ def complete_wire(list_bytes):
 def assert_table_is_sound(table):
     """Judge each entry by its type: a message key maps to its wire, and
     that wire back to the message; a Candidate key maps to its record bytes;
-    a tuple key is a list and maps to its wire piece; a bytes key decodes,
-    as a whole message or as a list field, to exactly its value: a wire to
-    its message, the wire of a non-empty list to its tuple of bytes."""
+    a tuple key is a list and maps to its wire piece; a bytes key is a wire
+    and maps to exactly the message the reference decodes from it."""
     for key, value in table.items():
-        if type(key) in codec._CLASSES:
+        if type(key) in _CLASSES:
             assert type(value) is bytes and value == _reference_encode(key)
             assert table[value] is key
         elif type(key) is Candidate:
@@ -124,12 +128,8 @@ def assert_table_is_sound(table):
         elif type(key) is tuple:
             assert type(value) is bytes and value == _ref_enc_opt_list(key)
         else:
-            assert type(key) is bytes
-            if type(value) in codec._CLASSES:
-                assert_same(_reference_decode(key), value)
-            else:
-                assert type(value) is tuple and value
-                assert_same(_reference_decode(complete_wire(key)).vec, value)
+            assert type(key) is bytes and type(value) in _CLASSES
+            assert_same(_reference_decode(key), value)
 
 
 class Tap:
@@ -145,7 +145,7 @@ class Tap:
         self.sends, self.distinct = Counter(), Counter()
         self.misses, self.raw = Counter(), []
         self.parses, self.delivered = [], []
-        self.parsed = {}  # the table only decoding feeds
+        self.parsed = {}  # a table only decoding meets
         self.encoded, self.sim = {}, None
         self.sent, reference = set(), {}
         self.built = Counter()
@@ -182,9 +182,8 @@ class Tap:
 
         def decode(wire, table):
             hit = table.get(wire)
-            if type(hit) not in codec._CLASSES:
+            if hit is None:
                 self.parses.append(wire)
-                hit = None
             got = _verdict(lambda w: real_decode(w, table), wire)
             assert hit is None or got is hit  # the message the wire came from
             if check:
@@ -252,9 +251,7 @@ def test_shared_decode_gives_the_outputs_of_decoding_every_copy(runs):
     assert run.delivered and len(run.parses) < metrics["msgs_delivered"]
     # a run parses only the raw bytes an adversary sends
     assert set(run.parses) <= set(run.raw)
-    # decoding keeps lists only, never a message or a candidate
-    assert run.parsed and all(type(v) is tuple for v in run.parsed.values())
-    assert_table_is_sound(run.parsed)
+    assert run.parsed == {}  # decoding adds nothing to a table
     decoded = [msg for _, msg in run.delivered]
     polys = sum(type(token) is Polynomial
                 for msg in decoded for token in tokens_of(msg))
@@ -287,14 +284,13 @@ def test_shared_encode_gives_the_outputs_of_encoding_every_reply(runs):
 def test_each_distinct_message_is_encoded_once_a_run(runs):
     run, table = runs.run, runs.table
     assert run.misses == run.distinct
-    assert {k for k in table if type(k) in codec._CLASSES} == {
+    assert {k for k in table if type(k) in _CLASSES} == {
         msg for msg in run.sent if msg.kind != codec.STORE}
     assert_table_is_sound(table)
     assert {tuple, bytes} <= {type(k) for k in table}
     if runs.config.pow_name == "shamir":  # shared by their wire bytes
         assert any(type(token) is Polynomial for k, value in table.items()
-                   if type(k) is bytes and type(value) in codec._CLASSES
-                   for token in tokens_of(value))
+                   if type(k) is bytes for token in tokens_of(value))
 
 
 def test_each_distinct_candidate_record_is_built_once_a_run(runs):
@@ -373,53 +369,33 @@ def hostile_corpus(table):
                   _filter_wire(rec, RECORD), _filter_wire(rec, tail)]
     blobs += [_filter_wire(RECORD, RECORD[:cut]) for cut in range(54)]
     blobs += [_filter_wire(RECORD[:cut]) for cut in range(54)]
+    # a 54-byte candidate ending in a vector entry: cut inside that entry,
+    # its slice runs past the end of data instead of raising at once
+    rec = record_of(Candidate(Timestamp(1), None, (b"v" * 30,)))
+    blobs += [_filter_wire(rec[:cut]) for cut in range(len(rec) + 1)]
     for lst in _widths_and_counts_flipped():
         blobs += [complete_wire(lst), complete_wire(lst + b"\x00"),
                   complete_wire(lst[:-1])]
-    # SHAPED as a candidate before and after its list bytes are kept
-    return blobs + [_filter_wire(SHAPED), complete_wire(SHAPED),
-                    _filter_wire(SHAPED)]
+    # bare list wires, which begin with their presence flag, the STORE kind
+    blobs += [_ref_enc_opt_list(entries)
+              for entries in [(b"x",), (b"a" * 32, b"b" * 32)]]
+    return blobs + [_filter_wire(SHAPED), complete_wire(SHAPED)]
 
 
 def test_the_table_never_changes_a_verdict_on_hostile_bytes():
     table = {}
     blobs, accepted = hostile_corpus(table), 0
+    fed = dict(table)
     for blob in blobs:
         want = _verdict(_reference_decode, blob)
-        for table_of_call in (None, table, table):  # the last one may hit
+        for table_of_call in (None, table):  # the second may hit
             assert_same(_verdict(lambda b: codec.decode(b, table_of_call),
                                  blob), want)
         accepted += want is not MalformedMessage
     assert 0 < accepted < len(blobs)
     assert codec.decode(complete_wire(SHAPED), table).vec == (SHAPED[5:],)
+    assert table == fed  # decoding adds nothing to a table
     assert_table_is_sound(table)
-
-
-def test_a_candidate_cut_short_by_the_end_of_data_is_not_kept():
-    # a 54-byte candidate ending in a vector entry: cut inside that entry,
-    # its slice runs past the end of data instead of raising at once
-    rec = record_of(Candidate(Timestamp(1), None, (b"v" * 30,)))
-    assert len(rec) == codec._REC.size
-    table = {}
-    for cut in range(len(rec)):
-        with pytest.raises(MalformedMessage):
-            codec.decode(_filter_wire(rec[:cut]), table)
-    assert table == {}
-    assert_same(codec.decode(_filter_wire(rec), table),
-                _reference_decode(_filter_wire(rec)))
-    assert [type(value) for value in table.values()] == [tuple]
-
-
-def test_a_list_kept_by_its_bytes_never_decodes_as_a_message():
-    # a list's bytes begin with its presence flag, the STORE kind byte
-    table = {}
-    for entries in [(b"x",), (b"a" * 32, b"b" * 32)]:
-        lst = _ref_enc_opt_list(entries)
-        assert codec.decode(complete_wire(lst), table).vec == entries
-        assert table[lst] == entries
-        for _ in range(2):
-            assert _verdict(lambda w: codec.decode(w, table), lst) is (
-                _verdict(_reference_decode, lst)) is MalformedMessage
 
 
 @pytest.mark.parametrize("msg", [
@@ -455,16 +431,13 @@ def test_a_table_shares_messages_and_lists_and_no_table_keeps_nothing():
                    if type(key) is bytes)
     assert_table_is_sound(table)
     assert all(codec.decode(w, table) is msg for w, msg in zip(wires, msgs))
-    lists = {}  # as for wires the run did not encode: lists are shared
-    got = [codec.decode(wire, lists) for wire in wires]
-    assert got == msgs and got[0].vec is got[1].cand.vec
-    assert set(lists.values()) == {vec, cc}
-    assert_table_is_sound(lists)
-    got = [codec.decode(wire) for wire in wires]
-    assert got == msgs
-    assert got[0].vec == got[1].cand.vec and got[0].vec is not got[1].cand.vec
-    assert got[2].cands[0] == got[3].cands[2]
-    assert got[2].cands[0] is not got[3].cands[2]
+    unfed = {}  # as for wires the run did not encode: each one is parsed
+    for table_of_call in (unfed, None):
+        got = [codec.decode(wire, table_of_call) for wire in wires]
+        assert got == msgs and unfed == {}
+        assert not any(g is msg for g, msg in zip(got, msgs))
+        assert got[0].vec is not got[1].cand.vec
+        assert got[2].cands[0] is not got[3].cands[2]
 
 
 def _broadcast(sim, cid, make):
