@@ -15,12 +15,12 @@ adversary sent. It checks every decode, with exact types, against a decode
 with no table, a decode through a table that only decoding meets, which
 must stay empty, and the byte-at-a-time reference codec. It keeps the
 delivered (wire, message) pairs, and checks every copy left in flight when
-the run ends. The same config then runs
-against _Forgetful, which encodes every send and parses every copy, and
-must give the same outputs. The `runs` fixture makes both runs once per
-config, and six tests judge them: decoding, encoding, the table's
-contents, the candidate records built, the delivered messages, and the
-outputs of servers that keep no verdict memo."""
+the run ends. The same config then runs against _Forgetful, which encodes
+every send and parses every copy, and must give the same outputs. The
+`runs` fixture makes both runs once per config, and six tests judge them:
+decoding, encoding, the table's contents, the candidate records built, the
+delivered messages, and the outputs of servers that keep no verdict
+memo."""
 
 import random
 from collections import Counter
