@@ -398,6 +398,38 @@ def test_the_table_never_changes_a_verdict_on_hostile_bytes():
     assert_table_is_sound(table)
 
 
+def test_a_candidate_cut_short_by_the_end_of_data_is_not_kept():
+    # a 54-byte candidate ending in a vector entry: cut inside that entry,
+    # its slice runs past the end of data instead of raising at once
+    rec = record_of(Candidate(Timestamp(1), None, (b"v" * 30,)))
+    assert len(rec) == codec._REC.size
+    table = {}
+    for cut in range(len(rec)):
+        for _ in range(2):
+            with pytest.raises(MalformedMessage):
+                codec.decode(_filter_wire(rec[:cut]), table)
+    assert_same(codec.decode(_filter_wire(rec), table),
+                _reference_decode(_filter_wire(rec)))
+    assert table == {}
+
+
+def test_a_list_kept_by_its_bytes_never_decodes_as_a_message():
+    # a list's bytes begin with its presence flag, the STORE kind byte;
+    # encoding keeps them as the list's wire piece, keyed by its tuple
+    for entries in [(b"x",), (b"a" * 32, b"b" * 32)]:
+        table = {}
+        lst = _ref_enc_opt_list(entries)
+        msg = codec.Complete(Timestamp(1), b"\x42" * 32, entries)
+        assert codec.encode(msg, table) == complete_wire(lst)
+        assert table[entries] == lst
+        fed = dict(table)
+        for _ in range(2):
+            assert _verdict(lambda w: codec.decode(w, table), lst) is (
+                _verdict(_reference_decode, lst)) is MalformedMessage
+        assert codec.decode(complete_wire(lst), table) is msg
+        assert table == fed
+
+
 @pytest.mark.parametrize("msg", [
     codec.Complete(Timestamp(1), b"n", (b"x" * 0x10000,)),
     codec.Complete(Timestamp(1), b"n", (b"x",) * 0x10000),
