@@ -228,12 +228,6 @@ def test_stale_lc_acks_a_repair_and_keeps_lc():
     assert srv.lc is before
 
 
-@pytest.mark.parametrize("mode", ["sw", "mw"])
-def test_corrupt_vec_answers_nothing_when_its_replica_drops(mode):
-    srv = byz_server("corrupt_vec", mode, keyring() if mode == "mw" else None)
-    assert srv.handle(codec.Collect(1), "writer") is None
-
-
 def test_accept_paths_are_traced():
     events = []
     srv = sw_server(tracer=lambda etype, **f: events.append((etype, f)))
@@ -517,10 +511,8 @@ def dispatch_of(mode):
             for kind in codec.HANDLER_NAMES for role in ROLES}
 
 
-def recording_server(mode, *mixins):
+def recording_server(mode):
     cls = layer(Recording, classes_for(mode)["server"])
-    for mixin in mixins:
-        cls = layer(mixin, cls)
     return cls(1, S, T, keyring=keyring() if mode == "mw" else None)
 
 
@@ -529,16 +521,45 @@ def test_a_server_answers_only_its_modes_kinds_and_only_from_their_role(mode):
     assert answers(recording_server(mode)) == dispatch_of(mode)
 
 
+def every_kind(srv, ring):
+    """One real message of each kind, as a write at timestamp 3 and a read
+    of it would carry them."""
+    ts, token, frs, cc, commitments, vec = write_for(srv, ring)
+    cand = Candidate(ts, token, vec)
+    msgs = [codec.Store(ts, frs[0], cc, commitments[0], vec),
+            codec.StoreAck(ts), codec.Complete(ts, token, vec),
+            codec.CompleteAck(ts), codec.Clock(ts), codec.ClockAck(ts, ts),
+            codec.Collect(1), codec.CollectAck(1, (cand,)),
+            codec.Filter(1, (cand,)), codec.FilterAck(1, ts, frs[0], cc, vec),
+            codec.Repair(1, cand), codec.RepairAck(1)]
+    assert {msg.kind for msg in msgs} == set(codec.HANDLER_NAMES)
+    return msgs
+
+
+def answered(srv, ring):
+    """The (kind, role) pairs srv answers when sent a real message of every
+    kind from both roles, in turn."""
+    return {(msg.kind, role) for role in ROLES for msg in every_kind(srv, ring)
+            if srv.handle(msg, role) is not None}
+
+
+@pytest.mark.parametrize("behavior", sorted(behaviors.SERVERS))
 @pytest.mark.parametrize("mode", ["sw", "mw"])
-def test_a_behavior_layered_server_dispatches_as_its_replica_does(mode):
-    """RevertState adds a timer and keeps handle: it dispatches as the
-    replica under it, also after a reset. Mute's handle answers nothing."""
-    srv = recording_server(mode, behaviors.RevertState)
-    assert answers(srv) == dispatch_of(mode)
+def test_a_behavior_layered_server_dispatches_as_its_replica_does(mode,
+                                                                  behavior):
+    """A byzantine server answers exactly what its replica answers, a kind
+    its mode serves from the role that kind comes from, also after a reset;
+    Mute serves no kind, so it answers nothing. No real message raises:
+    corrupt_vec, say, has no reply to garble when its replica drops."""
+    replica, ring = server_of(mode)
+    want = answered(replica, ring)
+    assert want == {(kind, server.ROLE_FOR_KIND[kind]) for kind in SERVED[mode]}
+    if behavior == "mute":
+        want = set()
+    srv, ring = server_of(mode, behavior)
+    assert answered(srv, ring) == want
     srv.reset()
-    assert answers(srv) == dispatch_of(mode)
-    mute = recording_server(mode, behaviors.Mute)
-    assert set(answers(mute).values()) == {None}
+    assert answered(srv, ring) == want
 
 
 @pytest.mark.parametrize("behavior", [None, "revert_state", "stale_lc"])
