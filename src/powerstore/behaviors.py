@@ -1,10 +1,12 @@
 """Byzantine drop-ins: server mixins and adversarial reader drivers.
 
 A server behavior is a mixin layered over a correct replica's class, as a
-mutant is (``mutants.layer``): it distorts what the replica says, or whether
-it says anything at all. Reader drivers skip the read protocol entirely and
-pump forged traffic at the servers. Forgeries are derived from digest chains
-or from fixed-width draws on the adversary stream, so a run's schedule stays
+mutant is (``mutants.layer``). Like a mutant, it overrides only the
+``_on_<kind>`` handlers whose replies it distorts, never ``handle``, so the
+replica's gate (the mode's kinds, then the sender's role) decides what it
+answers. Reader drivers skip the read protocol entirely and pump forged
+traffic at the servers. Forgeries are derived from digest chains or from
+fixed-width draws on the adversary stream, so a run's schedule stays
 identical whichever proof scheme is active.
 """
 
@@ -45,17 +47,17 @@ def forge_cand(raw: bytes, num: int, pid: int, mode: str, scheme,
 class StaleLc:
     """Acknowledges writes but answers all read traffic from time zero."""
 
-    def handle(self, msg, role):
-        kind = msg.kind
-        if kind == codec.COLLECT:
-            return codec.CollectAck(msg.tsr, (C0,))
-        if kind == codec.FILTER:
-            return codec.FilterAck(msg.tsr, TS0, None, None, None)
-        if kind == codec.CLOCK:
-            return codec.ClockAck(msg.ts, TS0)
-        if kind == codec.REPAIR:
-            return codec.RepairAck(msg.tsr)
-        return super().handle(msg, role)
+    def _on_collect(self, msg):
+        return codec.CollectAck(msg.tsr, (C0,))
+
+    def _on_filter(self, msg):
+        return codec.FilterAck(msg.tsr, TS0, None, None, None)
+
+    def _on_clock(self, msg):
+        return codec.ClockAck(msg.ts, TS0)
+
+    def _on_repair(self, msg):
+        return codec.RepairAck(msg.tsr)
 
 
 class FabricateCandidate:
@@ -74,21 +76,20 @@ class FabricateCandidate:
             for i in range(1, self.s + 1))
         return fr, cc
 
-    def handle(self, msg, role):
-        kind = msg.kind
-        if kind == codec.COLLECT:
-            reply = super().handle(msg, role)
-            cand, _ = self._forged(msg.tsr)
-            return codec.CollectAck(msg.tsr, reply.cands + (cand,))
-        if kind == codec.FILTER:
-            super().handle(msg, role)  # keep state honest, lie in the reply
-            cand, raw = self._forged(msg.tsr)
-            fr, cc = self._forged_record(raw)
-            return codec.FilterAck(msg.tsr, cand.ts, fr, cc, cand.vec)
-        if kind == codec.CLOCK:
-            cand, _ = self._forged(msg.ts.num)
-            return codec.ClockAck(msg.ts, cand.ts)
-        return super().handle(msg, role)
+    def _on_collect(self, msg):
+        reply = super()._on_collect(msg)
+        cand, _ = self._forged(msg.tsr)
+        return codec.CollectAck(msg.tsr, reply.cands + (cand,))
+
+    def _on_filter(self, msg):
+        super()._on_filter(msg)  # keep state honest, lie in the reply
+        cand, raw = self._forged(msg.tsr)
+        fr, cc = self._forged_record(raw)
+        return codec.FilterAck(msg.tsr, cand.ts, fr, cc, cand.vec)
+
+    def _on_clock(self, msg):
+        cand, _ = self._forged(msg.ts.num)
+        return codec.ClockAck(msg.ts, cand.ts)
 
 
 class CorruptVec:
@@ -98,18 +99,17 @@ class CorruptVec:
     def _garble(vec):
         return tuple(digest(b"cv" + entry) for entry in vec)
 
-    def handle(self, msg, role):
-        reply = super().handle(msg, role)
-        if reply is None:
-            return None
-        if msg.kind == codec.COLLECT:
-            cands = tuple(
-                c._replace(vec=self._garble(c.vec)) if c.vec else c
-                for c in reply.cands)
-            return reply._replace(cands=cands)
-        if msg.kind == codec.FILTER and reply.vec is not None:
-            return reply._replace(vec=self._garble(reply.vec))
-        return reply
+    def _on_collect(self, msg):
+        reply = super()._on_collect(msg)
+        cands = tuple(c._replace(vec=self._garble(c.vec)) if c.vec else c
+                      for c in reply.cands)
+        return reply._replace(cands=cands)
+
+    def _on_filter(self, msg):
+        reply = super()._on_filter(msg)
+        if reply.vec is None:
+            return reply
+        return reply._replace(vec=self._garble(reply.vec))
 
 
 class RevertState:
@@ -128,25 +128,23 @@ class RevertState:
 
 
 class Mute:
-    """Receives everything, says nothing."""
+    """Serves no kind: receives everything, stores nothing, says nothing."""
 
-    def handle(self, msg, role):
-        return None
+    kinds = ()
 
 
 class EquivocateFragments:
     """Serves filter replies whose fragment bytes contradict the checksum."""
 
-    def handle(self, msg, role):
-        reply = super().handle(msg, role)
-        if (msg.kind == codec.FILTER and reply is not None
-                and reply.fr is not None):
-            fr = reply.fr
-            mask = digest(b"equiv" + fragment_to_bytes(fr))
-            mask = (mask * (len(fr.payload) // len(mask) + 1))[:len(fr.payload)]
-            garbled = bytes(a ^ b for a, b in zip(fr.payload, mask))
-            return reply._replace(fr=Fragment(fr.index, fr.orig_len, garbled))
-        return reply
+    def _on_filter(self, msg):
+        reply = super()._on_filter(msg)
+        fr = reply.fr
+        if fr is None:
+            return reply
+        mask = digest(b"equiv" + fragment_to_bytes(fr))
+        mask = (mask * (len(fr.payload) // len(mask) + 1))[:len(fr.payload)]
+        garbled = bytes(a ^ b for a, b in zip(fr.payload, mask))
+        return reply._replace(fr=Fragment(fr.index, fr.orig_len, garbled))
 
 
 SERVERS = {

@@ -38,7 +38,7 @@ class ServerBase:
         self.keyring = keyring
         self.tracer = tracer
         # kind -> (the role it must come from, its handler), bound here so a
-        # mutant's handler, layered over this class, is the one dispatched
+        # mixin's handler, layered over this class, is the one dispatched
         self._handlers = {kind: (ROLE_FOR_KIND[kind],
                                  getattr(self, codec.HANDLER_NAMES[kind]))
                           for kind in self.kinds}
@@ -59,8 +59,8 @@ class ServerBase:
         """Answer one request through the handler table built at
         construction; None means the message was dropped, being of a kind
         this mode does not serve or from a role its kind does not come from.
-        Byzantine behaviors override this method, so it stays the one entry
-        point."""
+        Mutants and byzantine behaviors override handlers, never this
+        method, so it gates every server."""
         entry = self._handlers.get(msg.kind)
         if entry is None or entry[0] != role:
             return None
