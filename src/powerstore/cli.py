@@ -236,10 +236,9 @@ def cmd_scenarios(args):
     for name in sorted(scenarios.CATALOG):
         sc = scenarios.CATALOG[name]
         print("%-22s %s  [%s]" % (name, sc.summary, sc.mode))
-    print("%-22s every sw scenario with seed-derived workloads  [sw]"
-          % "sw-catalog")
-    print("%-22s every mw scenario with seed-derived workloads  [mw]"
-          % "mw-catalog")
+    for sweep, n in scenarios.SWEEPS.items():
+        print("{0:<22} the first {1} {2} scenarios with seed-derived "
+              "workloads  [{2}]".format(sweep, n, sweep.split("-")[0]))
     return 0
 
 

@@ -22,12 +22,6 @@ PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 SEEDS = range(25)
 
 
-def _catalog_config(sweep, pow_name, seed):
-    name, seed, t, pow_name, over = scenarios.task_for(
-        sweep, seed, pow_name=pow_name)
-    return scenarios.CATALOG[name].config(seed, t=t, pow_name=pow_name, **over)
-
-
 def _mutant_config(mutant):
     kw = dict(writes=4, reads=4, readers=2)
     kw.update(KILL_PLANS[mutant])
@@ -58,11 +52,11 @@ def deadlock_configs():
 def pinned_configs():
     """Run key -> SimConfig for every pinned run."""
     configs = {}
-    for sweep in scenarios.SWEEP_NAMES:
+    for sweep in scenarios.SWEEPS:
         for pow_name in ("hash", "shamir"):
             for seed in SEEDS:
                 configs["%s/%s/%d" % (sweep, pow_name, seed)] = \
-                    _catalog_config(sweep, pow_name, seed)
+                    scenarios.pair_for(sweep, seed, pow_name=pow_name)[1]
     for mutant in sorted(KILL_PLANS):
         configs["mutant/%s/0" % mutant] = _mutant_config(mutant)
     configs.update(partial_reveal_configs())
@@ -94,6 +88,24 @@ def test_pinned_runs_reproduce_their_digests(prefix):
              if key.startswith(prefix) and pin(config) != pins[key]]
     assert not drift, "behaviour changed on %d pinned runs, first %s" % (
         len(drift), drift[0])
+
+
+def test_a_scenario_appended_to_the_catalog_moves_no_sweep_seed(monkeypatch):
+    """Each catalog sweep resolves seeds 0-999 to the same (Scenario,
+    SimConfig) pairs after one scenario per mode is appended to the
+    catalog, so a new scenario leaves every pin of both sweeps standing."""
+    sweeps, seeds = ("sw-catalog", "mw-catalog"), range(1000)
+    before = {sweep: [scenarios.pair_for(sweep, seed) for seed in seeds]
+              for sweep in sweeps}
+    appended = [scenarios.Scenario(mode + "-appended", "added after the "
+                                   "freeze", mode, delay="pareto:20,4")
+                for mode in ("sw", "mw")]
+    monkeypatch.setattr(scenarios, "_CATALOG", scenarios._CATALOG + appended)
+    monkeypatch.setattr(scenarios, "CATALOG", {
+        **scenarios.CATALOG, **{sc.name: sc for sc in appended}})
+    for sweep in sweeps:
+        assert [scenarios.pair_for(sweep, seed) for seed in seeds] == \
+            before[sweep]
 
 
 if __name__ == "__main__":
