@@ -24,6 +24,7 @@ from test_golden import partial_reveal_configs
 from test_literal_lc import DIGESTED, FLOOD
 from test_server import recompute_verdicts
 
+# the benchmark's contended workload: mw-pareto with eight of each client
 CONTENDED = dict(writers=8, readers=8, writes=4, reads=4)
 BUSY_BIGMAC = dict(writers=3, readers=4, reads=10)  # more reads, more repairs
 
