@@ -549,8 +549,8 @@ def test_a_behavior_layered_server_dispatches_as_its_replica_does(mode,
                                                                   behavior):
     """A byzantine server answers exactly what its replica answers, a kind
     its mode serves from the role that kind comes from, also after a reset;
-    Mute serves no kind, so it answers nothing. No real message raises:
-    corrupt_vec, say, has no reply to garble when its replica drops."""
+    Mute serves no kind, so it answers nothing. No real message raises, of
+    a kind or from a role the replica drops included."""
     replica, ring = server_of(mode)
     want = answered(replica, ring)
     assert want == {(kind, server.ROLE_FOR_KIND[kind]) for kind in SERVED[mode]}
