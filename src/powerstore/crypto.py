@@ -205,9 +205,7 @@ class ShamirPow:
     """Token = random polynomial; commitment = one private share per server."""
 
     name = "shamir"
-
-    def __init__(self, q: int = MERSENNE_61):
-        self.q = q
+    q = MERSENNE_61
 
     def mint(self, rng: random.Random, t: int, s: int):
         poly, shares = shamir_split(rng, t, s, self.q)
@@ -223,11 +221,12 @@ class ShamirPow:
 
 
 HASH_POW = HashPow()
+SHAMIR_POW = ShamirPow()
 
 
 def pow_scheme(name: str):
     if name == "hash":
         return HASH_POW
     if name == "shamir":
-        return ShamirPow()
+        return SHAMIR_POW
     raise ValueError("unknown pow scheme %r" % name)

@@ -277,7 +277,7 @@ def test_hash_pow_mint_and_verify():
 
 
 def test_shamir_pow_mint_and_verify():
-    scheme = crypto.ShamirPow(101)
+    scheme = type("SmallShamirPow", (crypto.ShamirPow,), {"q": 101})()
     token, commits = scheme.mint(random.Random(14), t=1, s=4)
     assert len(commits) == 4
     assert all(scheme.verify(token, c) for c in commits)
@@ -290,6 +290,7 @@ def test_shamir_pow_mint_and_verify():
 
 def test_pow_scheme_lookup():
     assert pow_scheme("hash") is crypto.HASH_POW
+    assert pow_scheme("shamir") is crypto.SHAMIR_POW
     assert pow_scheme("shamir").q == crypto.MERSENNE_61
     with pytest.raises(ValueError):
         pow_scheme("rsa")
