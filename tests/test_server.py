@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from powerstore import behaviors, codec, mutants, scenarios, server, simnet
+from powerstore import behaviors, codec, scenarios, server, simnet
 from powerstore.core import (
     C0, Candidate, TS0, Timestamp, valid_by_hist, valid_mw)
 from powerstore.crypto import KeyRing, digest, make_vec, pow_scheme, tag_timestamp
@@ -18,49 +18,44 @@ from powerstore.server import MwServer, ServerBase
 S, T = 4, 1
 
 
-def keyring():
-    return KeyRing.generate(S, random.Random(9))
-
-
-def build_write(scheme, num, pid=0, value=b"payload", ring=None, seed=5):
-    """Everything a writer would send for one value at one timestamp."""
-    token, commitments = scheme.mint(random.Random(seed), T, S)
-    frs = encode(value, T + 1, S)
+def write_for(srv, num=3, pid=101, seed=5):
+    """Everything a writer would send srv for one value at timestamp num;
+    an mw write is pid's, under srv's key ring."""
+    token, commitments = srv.scheme.mint(random.Random(seed), T, S)
+    frs = encode(b"payload", T + 1, S)
     cc = cross_checksum(frs)
+    ring = srv.keyring
     if ring is None:
         ts, vec = Timestamp(num, 0, b""), None
     else:
         ts = Timestamp(num, pid, tag_timestamp(ring.writer_key, num, pid))
-        vec = make_vec(ring, num, pid, scheme.token_digest(token))
+        vec = make_vec(ring, num, pid, srv.scheme.token_digest(token))
     return ts, token, frs, cc, commitments, vec
 
 
-def store_at(server, parts, sid=None):
+def store_at(server, parts):
     ts, token, frs, cc, commitments, vec = parts
-    sid = sid or server.sid
+    sid = server.sid
     ack = server.handle(
         codec.Store(ts, frs[sid - 1], cc, commitments[sid - 1], vec), "writer")
     assert isinstance(ack, codec.StoreAck) and ack.ts == ts
     return ts, token, vec
 
 
-def server_for(mode, sid, **kwargs):
-    return classes_for(mode)["server"](sid, S, T, **kwargs)
-
-
-def sw_server(tracer=None):
-    return server_for("sw", 1, scheme=pow_scheme("hash"), tracer=tracer)
-
-
-def mw_server(ring, tracer=None, sid=1):
-    return server_for("mw", sid, scheme=pow_scheme("hash"), keyring=ring,
-                       tracer=tracer)
+def server_of(mode, behavior=None, mutant="", sid=1, tracer=None):
+    """Replica sid of mode, of mutant's classes if one is named, with the
+    behavior mixin, if given, layered over it."""
+    cls = classes_for(mode, mutant)["server"]
+    if behavior is not None:
+        cls = layer(behavior, cls)
+    return cls(sid, S, T, scheme=pow_scheme("hash"), tracer=tracer,
+               keyring=KeyRing.generate(S, random.Random(9))
+               if mode == "mw" else None)
 
 
 def test_role_mismatch_is_dropped():
-    srv = sw_server()
-    parts = build_write(srv.scheme, 1)
-    ts, _, frs, cc, commitments, vec = parts
+    srv = server_of("sw")
+    ts, _, frs, cc, commitments, vec = write_for(srv, 1)
     msg = codec.Store(ts, frs[0], cc, commitments[0], vec)
     assert srv.handle(msg, "reader") is None
     assert srv.handle(codec.Collect(1), "writer") is None
@@ -68,22 +63,22 @@ def test_role_mismatch_is_dropped():
 
 
 def test_kind_not_served_by_mode_is_dropped():
-    srv = sw_server()
+    srv = server_of("sw")
     assert srv.handle(codec.Clock(TS0), "writer") is None
 
 
 def test_store_populates_history():
-    srv = sw_server()
-    ts, _, _ = store_at(srv, build_write(srv.scheme, 1))
+    srv = server_of("sw")
+    ts, _, _ = store_at(srv, write_for(srv, 1))
     assert ts.key() in srv.hist
     assert srv.snapshot()["hist_bytes"] > 0
     assert srv.lc == C0  # store alone never moves the accepted candidate
 
 
 def test_complete_adopts_only_strictly_higher():
-    srv = sw_server()
-    ts1, token1, _ = store_at(srv, build_write(srv.scheme, 1))
-    ts2, token2, _ = store_at(srv, build_write(srv.scheme, 2))
+    srv = server_of("sw")
+    ts1, token1, _ = store_at(srv, write_for(srv, 1))
+    ts2, token2, _ = store_at(srv, write_for(srv, 2))
     assert isinstance(srv.handle(codec.Complete(ts2, token2, None), "writer"),
                       codec.CompleteAck)
     assert srv.lc.ts == ts2
@@ -94,11 +89,9 @@ def test_complete_adopts_only_strictly_higher():
 
 
 def test_sw_gc_promotes_highest_valid_and_prunes():
-    srv = sw_server()
-    p1 = build_write(srv.scheme, 1, seed=11)
-    p2 = build_write(srv.scheme, 2, seed=12)
-    ts1, token1, _ = store_at(srv, p1)
-    ts2, token2, _ = store_at(srv, p2)
+    srv = server_of("sw")
+    ts1, token1, _ = store_at(srv, write_for(srv, 1, seed=11))
+    ts2, token2, _ = store_at(srv, write_for(srv, 2, seed=12))
     garbage = Candidate(Timestamp(5, 0, b""), digest(b"bogus"), None)
     srv.handle(codec.Filter(1, (Candidate(ts1, token1, None),
                                 Candidate(ts2, token2, None), garbage)),
@@ -111,8 +104,8 @@ def test_sw_gc_promotes_highest_valid_and_prunes():
 
 
 def test_sw_collect_serves_gc_result_sorted():
-    srv = sw_server()
-    ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
+    srv = server_of("sw")
+    ts, token, _ = store_at(srv, write_for(srv, 1))
     srv.handle(codec.Filter(2, (Candidate(ts, token, None),)), "reader")
     ack = srv.handle(codec.Collect(3), "reader")
     assert ack.tsr == 3
@@ -121,8 +114,8 @@ def test_sw_collect_serves_gc_result_sorted():
 
 
 def test_sw_filter_writes_back_then_serves_history():
-    srv = sw_server()
-    ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
+    srv = server_of("sw")
+    ts, token, _ = store_at(srv, write_for(srv, 1))
     srv.handle(codec.Complete(ts, token, None), "writer")
     good = Candidate(ts, token, None)
     fake = Candidate(Timestamp(7, 0, b""), digest(b"fake"), None)
@@ -134,17 +127,15 @@ def test_sw_filter_writes_back_then_serves_history():
 
 
 def test_sw_filter_without_valid_candidate_serves_bottom():
-    srv = sw_server()
+    srv = server_of("sw")
     fake = Candidate(Timestamp(7, 0, b""), digest(b"fake"), None)
     ack = srv.handle(codec.Filter(2, (fake,)), "reader")
     assert ack.ts == TS0 and ack.fr is None and ack.cc is None
 
 
 def test_mw_collect_serves_only_the_accepted_candidate():
-    ring = keyring()
-    srv = mw_server(ring)
-    parts = build_write(srv.scheme, 1, pid=101, ring=ring)
-    ts, token, vec = store_at(srv, parts)
+    srv = server_of("mw")
+    ts, token, vec = store_at(srv, write_for(srv, 1))
     srv.handle(codec.Complete(ts, token, vec), "writer")
     ack = srv.handle(codec.Collect(1), "reader")
     assert [c.ts for c in ack.cands] == [ts]
@@ -152,10 +143,8 @@ def test_mw_collect_serves_only_the_accepted_candidate():
 
 
 def test_mw_clock_echoes_request_and_serves_lc():
-    ring = keyring()
-    srv = mw_server(ring)
-    parts = build_write(srv.scheme, 3, pid=101, ring=ring)
-    ts, token, vec = store_at(srv, parts)
+    srv = server_of("mw")
+    ts, token, vec = store_at(srv, write_for(srv))
     srv.handle(codec.Complete(ts, token, vec), "writer")
     probe = Timestamp(0, 102, b"")
     ack = srv.handle(codec.Clock(probe), "writer")
@@ -163,10 +152,8 @@ def test_mw_clock_echoes_request_and_serves_lc():
 
 
 def test_mw_filter_splits_writeback_and_return():
-    ring = keyring()
-    srv = mw_server(ring)
-    parts = build_write(srv.scheme, 1, pid=101, ring=ring)
-    ts, token, vec = store_at(srv, parts)
+    srv = server_of("mw")
+    ts, token, vec = store_at(srv, write_for(srv, 1))
     garbled = Candidate(ts, token, tuple(digest(b"x" + e) for e in vec))
     ack = srv.handle(codec.Filter(1, (garbled,)), "reader")
     # history validates the token, so the garbled vector is adopted as lc
@@ -176,10 +163,8 @@ def test_mw_filter_splits_writeback_and_return():
 
 
 def test_mw_filter_mac_branch_accepts_unstored_candidate():
-    ring = keyring()
-    srv = mw_server(ring)
-    parts = build_write(srv.scheme, 2, pid=101, ring=ring)
-    ts, token, _, _, _, vec = parts
+    srv = server_of("mw")
+    ts, token, _, _, _, vec = write_for(srv, 2)
     cand = Candidate(ts, token, vec)  # never stored at this server
     ack = srv.handle(codec.Filter(1, (cand,)), "reader")
     assert srv.lc.ts == ts  # own-slot MAC vouches for the write-back
@@ -187,8 +172,7 @@ def test_mw_filter_mac_branch_accepts_unstored_candidate():
 
 
 def test_mw_filter_rejects_forged_candidate():
-    ring = keyring()
-    srv = mw_server(ring)
+    srv = server_of("mw")
     bogus = Candidate(Timestamp(9, 103, b"tag"), digest(b"t"),
                       tuple(digest(b"%d" % i) for i in range(S)))
     ack = srv.handle(codec.Filter(1, (bogus,)), "reader")
@@ -196,10 +180,8 @@ def test_mw_filter_rejects_forged_candidate():
 
 
 def test_mw_repair_guard_and_unconditional_ack():
-    ring = keyring()
-    srv = mw_server(ring, sid=2)
-    parts = build_write(srv.scheme, 2, pid=101, ring=ring)
-    ts, token, _, _, _, vec = parts
+    srv = server_of("mw", sid=2)
+    ts, token, _, _, _, vec = write_for(srv, 2)
     good = Candidate(ts, token, vec)
     ack = srv.handle(codec.Repair(1, good), "reader")
     assert isinstance(ack, codec.RepairAck) and srv.lc.ts == ts
@@ -211,35 +193,27 @@ def test_mw_repair_guard_and_unconditional_ack():
     assert isinstance(ack, codec.RepairAck) and srv.lc.ts == ts
 
 
-def byz_server(name, mode, ring=None):
-    """A replica of mode with byzantine behavior name layered over it."""
-    cls = layer(behaviors.SERVERS[name], classes_for(mode)["server"])
-    return cls(1, S, T, scheme=pow_scheme("hash"), keyring=ring)
-
-
 def test_stale_lc_acks_a_repair_and_keeps_lc():
-    ring = keyring()
-    srv = byz_server("stale_lc", "mw", ring)
-    parts = build_write(srv.scheme, 2, pid=101, ring=ring)
-    ts, token, _ = store_at(srv, parts)
+    srv = server_of("mw", behaviors.SERVERS["stale_lc"])
+    ts, token, vec = store_at(srv, write_for(srv, 2))
     before = srv.lc
-    ack = srv.handle(codec.Repair(7, Candidate(ts, token, parts[5])), "reader")
+    ack = srv.handle(codec.Repair(7, Candidate(ts, token, vec)), "reader")
     assert ack == codec.RepairAck(7)
     assert srv.lc is before
 
 
 def test_accept_paths_are_traced():
     events = []
-    srv = sw_server(tracer=lambda etype, **f: events.append((etype, f)))
-    ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
+    srv = server_of("sw", tracer=lambda etype, **f: events.append((etype, f)))
+    ts, token, _ = store_at(srv, write_for(srv, 1))
     srv.handle(codec.Complete(ts, token, None), "writer")
     vias = [f["via"] for etype, f in events if etype == "accept"]
     assert vias == ["complete"]
 
 
 def test_snapshot_reports_state_sizes():
-    srv = sw_server()
-    ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
+    srv = server_of("sw")
+    ts, token, _ = store_at(srv, write_for(srv, 1))
     srv.handle(codec.Filter(1, (Candidate(ts, token, None),)), "reader")
     snap = srv.snapshot()
     assert snap["hist_len"] == 1 and snap["lc_set_size"] == 1
@@ -248,14 +222,13 @@ def test_snapshot_reports_state_sizes():
 
 @pytest.mark.parametrize("mode", ["sw", "mw"])
 def test_reader_kinds_reject_writer_role(mode):
-    ring = keyring() if mode == "mw" else None
-    srv = server_for(mode, 1, keyring=ring)
+    srv = server_of(mode)
     assert srv.handle(codec.Filter(1, ()), "writer") is None
 
 
 def test_sw_collect_sorts_only_what_changed(monkeypatch):
-    srv = sw_server()
-    ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
+    srv = server_of("sw")
+    ts, token, _ = store_at(srv, write_for(srv, 1))
     srv.handle(codec.Complete(ts, token, None), "writer")
     flood = tuple(Candidate(Timestamp(100 + i), digest(b"f%d" % i))
                   for i in range(20))
@@ -282,19 +255,6 @@ def test_sw_collect_sorts_only_what_changed(monkeypatch):
 # late and another STORE at its key each change the verdict a FILTER gets.
 # ---------------------------------------------------------------------------
 
-def server_of(mode, behavior=None):
-    ring = keyring() if mode == "mw" else None
-    cls = classes_for(mode)["server"]
-    if behavior is not None:
-        cls = layer(behaviors.SERVERS[behavior], cls)
-    return cls(1, S, T, scheme=pow_scheme("hash"), keyring=ring), ring
-
-
-def write_for(srv, ring, seed=5):
-    return build_write(srv.scheme, 3, pid=101 if ring else 0, ring=ring,
-                       seed=seed)
-
-
 def served(srv, cand):
     """The timestamp srv's FILTER_ACK serves for a lone candidate."""
     return srv.handle(codec.Filter(1, (cand,)), "reader").ts
@@ -302,20 +262,20 @@ def served(srv, cand):
 
 @pytest.mark.parametrize("mode", ["sw", "mw"])
 def test_a_reverted_server_judges_its_candidates_again(mode):
-    srv, ring = server_of(mode, "revert_state")
-    cand = Candidate(*store_at(srv, write_for(srv, ring)))
+    srv = server_of(mode, behaviors.SERVERS["revert_state"])
+    cand = Candidate(*store_at(srv, write_for(srv)))
     assert served(srv, cand) == cand.ts
     srv.on_timer(SimpleNamespace(ops_pending=lambda: False))
     assert not srv.hist
     assert served(srv, cand) == TS0
-    store_at(srv, write_for(srv, ring))
+    store_at(srv, write_for(srv))
     assert served(srv, cand) == cand.ts
 
 
 @pytest.mark.parametrize("mode", ["sw", "mw"])
 def test_a_candidate_judged_before_its_store_is_judged_again(mode):
-    srv, ring = server_of(mode)
-    parts = write_for(srv, ring)
+    srv = server_of(mode)
+    parts = write_for(srv)
     ts, token, *_, vec = parts
     cand = Candidate(ts, token, vec)
     assert served(srv, cand) == TS0
@@ -325,8 +285,8 @@ def test_a_candidate_judged_before_its_store_is_judged_again(mode):
 
 @pytest.mark.parametrize("mode", ["sw", "mw"])
 def test_a_second_store_at_a_held_key_is_judged_by_its_commitment(mode):
-    srv, ring = server_of(mode)
-    first, second = write_for(srv, ring), write_for(srv, ring, seed=6)
+    srv = server_of(mode)
+    first, second = write_for(srv), write_for(srv, seed=6)
     assert first[0] == second[0] and first[4] != second[4]
     old = Candidate(*store_at(srv, first))
     assert served(srv, old) == old.ts
@@ -356,10 +316,8 @@ def count_verdicts(patch):
 
 
 def test_an_mw_server_judges_each_candidate_once(monkeypatch):
-    ring = keyring()
-    srv = mw_server(ring)
-    ts, token, vec = store_at(srv, build_write(srv.scheme, 3, pid=101,
-                                               ring=ring))
+    srv = server_of("mw")
+    ts, token, vec = store_at(srv, write_for(srv))
     genuine, garbled = Candidate(ts, token, vec), Candidate(ts, token,
                                                             garble(vec))
     forged = Candidate(Timestamp(9, 103, b"tag"), digest(b"t"), vec)
@@ -374,8 +332,8 @@ def test_an_mw_server_judges_each_candidate_once(monkeypatch):
 
 
 def test_an_sw_server_judges_each_candidate_once(monkeypatch):
-    srv = sw_server()
-    ts, token, _ = store_at(srv, build_write(srv.scheme, 1))
+    srv = server_of("sw")
+    ts, token, _ = store_at(srv, write_for(srv, 1))
     good = Candidate(ts, token, None)
     fake = Candidate(ts, digest(b"fake"), None)
     hist, _ = count_verdicts(monkeypatch)
@@ -405,23 +363,20 @@ def filter_wb(srv, cands):
 
 
 def test_mw_write_back_prefers_the_stored_vector_among_variants():
-    ring = keyring()
-    ts, token, vec = store_at(mw_server(ring), build_write(
-        pow_scheme("hash"), 3, pid=101, ring=ring))
+    srv = server_of("mw")
+    ts, token, vec = store_at(srv, write_for(srv))
     genuine, garbled = Candidate(ts, token, vec), Candidate(ts, token,
                                                             garble(vec))
     for cands in ((garbled, genuine), (genuine, garbled)):
-        srv = mw_server(ring)
-        store_at(srv, build_write(srv.scheme, 3, pid=101, ring=ring))
+        srv = server_of("mw")
+        store_at(srv, write_for(srv))
         assert filter_wb(srv, cands) == genuine
 
 
 def test_mw_write_back_prefers_a_variant_carrying_its_own_entry():
-    ring = keyring()
     for sid in (1, 3):
-        srv = mw_server(ring, sid=sid)
-        ts, token, vec = store_at(srv, build_write(srv.scheme, 3, pid=101,
-                                                   ring=ring))
+        srv = server_of("mw", sid=sid)
+        ts, token, vec = store_at(srv, write_for(srv))
         others = set(range(1, S + 1)) - {sid}
         own = Candidate(ts, token, garble(vec, others))  # only sid's entry
         none = Candidate(ts, token, garble(vec))
@@ -431,12 +386,9 @@ def test_mw_write_back_prefers_a_variant_carrying_its_own_entry():
 
 
 def test_mw_write_back_takes_a_lone_top_candidate_as_sent(monkeypatch):
-    ring = keyring()
-    srv = mw_server(ring)
-    low = build_write(srv.scheme, 2, pid=101, ring=ring)
-    lts, ltoken, lvec = store_at(srv, low)
-    ts, token, vec = store_at(srv, build_write(srv.scheme, 4, pid=102,
-                                               ring=ring, seed=6))
+    srv = server_of("mw")
+    lts, ltoken, lvec = store_at(srv, write_for(srv, 2))
+    ts, token, vec = store_at(srv, write_for(srv, 4, pid=102, seed=6))
     top = Candidate(ts, token, garble(vec))  # history-valid, vector garbled
     rivals = (Candidate(lts, ltoken, lvec), Candidate(lts, ltoken,
                                                        garble(lvec)))
@@ -511,20 +463,15 @@ def dispatch_of(mode):
             for kind in codec.HANDLER_NAMES for role in ROLES}
 
 
-def recording_server(mode):
-    cls = layer(Recording, classes_for(mode)["server"])
-    return cls(1, S, T, keyring=keyring() if mode == "mw" else None)
-
-
 @pytest.mark.parametrize("mode", ["sw", "mw"])
 def test_a_server_answers_only_its_modes_kinds_and_only_from_their_role(mode):
-    assert answers(recording_server(mode)) == dispatch_of(mode)
+    assert answers(server_of(mode, Recording)) == dispatch_of(mode)
 
 
-def every_kind(srv, ring):
+def every_kind(srv):
     """One real message of each kind, as a write at timestamp 3 and a read
     of it would carry them."""
-    ts, token, frs, cc, commitments, vec = write_for(srv, ring)
+    ts, token, frs, cc, commitments, vec = write_for(srv)
     cand = Candidate(ts, token, vec)
     msgs = [codec.Store(ts, frs[0], cc, commitments[0], vec),
             codec.StoreAck(ts), codec.Complete(ts, token, vec),
@@ -536,10 +483,10 @@ def every_kind(srv, ring):
     return msgs
 
 
-def answered(srv, ring):
+def answered(srv):
     """The (kind, role) pairs srv answers when sent a real message of every
     kind from both roles, in turn."""
-    return {(msg.kind, role) for role in ROLES for msg in every_kind(srv, ring)
+    return {(msg.kind, role) for role in ROLES for msg in every_kind(srv)
             if srv.handle(msg, role) is not None}
 
 
@@ -551,15 +498,14 @@ def test_a_behavior_layered_server_dispatches_as_its_replica_does(mode,
     its mode serves from the role that kind comes from, also after a reset;
     Mute serves no kind, so it answers nothing. No real message raises, of
     a kind or from a role the replica drops included."""
-    replica, ring = server_of(mode)
-    want = answered(replica, ring)
+    want = answered(server_of(mode))
     assert want == {(kind, server.ROLE_FOR_KIND[kind]) for kind in SERVED[mode]}
     if behavior == "mute":
         want = set()
-    srv, ring = server_of(mode, behavior)
-    assert answered(srv, ring) == want
+    srv = server_of(mode, behaviors.SERVERS[behavior])
+    assert answered(srv) == want
     srv.reset()
-    assert answered(srv, ring) == want
+    assert answered(srv) == want
 
 
 @pytest.mark.parametrize("behavior", [None, "revert_state", "stale_lc"])
@@ -568,15 +514,13 @@ def test_a_mutants_handler_is_the_one_dispatched(mode, behavior):
     """lc_non_monotone's _on_complete adopts a lower timestamp, which the
     replica's never does; a behavior layered over it, as a run layers a
     faulty server's, still reaches it."""
-    cls = mutants.classes_for(mode, "lc_non_monotone")["server"]
-    if behavior is not None:
-        cls = layer(behaviors.SERVERS[behavior], cls)
-    srv = cls(1, S, T, keyring=keyring() if mode == "mw" else None)
+    srv = server_of(mode, behaviors.SERVERS.get(behavior),
+                    mutant="lc_non_monotone")
     for num in (5, 2):
         ack = srv.handle(codec.Complete(Timestamp(num), b"n" * 32), "writer")
         assert ack == codec.CompleteAck(Timestamp(num))
     assert srv.lc.ts == Timestamp(2)
-    replica = server_for(mode, 1, keyring=srv.keyring)
+    replica = server_of(mode)
     for num in (5, 2):
         replica.handle(codec.Complete(Timestamp(num), b"n" * 32), "writer")
     assert replica.lc.ts == Timestamp(5)
