@@ -208,6 +208,13 @@ KILL_PLANS = {
 }
 
 
+def kill_config(mutant, seed=0):
+    """The run of mutant's kill plan at seed."""
+    kw = dict(writes=4, reads=4, readers=2, mutant=mutant, seed=seed)
+    kw.update(KILL_PLANS[mutant])
+    return SimConfig(**kw)
+
+
 # What scenarios.evaluate reports for each mutant on every seed: one pattern
 # per failure, in evaluate's order
 _FABRICATED = r"\d+ fabricated candidates selected$"
@@ -226,10 +233,7 @@ def test_single_fault_variants_are_rejected(mutant):
     assert set(KILL_PLANS) == set(mutants.REGISTRY) == set(KILLED_BY)
     want = KILLED_BY[mutant]
     for seed in range(10):
-        kw = dict(writes=4, reads=4, readers=2)
-        kw.update(KILL_PLANS[mutant])
-        failures, _ = scenarios.evaluate(
-            run(SimConfig(mutant=mutant, seed=seed, **kw)))
+        failures, _ = scenarios.evaluate(run(kill_config(mutant, seed)))
         assert (len(failures) == len(want)
                 and all(map(re.match, want, failures))), (seed, failures)
     print("PASS mutant %s: rejected on 10/10 seeds, first by %s"

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from test_golden import PINS_PATH
+from test_golden import GOLDEN
 from powerstore import scenarios
 from powerstore.cli import main
 from powerstore.simnet import SimConfig, format_config, parse_config, run
@@ -87,8 +87,7 @@ def test_flags_equal_to_their_defaults_still_override(capsys, argv, field,
 @pytest.mark.parametrize("sweep,seed", [("sw-catalog", 1), ("sw-catalog", 4),
                                         ("mw-catalog", 0), ("mw-catalog", 3)])
 def test_catalog_replay_runs_the_pinned_workload(capsys, sweep, seed):
-    with open(PINS_PATH) as fh:
-        pin = json.load(fh)["%s/hash/%d" % (sweep, seed)]
+    pin = GOLDEN.load()["%s/hash/%d" % (sweep, seed)]
     _, out, _ = run_cli(capsys, "replay", "--scenario", sweep, "--seed",
                         str(seed))
     assert "log digest %s" % pin["log_digest"] in out

@@ -1,31 +1,21 @@
-"""Behaviour pins across code versions: pinned (scenario, pow, seed) runs must
-reproduce their history signature, log digest and metrics exactly.
+"""Behaviour pins across code versions: each pinned run of each pin file
+(tests/conftest.py's PinFile) must reproduce its digests exactly.
 
-tests/golden_pins.json maps each run to all three digests. A change that alters
-behaviour on purpose regenerates the file and says why in CHANGES.md:
+tests/golden_pins.json maps each run below to its history signature, log
+digest and metrics. A change that alters behaviour on purpose regenerates
+the file and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import json
-import os
-
 import pytest
 
-from test_acceptance import KILL_PLANS
+from conftest import DIGESTED, PinFile, sweep_configs
+from test_acceptance import KILL_PLANS, kill_config
+from test_wire_view import WIRE
 from powerstore import scenarios
 from powerstore.crypto import digest
-from powerstore.simnet import SimConfig, run
-
-PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "golden_pins.json")
-SEEDS = range(25)
-
-
-def _mutant_config(mutant):
-    kw = dict(writes=4, reads=4, readers=2)
-    kw.update(KILL_PLANS[mutant])
-    return SimConfig(mutant=mutant, seed=0, **kw)
+from powerstore.simnet import SimConfig
 
 
 def partial_reveal_configs():
@@ -51,41 +41,39 @@ def deadlock_configs():
 
 def pinned_configs():
     """Run key -> SimConfig for every pinned run."""
-    configs = {}
-    for sweep in scenarios.SWEEPS:
-        for pow_name in ("hash", "shamir"):
-            for seed in SEEDS:
-                configs["%s/%s/%d" % (sweep, pow_name, seed)] = \
-                    scenarios.pair_for(sweep, seed, pow_name=pow_name)[1]
+    configs = sweep_configs(dict.fromkeys(scenarios.SWEEPS, range(25)))
     for mutant in sorted(KILL_PLANS):
-        configs["mutant/%s/0" % mutant] = _mutant_config(mutant)
+        configs["mutant/%s/0" % mutant] = kill_config(mutant)
     configs.update(partial_reveal_configs())
     configs.update(deadlock_configs())
     return configs
 
 
-def pin(config):
-    result = run(config)
-    return {"signature": digest(repr(result.history_signature()).encode()).hex(),
-            "log_digest": result.log_digest(),
-            "metrics": digest(repr(sorted(result.metrics.items())).encode()).hex()}
+def pin(outputs, key, config):
+    """The run's three digests, from tests/conftest.py's outputs."""
+    log_digest, signature, metrics, _ = outputs(config, digest_kinds=DIGESTED)
+    return {"signature": digest(repr(signature).encode()).hex(),
+            "log_digest": log_digest,
+            "metrics": digest(repr(sorted(metrics.items())).encode()).hex()}
 
 
-def _load_pins():
-    with open(PINS_PATH) as fh:
-        return json.load(fh)
+GOLDEN = PinFile("golden_pins.json", pinned_configs, "outputs", pin)
+PIN_FILES = (GOLDEN, WIRE)
 
 
-def test_pins_cover_every_pinned_run():
-    assert sorted(_load_pins()) == sorted(pinned_configs())
+@pytest.mark.parametrize("pins", PIN_FILES, ids=str)
+def test_pins_cover_every_pinned_run(pins):
+    assert sorted(pins.load()) == sorted(pins.configs())
 
 
-@pytest.mark.parametrize("prefix", ["sw-catalog/", "mw-catalog/", "mutant/",
-                                    "partial-reveal/", "deadlock/"])
-def test_pinned_runs_reproduce_their_digests(prefix):
-    pins = _load_pins()
-    drift = [key for key, config in sorted(pinned_configs().items())
-             if key.startswith(prefix) and pin(config) != pins[key]]
+@pytest.mark.parametrize("pins,prefix", [
+    (pins, prefix) for pins in PIN_FILES for prefix in pins.prefixes()],
+    ids=str)
+def test_pinned_runs_reproduce_their_digests(pins, prefix, request):
+    value, want = request.getfixturevalue(pins.fixture), pins.load()
+    drift = [key for key, config in sorted(pins.configs().items())
+             if key.startswith(prefix)
+             and pins.pin(value, key, config) != want[key]]
     assert not drift, "behaviour changed on %d pinned runs, first %s" % (
         len(drift), drift[0])
 
@@ -109,8 +97,5 @@ def test_a_scenario_appended_to_the_catalog_moves_no_sweep_seed(monkeypatch):
 
 
 if __name__ == "__main__":
-    pins = {key: pin(config) for key, config in sorted(pinned_configs().items())}
-    with open(PINS_PATH, "w") as fh:
-        json.dump(pins, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print("wrote %d pins to %s" % (len(pins), PINS_PATH))
+    from conftest import run_outputs
+    GOLDEN.regenerate(run_outputs)

@@ -15,7 +15,9 @@ from powerstore.erasure import Fragment
 from powerstore.server import SwServer
 from powerstore.simnet import SimConfig
 
+from conftest import DIGESTED
 from test_golden import partial_reveal_configs
+from test_wire_view import SWEEPS
 
 
 class _LiteralLc(SwServer):
@@ -43,17 +45,13 @@ class _LiteralLc(SwServer):
         return self._filter_ack(msg, self._valids(msg.cands))
 
 
-# the replies whose wires the differentials digest: a COLLECT_ACK's list
-# and a REPAIR's vector show in no log event
-DIGESTED = (codec.COLLECT_ACK, codec.REPAIR)
 FLOOD = dict(readers=4, writes=5, reads=5, adversary_budget=50,
              faults=("byz_reader:201:flood_writebacks",))
 
 
 def differential_configs():
-    configs = {}
-    for seed in range(28):  # the sw sweep's seeds
-        configs["sw-catalog/%d" % seed] = scenarios.pair_for("sw-catalog", seed)[1]
+    configs = {"sw-catalog/%d" % seed: scenarios.pair_for("sw-catalog", seed)[1]
+               for seed in SWEEPS["sw-catalog"]}
     configs["flood/0"] = scenarios.pair_for("sw-flood", 0, **FLOOD)[1]
     garbage = dict(mode="sw", writers=1, readers=2, writes=3, reads=3,
                    value_size=48, seed=3,
@@ -76,9 +74,12 @@ def differential_configs():
     return configs
 
 
-@pytest.mark.parametrize("key", sorted(differential_configs()))
+CONFIGS = differential_configs()
+
+
+@pytest.mark.parametrize("key", sorted(CONFIGS))
 def test_runs_match_the_literal_lc_rules(key, monkeypatch, outputs):
-    config = differential_configs()[key]
+    config = CONFIGS[key]
     got = outputs(config, digest_kinds=DIGESTED)
     monkeypatch.setitem(mutants.CLASSES["sw"], "server", _LiteralLc)
     assert outputs(config, digest_kinds=DIGESTED) == got

@@ -14,15 +14,16 @@ import pytest
 
 from powerstore import codec, mutants, scenarios, simnet
 from powerstore.client import BOTTOM, MwReader, ProtocolInvariantError, SwReader
-from powerstore.core import Candidate, highcand, invalid
+from powerstore.core import Candidate, Timestamp, highcand, invalid
 from powerstore.crypto import digest
 from powerstore.erasure import decode as ec_decode, fragment_to_bytes
-from powerstore.simnet import SimConfig
 
-from test_acceptance import KILL_PLANS
+from conftest import DIGESTED
+from test_acceptance import kill_config
 from test_golden import partial_reveal_configs
-from test_literal_lc import DIGESTED, FLOOD
+from test_literal_lc import FLOOD
 from test_server import recompute_verdicts
+from test_wire_view import SWEEPS
 
 # the benchmark's contended workload: mw-pareto with eight of each client
 CONTENDED = dict(writers=8, readers=8, writes=4, reads=4)
@@ -110,11 +111,8 @@ LITERAL = {"sw": _LiteralSwReader, "mw": _LiteralMwReader}
 
 
 def differential_configs():
-    configs = {}
-    for seed in range(28):  # the sw sweep's seeds
-        configs["sw-catalog/%d" % seed] = scenarios.pair_for("sw-catalog", seed)[1]
-    for seed in range(24):  # the mw sweep's seeds
-        configs["mw-catalog/%d" % seed] = scenarios.pair_for("mw-catalog", seed)[1]
+    configs = {"%s/%d" % (sweep, seed): scenarios.pair_for(sweep, seed)[1]
+               for sweep, seeds in SWEEPS.items() for seed in seeds}
     for pow_name in ("hash", "shamir"):
         for t in (1, 2):
             for seed in range(10):
@@ -136,10 +134,7 @@ def differential_configs():
     configs["contended/0"] = scenarios.pair_for("mw-pareto", 0, **CONTENDED)[1]
     for mutant in ("safe_quorum_minus_one", "decode_skip_cc"):
         for seed in range(3):
-            kw = dict(writes=4, reads=4, readers=2)
-            kw.update(KILL_PLANS[mutant])
-            configs["%s/%d" % (mutant, seed)] = SimConfig(
-                mutant=mutant, seed=seed, **kw)
+            configs["%s/%d" % (mutant, seed)] = kill_config(mutant, seed)
     configs.update(partial_reveal_configs())
     return configs
 
@@ -147,24 +142,9 @@ def differential_configs():
 CONFIGS = differential_configs()
 
 
-@pytest.fixture(scope="module")
-def unpatched(outputs):
-    """unpatched(key) is the outputs of CONFIGS[key] run with the program's
-    own classes, made once for every test of this module."""
-    made = {}
-
-    def get(key):
-        if key not in made:
-            made[key] = outputs(CONFIGS[key], digest_kinds=DIGESTED)
-        return made[key]
-
-    return get
-
-
 @pytest.mark.parametrize("key", sorted(CONFIGS))
-def test_runs_match_the_literal_reader_rules(key, monkeypatch, outputs,
-                                             unpatched):
-    config, want = CONFIGS[key], unpatched(key)
+def test_runs_match_the_literal_reader_rules(key, monkeypatch, outputs):
+    config, want = CONFIGS[key], outputs(CONFIGS[key], digest_kinds=DIGESTED)
     monkeypatch.setitem(mutants.CLASSES[config.mode], "reader",
                         LITERAL[config.mode])
     sim = simnet.Simulation(config)
@@ -173,14 +153,43 @@ def test_runs_match_the_literal_reader_rules(key, monkeypatch, outputs,
 
 
 @pytest.mark.parametrize("key", sorted(CONFIGS))
-def test_runs_match_without_verdict_memos(key, monkeypatch, outputs,
-                                          unpatched):
-    want = unpatched(key)
+def test_runs_match_without_verdict_memos(key, monkeypatch, outputs):
+    want = outputs(CONFIGS[key], digest_kinds=DIGESTED)
     recompute_verdicts(monkeypatch)
     assert outputs(CONFIGS[key], digest_kinds=DIGESTED) == want
 
 
-def test_the_differential_reaches_the_repair_round(unpatched):
-    repairing = [key for key in sorted(CONFIGS) if key.startswith("mw-bigmac/")
-                 and unpatched(key)[2]["repairs"]]
+def test_the_differential_reaches_the_repair_round(outputs):
+    repairing = [key for key, config in sorted(CONFIGS.items())
+                 if key.startswith("mw-bigmac/")
+                 and outputs(config, digest_kinds=DIGESTED)[2]["repairs"]]
     assert len(repairing) >= 8, repairing
+
+
+@pytest.mark.parametrize("bypass", [
+    recompute_verdicts,
+    lambda patch: patch.setattr(Timestamp, "__lt__",
+                                lambda a, b: a[:2] < b[:2]),
+    lambda patch: patch.setitem(mutants.CLASSES["sw"], "reader",
+                                LITERAL["sw"]),
+    lambda patch: {}], ids=["method", "dunder", "reader", "table"])
+def test_the_run_table_keeps_only_unpatched_runs(bypass, monkeypatch,
+                                                 outputs):
+    """A run under a patched method or dunder or a replaced mutants.CLASSES
+    entry, or with a table passed (what bypass gives), is neither served
+    from the session run table (tests/conftest.py) nor stored in it; an
+    unpatched run is both, and each hit is a copy."""
+    config = CONFIGS["sw-catalog/0"]
+    key, planted = (config, DIGESTED), ("log", (), {"msgs_sent": 0}, "wires")
+    want = outputs(config, digest_kinds=DIGESTED)
+    assert outputs.made[key] == want
+    monkeypatch.setitem(outputs.made, key, planted)
+    with pytest.MonkeyPatch.context() as patch:
+        table = bypass(patch)
+        assert outputs(config, table, digest_kinds=DIGESTED) == want
+        del outputs.made[key]
+        outputs(config, table, digest_kinds=DIGESTED)
+        assert key not in outputs.made
+    outputs.made[key] = planted
+    hit = outputs(config, digest_kinds=DIGESTED)
+    assert hit == planted and hit[2] is not planted[2]

@@ -34,11 +34,12 @@ from powerstore.core import Candidate, Timestamp
 from powerstore.crypto import Polynomial
 from powerstore.erasure import FRAGMENT_HEADER_BYTES, Fragment
 from powerstore.erasure import encode as ec_encode
+from conftest import DIGESTED
 from test_codec import (
     _filter_wire, _list_messages, _mutate, _mutation_corpus, _ref_enc_cand,
     _ref_enc_opt_list, _ref_enc_ts, _reference_decode, _reference_encode,
     _verdict)
-from test_literal_lc import DIGESTED, FLOOD
+from test_literal_lc import FLOOD
 from test_literal_reader import CONTENDED
 from test_server import recompute_verdicts
 from test_simnet import small

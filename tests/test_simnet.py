@@ -15,7 +15,8 @@ from powerstore.erasure import Fragment
 from powerstore.simnet import (
     SimConfig, event_to_json, format_config, make_delay_fn, make_value,
     parse_config, parse_faults, run)
-from test_golden import _mutant_config, deadlock_configs
+from test_acceptance import kill_config
+from test_golden import deadlock_configs
 from test_perfbench_smoke import _import_tracing
 from test_wire_view import SWEEPS, pin, pinned_configs
 
@@ -312,7 +313,7 @@ METRICS_PINS = {
         "completed_reads": 6, "repairs": 0, "lc_set_peak": 1, "ticks": 86,
         "accepts": 12}),
     "client_crash": (
-        lambda: _mutant_config("safe_quorum_minus_one"),
+        lambda: kill_config("safe_quorum_minus_one"),
         ("ProtocolInvariantError: restore without a cross-checksum witness",
          None), {
             "msgs_sent": 45, "msgs_delivered": 38, "bytes_sent": 2619,
@@ -435,8 +436,8 @@ def _every_event_shape():
     yield from pinned_configs().items()
     _, workloads = _import_tracing()
     for config in (*deadlock_configs().values(),
-                   _mutant_config("lc_non_monotone"),  # a monitor event
-                   _mutant_config("safe_quorum_minus_one"),  # a client_crash
+                   kill_config("lc_non_monotone"),  # a monitor event
+                   kill_config("safe_quorum_minus_one"),  # a client_crash
                    *(workloads.config_for(workloads.WORKLOADS[name].task(0))
                      for name in ("flood", "contended"))):
         yield None, config
